@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,6 +45,10 @@ __all__ = ["RunConfig", "parse_config", "run_scenario", "main"]
 _ENGINES = ("moments", "fock-master", "trajectories")
 _SCENARIOS = ("fig2", "fig3", "fig4", "fig5", "custom")
 _SWEEPABLE = ("gamma", "decay", "omega_env", "delta", "coupling", "temperature")
+# sign checks of the [bath] keys, applied to the sweep values that replace them
+_BATH_SIGN = {"decay": ("nonnegative", lambda x: x >= 0),
+              "gamma": ("positive", lambda x: x > 0),
+              "temperature": ("nonnegative", lambda x: x >= 0)}
 
 # (type tag, default); None default means "unset"
 _SCHEMA = {
@@ -308,12 +311,9 @@ def _validate(scenario, v, src, resolved) -> RunConfig:
         raise ConfigError("[grid] dt must be positive")
     if v[("grid", "t_final")] <= v[("grid", "dt")]:
         raise ConfigError("[grid] t_final must exceed dt")
-    if v[("bath", "decay")] < 0:
-        raise ConfigError("[bath] decay must be nonnegative")
-    if v[("bath", "gamma")] <= 0:
-        raise ConfigError("[bath] gamma must be positive")
-    if v[("bath", "temperature")] < 0:
-        raise ConfigError("[bath] temperature must be nonnegative")
+    for key, (word, ok) in _BATH_SIGN.items():
+        if not ok(v[("bath", key)]):
+            raise ConfigError(f"[bath] {key} must be {word}")
     if v[("bath", "kernel")] == "tabulated" and not v[("bath", "table")]:
         raise ConfigError("[bath] tabulated kernel needs a table path")
     if v[("run", "paths")] < 1:
@@ -368,9 +368,23 @@ def _validate(scenario, v, src, resolved) -> RunConfig:
             pts = tuple(np.round(np.arange(start, stop + 0.5 * step, step), 12))
         if not pts:
             raise ConfigError("[sweep] grid is empty")
+        if physical is not None and param in ("delta", "coupling"):
+            raise ConfigError(
+                f"[sweep] {param} is fixed by the raw [system] parameters"
+            )
+        if param in _BATH_SIGN:
+            word, ok = _BATH_SIGN[param]
+            bad = [x for x in pts if not ok(x)]
+            if bad:
+                raise ConfigError(f"[sweep] {param} values must be {word}; "
+                                  f"got {bad[0]:g}")
         sweep = (param, pts)
 
-    if v[("bath", "temperature")] > 0:
+    # a temperature sweep replaces [bath] temperature point by point
+    temps = [v[("bath", "temperature")]]
+    if sweep and sweep[0] == "temperature":
+        temps = sweep[1]
+    if max(temps) > 0:
         if scenario != "custom":
             raise ConfigError("figure presets are zero-temperature scenarios")
         if v[("run", "engine")] != "fock-master":
@@ -468,8 +482,7 @@ def _run_point(cfg: RunConfig, sys, kspec, grid):
                            cfg.seed, cfg.store_every)
 
 
-def _run_thermal_point(cfg: RunConfig, sys, grid, temperature):
-    base = OUKernel(Gamma=cfg.decay, gamma=cfg.gamma, Omega=cfg.omega_env)
+def _run_thermal_point(cfg: RunConfig, sys, grid, base: OUKernel, temperature):
     eff = effective_kernels(base, temperature, fit=True)
     # weight each kernel's relative misfit by its zero-lag strength so a
     # poor fit of a negligible absorption kernel stays quiet
@@ -675,14 +688,6 @@ def _node_at(grid: TimeGrid, t_star):
     return k
 
 
-def _pool_map(fn, items):
-    workers = min(8, os.cpu_count() or 1, max(len(items), 1))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # -------------------------------------------------------------- scenarios
 
 
@@ -732,7 +737,7 @@ def _scenario_fig3(cfg, outdir, manifest):
         return _run_point(cfg, sys_, kspec, grid)[1]
 
     jobs = gammas + [None]
-    results = _pool_map(point, jobs)
+    results = [point(gamma) for gamma in jobs]
     times = results[0].times
     names = ["t"]
     cols = [times]
@@ -768,11 +773,8 @@ def _scenario_fig4(cfg, outdir, manifest):
     grid = cfg.grid()
     sys_ = cfg.system()
     omegas = list(_FIG4_OMEGAS)
-
-    def point(omega):
-        return _run_point(cfg, sys_, cfg.bath_kernel(omega_env=omega), grid)[1]
-
-    results = _pool_map(point, omegas)
+    results = [_run_point(cfg, sys_, cfg.bath_kernel(omega_env=omega), grid)[1]
+               for omega in omegas]
     times = results[0].times
     names = ["t"] + [f"en_omega{_num_tag(w)}" for w in omegas]
     cols = [times] + [r.en for r in results]
@@ -811,11 +813,8 @@ def _scenario_fig5(cfg, outdir, manifest):
     argmax = {}
     for gamma in gammas:
         kspec = cfg.bath_kernel(gamma=gamma)
-
-        def point(delta):
-            return _run_point(cfg, cfg.system(delta=delta), kspec, grid)[1]
-
-        results = _pool_map(point, deltas)
+        results = [_run_point(cfg, cfg.system(delta=delta), kspec, grid)[1]
+                   for delta in deltas]
         times = results[0].times
         tag = f"gamma{_num_tag(gamma)}"
         name = f"fig5_en_grid_{tag}.csv"
@@ -847,13 +846,13 @@ def _custom_single(cfg, outdir, manifest, delta=None, coupling=None,
     grid = cfg.grid()
     sys_ = cfg.system(delta=delta, coupling=coupling)
     T = cfg.temperature if temperature is None else temperature
+    kspec = cfg.bath_kernel(gamma=gamma, omega_env=omega_env, decay=decay)
     files = []
     if T > 0:
-        X, res = _run_thermal_point(cfg, sys_, grid, T)
+        X, res = _run_thermal_point(cfg, sys_, grid, kspec.ou, T)
         _thermal_csv(outdir / "thermal_coefficients.csv", X)
         files.append("thermal_coefficients.csv")
     else:
-        kspec = cfg.bath_kernel(gamma=gamma, omega_env=omega_env, decay=decay)
         F, res = _run_point(cfg, sys_, kspec, grid)
         _coefficient_csv(outdir / "coefficients.csv", F)
         files.append("coefficients.csv")
@@ -879,9 +878,7 @@ def _scenario_custom(cfg, outdir, manifest):
         return _custom_single(cfg, outdir, manifest)
     param, pts = cfg.sweep
     index = []
-
-    def point(item):
-        i, value = item
+    for i, value in enumerate(pts):
         sub = outdir / f"run_{i:03d}_{param}_{_num_tag(value)}"
         sub.mkdir(parents=True, exist_ok=True)
         sub_manifest = {"metrics": {}, "assumptions": []}
@@ -892,11 +889,9 @@ def _scenario_custom(cfg, outdir, manifest):
                         "metrics": sub_manifest["metrics"],
                         "outputs": files}, indent=2, sort_keys=True) + "\n",
             encoding="utf-8")
-        return {"dir": sub.name, "parameter": param, "value": float(value),
-                "en_final": sub_manifest["metrics"]["en_final"],
-                "en_max": sub_manifest["metrics"]["en_max"]}
-
-    index = _pool_map(point, list(enumerate(pts)))
+        index.append({"dir": sub.name, "parameter": param, "value": float(value),
+                      "en_final": sub_manifest["metrics"]["en_final"],
+                      "en_max": sub_manifest["metrics"]["en_max"]})
     manifest["sweep"] = {"parameter": param,
                          "values": [float(v) for v in pts],
                          "points": index}

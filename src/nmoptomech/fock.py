@@ -26,7 +26,7 @@ from .kernel import KernelSpec, path_seed, sample_noise_batch, NoisePath
 from .moments import MomentState, MomentTrajectory
 from .ocoeff import OCoefficientSeries
 from .params import LinearizedSystem
-from .stepping import TimeGrid, midpoint_values, pairwise_sum
+from .stepping import TimeGrid, pairwise_sum, rk4_step, stage_values
 
 __all__ = [
     "FockOperators",
@@ -194,21 +194,11 @@ def _check_rho(rho, ops, t, trace_tol, leak_tol):
         )
 
 
-def _stage_coeffs(series_rows, n):
-    """Node and 4th-order midpoint values for each driving coefficient row."""
-    nodes = [np.asarray(r) for r in series_rows]
-    if n >= 4:
-        mids = [midpoint_values(r) for r in nodes]
-    else:
-        mids = [0.5 * (r[:-1] + r[1:]) for r in nodes]
-    return nodes, mids
-
-
 def _run_rho(rhs_for, grid, rho0, ops, store_every, trace_tol, leak_tol):
     """Shared 4th-order density-matrix march.
 
-    ``rhs_for(stage)`` returns the generator for stage index
-    (0: node k, 1: midpoint, 2: node k+1), itself a function of rho.
+    ``rhs_for(k)`` returns the generators of step k at node k, at the
+    midpoint and at node k+1, each a function of rho.
     """
     n = grid.n_points
     dt = grid.dt
@@ -231,12 +221,7 @@ def _run_rho(rhs_for, grid, rho0, ops, store_every, trace_tol, leak_tol):
         _check_rho(rho, ops, t[k], trace_tol, leak_tol)
         if k == n - 1:
             break
-        f_node, f_mid, f_next = rhs_for(k)
-        k1 = f_node(rho)
-        k2 = f_mid(rho + (0.5 * dt) * k1)
-        k3 = f_mid(rho + (0.5 * dt) * k2)
-        k4 = f_next(rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = rk4_step(rho, dt, *rhs_for(k))
     return RhoTrajectory(grid=grid, store_idx=store_idx, rhos=rhos,
                          moments=moments, traces=traces)
 
@@ -256,7 +241,7 @@ def integrate_master(F: OCoefficientSeries, ops: FockOperators, rho0,
         raise ValueError("operators were built without a Hamiltonian")
     H, b = ops.H, ops.b
     a, ad, bd = ops.a, ops.ad, ops.bd
-    nodes, mids = _stage_coeffs((F.F1, F.F2, F.F3, F.F4), grid.n_points)
+    nodes, mids = stage_values((F.F1, F.F2, F.F3, F.F4))
 
     def gen_at(fv):
         od = (fv[0].conjugate() * bd + fv[1].conjugate() * b
@@ -322,10 +307,9 @@ def _propagate_states(F, ops, Z, psi0, grid, store_idx, norm_cap=1e6):
     dt = grid.dt
     H, b = ops.H, ops.b
     drift = [ops.bd @ ops.b, ops.bd @ ops.bd, ops.bd @ ops.a, ops.bd @ ops.ad]
-    nodes, mids = _stage_coeffs((F.F1, F.F2, F.F3, F.F4), n)
+    nodes, mids = stage_values((F.F1, F.F2, F.F3, F.F4))
     psi = np.array(psi0, dtype=complex)
-    single = psi.ndim == 1
-    if single:
+    if psi.ndim == 1:
         psi = psi[:, None]
     out = np.empty((len(store_idx), psi.shape[0], psi.shape[1]), dtype=complex)
     ptr = 0
@@ -336,8 +320,9 @@ def _propagate_states(F, ops, Z, psi0, grid, store_idx, norm_cap=1e6):
             m = m - c * mat
         return m
 
-    def rhs(m, psi_s, z_row):
-        return m @ psi_s + (b @ psi_s) * z_row
+    def rhs_at(fv, z_row):
+        m = amat(fv)
+        return lambda p: m @ p + (b @ p) * z_row
 
     for k in range(n):
         if ptr < len(store_idx) and store_idx[ptr] == k:
@@ -345,15 +330,9 @@ def _propagate_states(F, ops, Z, psi0, grid, store_idx, norm_cap=1e6):
             ptr += 1
         if k == n - 1:
             break
-        m0 = amat([r[k] for r in nodes])
-        mm = amat([r[k] for r in mids])
-        m1 = amat([r[k + 1] for r in nodes])
-        z0, zm, z1 = Z[2 * k], Z[2 * k + 1], Z[2 * k + 2]
-        k1 = rhs(m0, psi, z0)
-        k2 = rhs(mm, psi + (0.5 * dt) * k1, zm)
-        k3 = rhs(mm, psi + (0.5 * dt) * k2, zm)
-        k4 = rhs(m1, psi + dt * k3, z1)
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        psi = rk4_step(psi, dt, rhs_at([r[k] for r in nodes], Z[2 * k]),
+                       rhs_at([r[k] for r in mids], Z[2 * k + 1]),
+                       rhs_at([r[k + 1] for r in nodes], Z[2 * k + 2]))
         if k % 64 == 0 or k == n - 2:
             worst = np.abs(psi).max()
             if not np.isfinite(worst) or worst > norm_cap:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SymplecticForm",
     "EntanglementResult",
     "log_negativity",
     "min_symplectic_eigenvalue",
@@ -34,21 +33,6 @@ _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _M = np.block([[_J, np.zeros((2, 2))], [np.zeros((2, 2)), _J]])
 # Partial transpose of mode 2 flips the sign of p2.
 _PT = np.diag([1.0, 1.0, 1.0, -1.0])
-
-
-@dataclass(frozen=True)
-class SymplecticForm:
-    """The fixed 4x4 form M with one J = [[0, 1], [-1, 0]] block per mode."""
-
-    matrix: np.ndarray
-
-    @classmethod
-    def two_mode(cls):
-        return cls(matrix=_M.copy())
-
-    @property
-    def single_mode_block(self):
-        return _J.copy()
 
 
 @dataclass(frozen=True)

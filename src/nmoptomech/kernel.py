@@ -256,9 +256,15 @@ def write_kernel_table(path, lags, values):
 
 
 def read_kernel_table(path) -> KernelSpec:
-    """Read a kernel table written by :func:`write_kernel_table`."""
+    """Read a kernel table: CSV with the header ``lag,re,im``, or the
+    whitespace-separated text written by :func:`write_kernel_table`."""
     try:
-        data = np.loadtxt(path)
+        with open(path, encoding="utf-8") as fh:
+            lines = [x for x in fh if x.strip() and not x.lstrip().startswith("#")]
+        sep = "," if lines and "," in lines[0] else None
+        if lines and lines[0].split(sep)[0].strip().lower() == "lag":
+            lines = lines[1:]
+        data = np.loadtxt(lines, delimiter=sep)
     except Exception as exc:
         raise ConfigError(f"cannot read kernel table {path}: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != 3:

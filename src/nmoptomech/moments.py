@@ -23,7 +23,7 @@ from .errors import NumericalFailure
 from .gaussian_ent import log_negativity, min_symplectic_eigenvalue
 from .ocoeff import OCoefficientSeries
 from .params import LinearizedSystem
-from .stepping import TimeGrid, midpoint_values
+from .stepping import TimeGrid, rk4_step, stage_values
 
 __all__ = [
     "MOMENT_LABELS",
@@ -278,34 +278,21 @@ def integrate_moments(F: OCoefficientSeries, sys: LinearizedSystem,
     if init.conjugation_residual() > 1e-9:
         raise ValueError("initial moments break the conjugation pairing")
 
-    fn = [x.tolist() for x in (F.F1, F.F2, F.F3, F.F4)]
-    if n >= 4:
-        fm = [midpoint_values(x).tolist() for x in (F.F1, F.F2, F.F3, F.F4)]
-    else:
-        fm = [[0.5 * (r[k] + r[k + 1]) for k in range(n - 1)] for r in fn]
+    nodes, mids = stage_values((F.F1, F.F2, F.F3, F.F4))
+    fn = [x.tolist() for x in nodes]
+    fm = [x.tolist() for x in mids]
+
+    def rhs_at(fs, k):
+        # on Python complex scalars: cheaper than numpy for 14 entries
+        f = tuple(r[k] for r in fs)
+        fc = tuple(x.conjugate() for x in f)
+        return lambda y: np.array(_moment_rhs(y.tolist(), *f, *fc, wm, delta, g))
 
     vals = np.empty((n, 14), dtype=complex)
     vals[0] = init.vector
-    y = tuple(complex(x) for x in init.vector)
-    sixth = dt / 6.0
-    half = 0.5 * dt
     for k in range(n - 1):
-        fa = (fn[0][k], fn[1][k], fn[2][k], fn[3][k])
-        fb = (fm[0][k], fm[1][k], fm[2][k], fm[3][k])
-        fc = (fn[0][k + 1], fn[1][k + 1], fn[2][k + 1], fn[3][k + 1])
-        ca = tuple(x.conjugate() for x in fa)
-        cb = tuple(x.conjugate() for x in fb)
-        cc = tuple(x.conjugate() for x in fc)
-        k1 = _moment_rhs(y, *fa, *ca, wm, delta, g)
-        y2 = tuple(y[i] + half * k1[i] for i in range(14))
-        k2 = _moment_rhs(y2, *fb, *cb, wm, delta, g)
-        y3 = tuple(y[i] + half * k2[i] for i in range(14))
-        k3 = _moment_rhs(y3, *fb, *cb, wm, delta, g)
-        y4 = tuple(y[i] + dt * k3[i] for i in range(14))
-        k4 = _moment_rhs(y4, *fc, *cc, wm, delta, g)
-        y = tuple(y[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-                  for i in range(14))
-        vals[k + 1] = y
+        vals[k + 1] = rk4_step(vals[k], dt, rhs_at(fn, k), rhs_at(fm, k),
+                               rhs_at(fn, k + 1))
     if not np.all(np.isfinite(vals)):
         raise NumericalFailure("moment integration blew up; refine the grid")
     drift = MomentState.from_vector(vals[-1]).conjugation_residual()

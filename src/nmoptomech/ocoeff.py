@@ -33,6 +33,7 @@ from .kernel import KernelSpec, OUKernel, eval_kernel
 from .params import LinearizedSystem
 from .stepping import (
     TimeGrid,
+    march_doubled,
     midpoint_derivative,
     midpoint_values,
     trapezoid_weights,
@@ -287,37 +288,14 @@ def solve_ou_closed(k: OUKernel, sys: LinearizedSystem, grid: TimeGrid,
 
     Differentiating the quadrature definitions under an exponential
     kernel closes the system on (F1..F5) alone; validated against the
-    grid solver.  Each step is taken twice (one full, two halves) as a
-    stiffness guard, keeping the finer result.
+    grid solver.  Step doubling guards against stiffness.
     """
     if not isinstance(k, OUKernel):
         raise TypeError("closed path needs an exponential kernel")
-    n = grid.n_points
-    dt = grid.dt
     dim = 5 if include_f5 else 4
-    a0 = complex(k.alpha0)
-    mu = k.mu
-    args = (a0, mu, sys.omega_m, sys.Delta, sys.G, include_f5)
-
-    def rk4(y, h):
-        k1 = _closed_rhs(y, *args)
-        k2 = _closed_rhs(y + 0.5 * h * k1, *args)
-        k3 = _closed_rhs(y + 0.5 * h * k2, *args)
-        k4 = _closed_rhs(y + h * k3, *args)
-        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    F = np.zeros((dim, n), dtype=complex)
-    y = np.zeros(dim, dtype=complex)
-    for kk in range(n - 1):
-        coarse = rk4(y, dt)
-        y = rk4(rk4(y, 0.5 * dt), 0.5 * dt)
-        err = np.abs(coarse - y).max()
-        if not np.isfinite(err) or err > 1e-2 * max(1.0, np.abs(y).max()):
-            raise NumericalFailure(
-                f"closed coefficient system is stiff at t={grid.dt * (kk + 1):.3f} "
-                "for this step size; refine dt"
-            )
-        F[:, kk + 1] = y
+    args = (complex(k.alpha0), k.mu, sys.omega_m, sys.Delta, sys.G, include_f5)
+    F = march_doubled(lambda y: _closed_rhs(y, *args), np.zeros(dim), grid,
+                      "closed coefficient system").T.copy()
     return OCoefficientSeries(
         grid=grid, F1=F[0], F2=F[1], F3=F[2], F4=F[3],
         F5=F[4] if include_f5 else None, provenance="closed-ou",

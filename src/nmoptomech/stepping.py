@@ -1,20 +1,25 @@
 """Uniform time grids and small stencil helpers shared by the integrators.
 
 Every solver in this package marches on the same uniform grid with a
-classical fourth-order Runge-Kutta step.  The helpers here keep the grid
-bookkeeping, the trapezoidal quadrature weights, and the fourth-order
-midpoint stencils in one place so that all modules discretize identically.
+classical fourth-order Runge-Kutta step.  The helpers here keep that step,
+the grid bookkeeping, the trapezoidal quadrature weights, and the midpoint
+stencils in one place so that all modules discretize identically.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalFailure
+
 __all__ = [
     "TimeGrid",
     "trapezoid_weights",
     "midpoint_values",
     "midpoint_derivative",
+    "stage_values",
+    "rk4_step",
+    "march_doubled",
     "pairwise_sum",
 ]
 
@@ -116,6 +121,60 @@ def midpoint_values(values):
 def midpoint_derivative(values, h):
     """Fourth-order derivative of a grid series at step midpoints."""
     return _apply_mid_stencil(values, _DMID_INTERIOR, _DMID_LEFT, _DMID_RIGHT) / h
+
+
+def stage_values(rows):
+    """Node and 4th-order midpoint values for each driving coefficient row.
+
+    Grids with fewer than four nodes fall back to the two-node average.
+    """
+    nodes = [np.asarray(r) for r in rows]
+    if nodes[0].shape[0] >= 4:
+        mids = [midpoint_values(r) for r in nodes]
+    else:
+        mids = [0.5 * (r[:-1] + r[1:]) for r in nodes]
+    return nodes, mids
+
+
+def rk4_step(y, h, f, f_mid=None, f_next=None):
+    """One classical Runge-Kutta step of size ``h`` from ``y``.
+
+    ``f``, ``f_mid`` and ``f_next`` are the right-hand sides with their
+    stage data taken at the node, the midpoint and the next node; an
+    autonomous ``f`` serves all three.
+    """
+    f_mid = f if f_mid is None else f_mid
+    f_next = f if f_next is None else f_next
+    k1 = f(y)
+    k2 = f_mid(y + 0.5 * h * k1)
+    k3 = f_mid(y + 0.5 * h * k2)
+    k4 = f_next(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def march_doubled(rhs, y0, grid, what):
+    """March the autonomous ``rhs`` over ``grid`` with step doubling.
+
+    Each step is taken twice (one full, two halves) and the finer result
+    is kept.  The march stops with :class:`NumericalFailure`, naming
+    ``what``, once the two differ by more than 1e-2 of the state scale.
+    Returns the states stacked along a leading time axis.
+    """
+    dt = grid.dt
+    y = np.asarray(y0, dtype=complex)
+    out = np.empty((grid.n_points,) + y.shape, dtype=complex)
+    out[0] = y
+    for kk in range(grid.n_steps):
+        coarse = rk4_step(y, dt, rhs)
+        y = rk4_step(rk4_step(y, 0.5 * dt, rhs), 0.5 * dt, rhs)
+        err = np.abs(coarse - y).max()
+        if not np.isfinite(err) or err > 1e-2 * max(1.0, np.abs(y).max()):
+            raise NumericalFailure(
+                f"{what} is stiff at t={dt * (kk + 1):.3f} "
+                "for this step size; refine dt"
+            )
+        out[kk + 1] = y
+    return out
 
 
 def pairwise_sum(values, axis=0):

@@ -30,10 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .fock import FockOperators, RhoTrajectory, _run_rho, _stage_coeffs
+from .fock import FockOperators, RhoTrajectory, _run_rho
 from .kernel import KernelSpec, OUKernel, eval_kernel, spectral_density
 from .params import LinearizedSystem
-from .stepping import TimeGrid, trapezoid_weights
+from .stepping import (TimeGrid, march_doubled, rk4_step, stage_values,
+                       trapezoid_weights)
 
 __all__ = [
     "ThermalBathSpec",
@@ -319,8 +320,6 @@ def _normalize_pair(kernels):
 
 
 def _solve_thermal_closed(pair, sys, grid):
-    n = grid.n_points
-    dt = grid.dt
     wm, delta, g = sys.omega_m, sys.Delta, sys.G
     a0 = np.zeros(2, dtype=complex)
     mu = np.zeros(2, dtype=complex)
@@ -339,25 +338,7 @@ def _solve_thermal_closed(pair, sys, grid):
         d = a0[:, None] * _BC - mu[:, None] * x + x @ kmat.T
         return live[:, None] * d
 
-    def rk4(x, h):
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h * k2)
-        k4 = rhs(x + h * k3)
-        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    out = np.zeros((n, 2, 4), dtype=complex)
-    out[0] = X
-    for kk in range(n - 1):
-        coarse = rk4(X, dt)
-        X = rk4(rk4(X, 0.5 * dt), 0.5 * dt)
-        err = np.abs(coarse - X).max()
-        if not np.isfinite(err) or err > 1e-2 * max(1.0, np.abs(X).max()):
-            raise NumericalFailure(
-                f"closed thermal system is stiff at t={dt * (kk + 1):.3f} "
-                "for this step size; refine dt"
-            )
-        out[kk + 1] = X
+    out = march_doubled(rhs, X, grid, "closed thermal system")
     return ThermalOCoefficients(grid=grid, X=out,
                                 provenance="closed-exponential")
 
@@ -412,16 +393,10 @@ def _solve_thermal_grid(pair, sys, grid):
         w4[-1] += 0.5 * dt
         kw4 = [w4 * a[kk + 1:0:-1] for a in lag]
 
-        rows = Y[:, :L]
-        k1 = row_rhs(rows, Xnode)
-        y2 = rows + (0.5 * dt) * k1
-        k2 = row_rhs(y2, quad(y2, kw2, 0.25 * dt))
-        y3 = rows + (0.5 * dt) * k2
-        k3 = row_rhs(y3, quad(y3, kw2, 0.25 * dt))
-        y4 = rows + dt * k3
-        k4 = row_rhs(y4, quad(y4, kw4, 0.5 * dt))
-
-        Y[:, :L] = rows + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        Y[:, :L] = rk4_step(
+            Y[:, :L], dt, lambda r: row_rhs(r, Xnode),
+            lambda r: row_rhs(r, quad(r, kw2, 0.25 * dt)),
+            lambda r: row_rhs(r, quad(r, kw4, 0.5 * dt)))
         Y[:, L] = bc8
         kw1 = [trapezoid_weights(L + 1, dt) * a[kk + 1::-1] for a in lag]
         Xnode = quad(Y[:, :L + 1], kw1, 0.0)
@@ -479,7 +454,7 @@ def integrate_thermal_master(Xij: ThermalOCoefficients, ops: FockOperators,
     basis = (ops.a, ops.ad, ops.b, ops.bd)
     dag_basis = (ops.ad, ops.a, ops.bd, ops.b)
     series = [Xij.X[:, i, j] for i in range(2) for j in range(4)]
-    nodes, mids = _stage_coeffs(series, grid.n_points)
+    nodes, mids = stage_values(series)
 
     def gen_at(vals):
         o1 = sum(c * m for c, m in zip(vals[0:4], basis))

@@ -103,6 +103,10 @@ kappa = 0.1
     assert sysl.G > 0
     with pytest.raises(ConfigError):
         parse_config("[system]\nomega_c = 5.0\ng = 0.02\n")
+    # the raw set fixes delta and coupling, so nothing may scan them
+    for param in ("delta", "coupling"):
+        with pytest.raises(ConfigError, match=param):
+            parse_config(raw + f"[sweep]\nparameter = {param}\nvalues = 0.5, 1\n")
 
 
 def test_sweep_parsing_and_restrictions():
@@ -116,6 +120,12 @@ def test_sweep_parsing_and_restrictions():
     with pytest.raises(ConfigError):
         parse_config(MINIMAL + "[sweep]\nparameter = gamma\nvalues = 0.3\n",
                      scenario="fig2")
+    # sweep values pass the checks of the [bath] key they replace
+    for param, values in (("gamma", "0.3, 0"), ("gamma", "-1"),
+                          ("decay", "1, -0.5"), ("temperature", "-0.1")):
+        with pytest.raises(ConfigError, match=f"{param} values"):
+            parse_config(MINIMAL + f"[sweep]\nparameter = {param}\n"
+                         f"values = {values}\n")
 
 
 def test_temperature_needs_master_engine_and_ou():
@@ -137,6 +147,15 @@ engine = fock-master
         parse_config(good.replace("engine = fock-master", "engine = moments"))
     with pytest.raises(ConfigError):
         parse_config(good, scenario="fig2")
+    # a temperature sweep is held to the same rules point by point
+    sweep = "[sweep]\nparameter = temperature\nvalues = 0, 0.1\n"
+    cold = good.replace("temperature = 0.5", "temperature = 0.0")
+    assert parse_config(cold + sweep).sweep == ("temperature", (0.0, 0.1))
+    with pytest.raises(ConfigError, match="fock-master"):
+        parse_config(cold.replace("engine = fock-master", "engine = moments")
+                     + sweep)
+    with pytest.raises(ConfigError, match="ou kernel"):
+        parse_config(cold.replace("kernel = ou", "kernel = markov") + sweep)
 
 
 def test_onset_time_interpolates():
@@ -227,6 +246,15 @@ values = 0.5, 1.0
     sub = out / manifest["sweep"]["points"][0]["dir"]
     assert (sub / "timeseries.csv").exists()
     assert (sub / "point.json").exists()
+    # the swept memory rate reaches the finite-temperature path as well
+    p.write_text(cfg_text.replace("gamma = 0.6", "gamma = 0.6\ntemperature = 0.1")
+                 + "[run]\nengine = fock-master\ndims = 4,4\n")
+    hot = tmp_path / "hot"
+    assert main(["run", "--scenario", "custom", "--config", str(p),
+                 "--out", str(hot), "--tfinal", "0.5"]) == 0
+    runs = [hot / pt["dir"] / "thermal_coefficients.csv" for pt in
+            json.loads((hot / "manifest.json").read_text())["sweep"]["points"]]
+    assert runs[0].read_text() != runs[1].read_text()
 
 
 def test_gamma_flag_narrows_multi_gamma_scenario(tmp_path):

@@ -82,6 +82,13 @@ def test_kernel_table_roundtrip(tmp_path):
     spec = read_kernel_table(path)
     assert spec.variant == "tabulated"
     assert np.allclose(spec.table.values, base.alpha(lags), atol=1e-12)
+    # the CSV layout documented in the README reads to the same kernel
+    csv_path = tmp_path / "kernel_doc.csv"
+    rows = [f"{x:.17g},{v.real:.17g},{v.imag:.17g}"
+            for x, v in zip(lags, base.alpha(lags))]
+    csv_path.write_text("lag,re,im\n" + "\n".join(rows) + "\n")
+    doc = read_kernel_table(csv_path)
+    assert np.array_equal(doc.table.values, spec.table.values)
 
 
 def test_path_seed_is_stable_and_distinct():

@@ -1,13 +1,17 @@
-"""Grid construction, quadrature weights, and stencil helpers."""
+"""Grid construction, quadrature weights, stencil helpers and the RK4 step."""
 
 import numpy as np
 import pytest
 
+from nmoptomech.errors import NumericalFailure
 from nmoptomech.stepping import (
     TimeGrid,
+    march_doubled,
     midpoint_derivative,
     midpoint_values,
     pairwise_sum,
+    rk4_step,
+    stage_values,
     trapezoid_weights,
 )
 
@@ -78,3 +82,65 @@ def test_pairwise_sum_matches_exact_sum():
     v = rng.standard_normal((1000, 3))
     assert np.allclose(pairwise_sum(v), v.sum(axis=0), atol=1e-12)
     assert pairwise_sum(np.zeros((0, 2))).shape == (2,)
+
+
+def test_stage_values_fall_back_to_average_on_short_grids():
+    row = np.array([0.0, 1.0, 4.0])
+    nodes, mids = stage_values([row])
+    assert np.array_equal(nodes[0], row)
+    assert mids[0].tolist() == [0.5, 2.5]
+    x = np.linspace(0.0, 1.0, 9)
+    assert np.array_equal(stage_values([x**2])[1][0], midpoint_values(x**2))
+
+
+def _rk4_error(n):
+    # y' = cos(t) y, y(0) = 1, so y(1) = exp(sin 1); the stage data are
+    # the coefficient at the node, the midpoint and the next node
+    h = 1.0 / n
+    y = np.array([1.0])
+    for k in range(n):
+        t = k * h
+        y = rk4_step(y, h, lambda v: np.cos(t) * v,
+                     lambda v: np.cos(t + 0.5 * h) * v,
+                     lambda v: np.cos(t + h) * v)
+    return abs(y[0] - np.exp(np.sin(1.0)))
+
+
+def test_rk4_step_is_fourth_order_on_nonautonomous_ode():
+    e1, e2, e3 = _rk4_error(10), _rk4_error(20), _rk4_error(40)
+    assert 13.0 < e1 / e2 < 19.0
+    assert 13.0 < e2 / e3 < 19.0
+
+
+def _doubling_gap(rhs, y0, h):
+    coarse = rk4_step(y0, h, rhs)
+    fine = rk4_step(rk4_step(y0, 0.5 * h, rhs), 0.5 * h, rhs)
+    return abs(coarse - fine).max(), abs(fine).max()
+
+
+def test_march_doubled_guard_fires_just_past_threshold():
+    # y' = -4 y with h = 1: the full step and the two half steps differ by
+    # a fixed multiple of |y0|, so y0 sets the gap; the state stays below
+    # 1, where the guard is the absolute bound 1e-2
+    rhs = lambda v: -4.0 * v
+    grid = TimeGrid(dt=1.0, t_final=1.0)
+    gap, size = _doubling_gap(rhs, np.array([1.0 + 0j]), 1.0)
+    y_edge = 1e-2 / gap
+    assert y_edge * size < 1.0
+    below = march_doubled(rhs, np.array([y_edge * (1 - 1e-6)]), grid, "toy")
+    assert below.shape == (2, 1)
+    with pytest.raises(NumericalFailure, match="toy is stiff at t=1.000"):
+        march_doubled(rhs, np.array([y_edge * (1 + 1e-6)]), grid, "toy")
+    with pytest.raises(NumericalFailure, match="toy"):
+        march_doubled(lambda v: v * np.nan, np.ones(1), grid, "toy")
+
+
+def test_march_doubled_keeps_the_fine_result():
+    rhs = lambda v: 1j * v
+    grid = TimeGrid(dt=0.1, t_final=0.3)
+    out = march_doubled(rhs, np.array([1.0, 2.0]), grid, "rotation")
+    y = np.array([1.0, 2.0], dtype=complex)
+    for k in range(3):
+        y = rk4_step(rk4_step(y, 0.05, rhs), 0.05, rhs)
+        assert np.array_equal(out[k + 1], y)
+    assert np.allclose(out[-1], np.exp(0.3j) * np.array([1.0, 2.0]), atol=1e-8)

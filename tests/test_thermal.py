@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from nmoptomech.errors import NumericalFailure
 from nmoptomech.fock import basis_state, build_operators, integrate_master, projector
 from nmoptomech.kernel import KernelSpec, OUKernel, eval_kernel
 from nmoptomech.ocoeff import solve_ou_closed
@@ -120,6 +121,20 @@ def test_zero_temperature_coefficients_have_silent_second_bath():
     X = solve_thermal_ocoeff(pair, SYS, grid)
     assert np.max(np.abs(X.X2)) == 0.0
     assert np.max(np.abs(X.X1)) > 0.01
+
+
+def test_closed_stiffness_guard_raises_and_refining_clears_it():
+    # a strongly coupled bath (Gamma=20): at dt=0.01 the full step and the
+    # two half steps part by more than the guard allows; the advised
+    # refinement of dt then marches through
+    pair = ThermalBathSpec.zero_temperature(
+        OUKernel(Gamma=20.0, gamma=1.0, Omega=0.0)).kernels
+    with pytest.raises(NumericalFailure, match="closed thermal system is stiff"):
+        solve_thermal_ocoeff(pair, SYS, TimeGrid(dt=0.01, t_final=1.0),
+                             solver="closed")
+    X = solve_thermal_ocoeff(pair, SYS, TimeGrid(dt=0.002, t_final=1.0),
+                             solver="closed")
+    assert np.all(np.isfinite(X.X))
 
 
 def test_markov_pair_short_circuits_to_constants():
