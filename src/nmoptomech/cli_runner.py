@@ -34,8 +34,8 @@ from .fock import (
 )
 from .gaussian_ent import log_negativity
 from .kernel import KernelSpec, OUKernel, eval_kernel, read_kernel_table
-from .moments import MomentState, covariance_from_moments, integrate_moments
-from .ocoeff import solve_ocoeff
+from .moments import DIP_TOL, MomentState, covariance_from_moments, integrate_moments
+from .ocoeff import OCoefficientSeries, solve_ocoeff
 from .params import PhysicalParams, LinearizedSystem, linearize, solve_mean_field
 from .stepping import TimeGrid
 from .thermal import effective_kernels, integrate_thermal_master, solve_thermal_ocoeff
@@ -433,20 +433,6 @@ class EngineResult:
     moments: np.ndarray
 
 
-def _engine_moments(F, sys, grid) -> EngineResult:
-    traj = integrate_moments(F, sys, MomentState.vacuum(), grid)
-    return EngineResult(times=grid.times(), en=traj.en_series(),
-                        moments=traj.values)
-
-
-def _engine_fock(F, sys, grid, dims) -> EngineResult:
-    ops = build_operators(dims, sys)
-    rho0 = projector(basis_state(dims))
-    traj = integrate_master(F, ops, rho0, grid)
-    return EngineResult(times=grid.times(), en=traj.en_series(),
-                        moments=traj.moments)
-
-
 def _en_from_moment_rows(rows, tol=1e-6):
     out = np.empty(len(rows))
     for i, m in enumerate(rows):
@@ -475,11 +461,48 @@ def _run_point(cfg: RunConfig, sys, kspec, grid):
     """One deterministic run: coefficient series plus engine output."""
     F = solve_ocoeff(kspec, sys, grid, include_f5=cfg.include_f5)
     if cfg.engine == "moments":
-        return F, _engine_moments(F, sys, grid)
+        traj = integrate_moments(F, sys, MomentState.vacuum(), grid)
+        return F, EngineResult(grid.times(), traj.en_series(), traj.values)
     if cfg.engine == "fock-master":
-        return F, _engine_fock(F, sys, grid, cfg.dims)
+        ops = build_operators(cfg.dims, sys)
+        traj = integrate_master(F, ops, projector(basis_state(cfg.dims)), grid)
+        return F, EngineResult(grid.times(), traj.en_series(), traj.moments)
     return F, _engine_traj(F, kspec, sys, grid, cfg.dims, cfg.paths,
                            cfg.seed, cfg.store_every)
+
+
+def _scan(cfg: RunConfig, grid, points):
+    """(coefficients, EngineResult) of each (system, kernel, temperature) point.
+
+    On the moments engine the points march together: the exponential-kernel
+    points in one closed coefficient march (the others get their own
+    solve), then all of them in one moment march, and a physicality dip
+    is reported once.  Other engines and a single point go point by point.
+    """
+    if cfg.engine != "moments" or len(points) == 1:
+        return [_run_thermal_point(cfg, s, grid, k.ou, T) if T > 0
+                else _run_point(cfg, s, k, grid) for s, k, T in points]
+    systems = [s for s, _, _ in points]
+    ou = [i for i, (_, k, _) in enumerate(points) if k.variant == "ou"]
+    if ou:
+        batch = solve_ocoeff([points[i][1] for i in ou], [systems[i] for i in ou],
+                             grid, include_f5=cfg.include_f5)
+    series = [batch.point(ou.index(i)) if i in ou
+              else solve_ocoeff(k, s, grid, include_f5=cfg.include_f5)
+              for i, (s, k, _) in enumerate(points)]
+    if len(ou) < len(points):
+        batch = OCoefficientSeries.batch(series)
+    traj = integrate_moments(batch, systems, MomentState.vacuum(), grid)
+    tracks = [traj.point(p) for p in range(len(points))]
+    times = grid.times()
+    out = [(F, EngineResult(times=times, en=tr.en_series(monitor=False), moments=tr.values))
+           for F, tr in zip(series, tracks)]
+    dips = [w for w in (tr.min_symplectic_sample() for tr in tracks) if w < 1.0 - DIP_TOL]
+    if dips:
+        warnings.warn(f"covariance physicality dip at {len(dips)} of {len(points)} "
+                      f"scan points: min symplectic eigenvalue {min(dips):.8f} < 1",
+                      RuntimeWarning, stacklevel=2)
+    return out
 
 
 def _run_thermal_point(cfg: RunConfig, sys, grid, base: OUKernel, temperature):
@@ -728,16 +751,10 @@ def _scenario_fig3(cfg, outdir, manifest):
     grid = cfg.grid()
     sys_ = cfg.system()
     gammas = [cfg.gamma] if _user_set(cfg.gamma_source) else list(_FIG3_GAMMAS)
-
-    def point(gamma):
-        if gamma is None:
-            kspec = KernelSpec.markov(cfg.decay)
-        else:
-            kspec = cfg.bath_kernel(gamma=gamma)
-        return _run_point(cfg, sys_, kspec, grid)[1]
-
     jobs = gammas + [None]
-    results = [point(gamma) for gamma in jobs]
+    points = [(sys_, KernelSpec.markov(cfg.decay) if gamma is None
+               else cfg.bath_kernel(gamma=gamma), 0.0) for gamma in jobs]
+    results = [res for _, res in _scan(cfg, grid, points)]
     times = results[0].times
     names = ["t"]
     cols = [times]
@@ -773,8 +790,8 @@ def _scenario_fig4(cfg, outdir, manifest):
     grid = cfg.grid()
     sys_ = cfg.system()
     omegas = list(_FIG4_OMEGAS)
-    results = [_run_point(cfg, sys_, cfg.bath_kernel(omega_env=omega), grid)[1]
-               for omega in omegas]
+    points = [(sys_, cfg.bath_kernel(omega_env=omega), 0.0) for omega in omegas]
+    results = [res for _, res in _scan(cfg, grid, points)]
     times = results[0].times
     names = ["t"] + [f"en_omega{_num_tag(w)}" for w in omegas]
     cols = [times] + [r.en for r in results]
@@ -811,10 +828,12 @@ def _scenario_fig5(cfg, outdir, manifest):
     deltas = list(_FIG5_DELTAS)
     files = []
     argmax = {}
-    for gamma in gammas:
-        kspec = cfg.bath_kernel(gamma=gamma)
-        results = [_run_point(cfg, cfg.system(delta=delta), kspec, grid)[1]
-                   for delta in deltas]
+    kernels = [cfg.bath_kernel(gamma=gamma) for gamma in gammas]
+    points = [(cfg.system(delta=delta), kspec, 0.0)
+              for kspec in kernels for delta in deltas]
+    scan = [res for _, res in _scan(cfg, grid, points)]
+    for i, gamma in enumerate(gammas):
+        results = scan[i * len(deltas):(i + 1) * len(deltas)]
         times = results[0].times
         tag = f"gamma{_num_tag(gamma)}"
         name = f"fig5_en_grid_{tag}.csv"
@@ -841,21 +860,22 @@ def _scenario_fig5(cfg, outdir, manifest):
     return files
 
 
-def _custom_single(cfg, outdir, manifest, delta=None, coupling=None,
-                   gamma=None, omega_env=None, decay=None, temperature=None):
-    grid = cfg.grid()
-    sys_ = cfg.system(delta=delta, coupling=coupling)
+def _custom_point(cfg, delta=None, coupling=None, gamma=None, omega_env=None,
+                  decay=None, temperature=None):
+    """(system, kernel, temperature) of a custom run or one sweep point."""
     T = cfg.temperature if temperature is None else temperature
-    kspec = cfg.bath_kernel(gamma=gamma, omega_env=omega_env, decay=decay)
+    return (cfg.system(delta=delta, coupling=coupling),
+            cfg.bath_kernel(gamma=gamma, omega_env=omega_env, decay=decay), T)
+
+
+def _write_custom(cfg, outdir, manifest, coefficients, res):
     files = []
-    if T > 0:
-        X, res = _run_thermal_point(cfg, sys_, grid, kspec.ou, T)
-        _thermal_csv(outdir / "thermal_coefficients.csv", X)
-        files.append("thermal_coefficients.csv")
-    else:
-        F, res = _run_point(cfg, sys_, kspec, grid)
-        _coefficient_csv(outdir / "coefficients.csv", F)
+    if isinstance(coefficients, OCoefficientSeries):
+        _coefficient_csv(outdir / "coefficients.csv", coefficients)
         files.append("coefficients.csv")
+    else:
+        _thermal_csv(outdir / "thermal_coefficients.csv", coefficients)
+        files.append("thermal_coefficients.csv")
     n_cav = res.moments[:, 5].real - 1.0
     n_mec = res.moments[:, 12].real - 1.0
     _write_csv(outdir / "timeseries.csv",
@@ -875,15 +895,16 @@ def _custom_single(cfg, outdir, manifest, delta=None, coupling=None,
 
 def _scenario_custom(cfg, outdir, manifest):
     if cfg.sweep is None:
-        return _custom_single(cfg, outdir, manifest)
+        ((coefficients, res),) = _scan(cfg, cfg.grid(), [_custom_point(cfg)])
+        return _write_custom(cfg, outdir, manifest, coefficients, res)
     param, pts = cfg.sweep
+    runs = _scan(cfg, cfg.grid(), [_custom_point(cfg, **{param: v}) for v in pts])
     index = []
-    for i, value in enumerate(pts):
+    for i, (value, (coefficients, res)) in enumerate(zip(pts, runs)):
         sub = outdir / f"run_{i:03d}_{param}_{_num_tag(value)}"
         sub.mkdir(parents=True, exist_ok=True)
         sub_manifest = {"metrics": {}, "assumptions": []}
-        kw = {param: value}
-        files = _custom_single(cfg, sub, sub_manifest, **kw)
+        files = _write_custom(cfg, sub, sub_manifest, coefficients, res)
         (sub / "point.json").write_text(
             json.dumps({"parameter": param, "value": value,
                         "metrics": sub_manifest["metrics"],

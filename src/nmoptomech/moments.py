@@ -22,10 +22,10 @@ import numpy as np
 from .errors import NumericalFailure
 from .gaussian_ent import log_negativity, min_symplectic_eigenvalue
 from .ocoeff import OCoefficientSeries
-from .params import LinearizedSystem
-from .stepping import TimeGrid, rk4_step, stage_values
+from .stepping import TimeGrid, midpoint_at, rk4_step, stage_values
 
 __all__ = [
+    "DIP_TOL",
     "MOMENT_LABELS",
     "MomentState",
     "CovarianceMatrix",
@@ -33,6 +33,9 @@ __all__ = [
     "integrate_moments",
     "covariance_from_moments",
 ]
+
+# how far below 1 the smallest symplectic eigenvalue may dip unreported
+DIP_TOL = 1e-6
 
 MOMENT_LABELS = (
     "a", "ad", "b", "bd",
@@ -141,6 +144,19 @@ def _cov_entries(v):
     }
 
 
+_V_KEYS = (("11", "12", "13", "14"), ("12", "22", "23", "24"),
+           ("13", "23", "33", "34"), ("14", "24", "34", "44"))
+
+
+def _cov_matrix(e):
+    """Covariance matrices, shape (..., 4, 4), from :func:`_cov_entries`."""
+    V = np.empty(np.shape(e["11"]) + (4, 4))
+    for i, row in enumerate(_V_KEYS):
+        for j, key in enumerate(row):
+            V[..., i, j] = e[key]
+    return V
+
+
 def covariance_from_moments(m) -> CovarianceMatrix:
     """Covariance matrix of the state with the given moments.
 
@@ -151,14 +167,7 @@ def covariance_from_moments(m) -> CovarianceMatrix:
     v = m.vector if isinstance(m, MomentState) else np.asarray(m, dtype=complex)
     if v.shape != (14,):
         raise ValueError("moment vector must have 14 components")
-    e = _cov_entries(v)
-    V = np.array([
-        [e["11"], e["12"], e["13"], e["14"]],
-        [e["12"], e["22"], e["23"], e["24"]],
-        [e["13"], e["23"], e["33"], e["34"]],
-        [e["14"], e["24"], e["34"], e["44"]],
-    ])
-    return CovarianceMatrix(V=V)
+    return CovarianceMatrix(V=_cov_matrix(_cov_entries(v)))
 
 
 def _moment_rhs(m, f1, f2, f3, f4, f1c, f2c, f3c, f4c, wm, delta, g):
@@ -197,6 +206,10 @@ class MomentTrajectory:
     grid: TimeGrid
     values: np.ndarray
 
+    def point(self, p) -> "MomentTrajectory":
+        """Trajectory of point ``p`` of a batched march, as a view."""
+        return MomentTrajectory(grid=self.grid, values=self.values[..., p])
+
     def state(self, k) -> MomentState:
         return MomentState.from_vector(self.values[k])
 
@@ -208,23 +221,13 @@ class MomentTrajectory:
 
         Matches per-node :func:`gaussian_ent.log_negativity` results.
         The physicality monitor warns (never raises) when the smallest
-        symplectic eigenvalue of V dips below 1 by more than 1e-6.
+        symplectic eigenvalue of V dips below 1 by more than ``DIP_TOL``.
         """
         e = _cov_entries(self.values)
         det_a = e["11"] * e["22"] - e["12"] ** 2
         det_b = e["33"] * e["44"] - e["34"] ** 2
         det_c = e["13"] * e["24"] - e["14"] * e["23"]
-        n = self.values.shape[0]
-        V = np.empty((n, 4, 4))
-        V[:, 0, 0], V[:, 1, 1], V[:, 2, 2], V[:, 3, 3] = (
-            e["11"], e["22"], e["33"], e["44"])
-        V[:, 0, 1] = V[:, 1, 0] = e["12"]
-        V[:, 2, 3] = V[:, 3, 2] = e["34"]
-        V[:, 0, 2] = V[:, 2, 0] = e["13"]
-        V[:, 0, 3] = V[:, 3, 0] = e["14"]
-        V[:, 1, 2] = V[:, 2, 1] = e["23"]
-        V[:, 1, 3] = V[:, 3, 1] = e["24"]
-        det_v = np.linalg.det(V)
+        det_v = np.linalg.det(_cov_matrix(e))
         sigma = det_a + det_b - 2.0 * det_c
         disc = sigma * sigma - 4.0 * det_v
         scale = np.maximum(np.maximum(sigma * sigma, 4.0 * np.abs(det_v)), 1.0)
@@ -239,14 +242,15 @@ class MomentTrajectory:
             raise NumericalFailure("nonpositive nu_minus^2 along the trajectory")
         nu = np.sqrt(nu_sq)
         if monitor:
-            worst = self._min_sympl_sample()
-            if worst < 1.0 - 1e-6:
+            worst = self.min_symplectic_sample()
+            if worst < 1.0 - DIP_TOL:
                 warnings.warn(
                     f"covariance physicality dip: min symplectic eigenvalue "
                     f"{worst:.8f} < 1", RuntimeWarning, stacklevel=2)
         return np.maximum(0.0, -np.log(nu))
 
-    def _min_sympl_sample(self, samples=24):
+    def min_symplectic_sample(self, samples=24):
+        """Smallest symplectic eigenvalue of V over about ``samples`` nodes."""
         n = self.values.shape[0]
         stride = max(1, n // samples)
         worst = np.inf
@@ -262,43 +266,62 @@ class MomentTrajectory:
         return log_negativity(self.covariance(k).V).En
 
 
-def integrate_moments(F: OCoefficientSeries, sys: LinearizedSystem,
-                      init: MomentState, grid: TimeGrid) -> MomentTrajectory:
+def integrate_moments(F: OCoefficientSeries, sys, init: MomentState,
+                      grid: TimeGrid) -> MomentTrajectory:
     """Integrate the 14 mean-value equations with the shared 4th-order step.
 
     The F series must live on the same grid; its half-node values come
     from the 4th-order midpoint stencil (exact for the constant
-    delta-kernel series).
+    delta-kernel series).  A batched F series (see
+    :func:`ocoeff.solve_ou_closed`) with a sequence of systems, one per
+    point, marches every point at once; the values then carry a trailing
+    point axis (see :meth:`MomentTrajectory.point`).
     """
     if not grid.matches(F.grid):
         raise ValueError("F series and moment integration must share one grid")
-    n = grid.n_points
-    dt = grid.dt
-    wm, delta, g = sys.omega_m, sys.Delta, sys.G
     if init.conjugation_residual() > 1e-9:
         raise ValueError("initial moments break the conjugation pairing")
+    n = grid.n_points
+    dt = grid.dt
+    rows = (F.F1, F.F2, F.F3, F.F4)
+    batch = rows[0].ndim == 2
+    if batch:
+        systems = list(sys)
+        if len(systems) != rows[0].shape[1]:
+            raise ValueError("need one system per point of the F series")
+        wm, delta, g = (np.array([getattr(s, a) for s in systems])
+                        for a in ("omega_m", "Delta", "G"))
+        unpack = list
 
-    nodes, mids = stage_values((F.F1, F.F2, F.F3, F.F4))
-    fn = [x.tolist() for x in nodes]
-    fm = [x.tolist() for x in mids]
-
-    def rhs_at(fs, k):
+        def stage(k, mid):
+            # midpoints step by step: no stored stage arrays for every point
+            return tuple(midpoint_at(r, k) if mid else r[k] for r in rows)
+    else:
+        wm, delta, g = sys.omega_m, sys.Delta, sys.G
         # on Python complex scalars: cheaper than numpy for 14 entries
-        f = tuple(r[k] for r in fs)
-        fc = tuple(x.conjugate() for x in f)
-        return lambda y: np.array(_moment_rhs(y.tolist(), *f, *fc, wm, delta, g))
+        unpack = np.ndarray.tolist
+        nodes, mids = ([x.tolist() for x in part] for part in stage_values(rows))
 
-    vals = np.empty((n, 14), dtype=complex)
-    vals[0] = init.vector
+        def stage(k, mid):
+            return tuple(r[k] for r in (mids if mid else nodes))
+
+    def rhs_at(k, mid=False):
+        f = stage(k, mid)
+        fc = tuple(x.conjugate() for x in f)
+        return lambda y: np.array(_moment_rhs(unpack(y), *f, *fc, wm, delta, g))
+
+    vals = np.empty((n,) + init.vector.shape + rows[0].shape[1:], dtype=complex)
+    vals[0] = init.vector[:, None] if batch else init.vector
     for k in range(n - 1):
-        vals[k + 1] = rk4_step(vals[k], dt, rhs_at(fn, k), rhs_at(fm, k),
-                               rhs_at(fn, k + 1))
+        vals[k + 1] = rk4_step(vals[k], dt, rhs_at(k), rhs_at(k, mid=True),
+                               rhs_at(k + 1))
     if not np.all(np.isfinite(vals)):
         raise NumericalFailure("moment integration blew up; refine the grid")
-    drift = MomentState.from_vector(vals[-1]).conjugation_residual()
-    scale = max(1.0, float(np.abs(vals[-1]).max()))
-    if drift > 1e-6 * scale:
-        raise NumericalFailure(
-            f"conjugation pairing drifted by {drift:.2e}; integration unstable"
-        )
+    for last in vals[-1].reshape(14, -1).T:  # one row per point
+        drift = MomentState.from_vector(last).conjugation_residual()
+        scale = max(1.0, float(np.abs(last).max()))
+        if drift > 1e-6 * scale:
+            raise NumericalFailure(
+                f"conjugation pairing drifted by {drift:.2e}; integration unstable"
+            )
     return MomentTrajectory(grid=grid, values=vals)

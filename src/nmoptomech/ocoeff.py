@@ -24,7 +24,7 @@ for exponential kernels (the fast path).  The delta kernel bypasses
 both: F1 = Gamma/2 identically, every other coefficient zero.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,6 +54,8 @@ _BC = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 
 _SLAB_BUDGET = 2_000_000_000  # bytes
 
+_ROWS = ("F1", "F2", "F3", "F4", "F5")
+
 
 @dataclass(frozen=True)
 class OCoefficientSeries:
@@ -73,14 +75,18 @@ class OCoefficientSeries:
     provenance: str
     fields: "TwoTimeField" = None
 
-    def stack4(self):
-        return np.stack([self.F1, self.F2, self.F3, self.F4])
+    @classmethod
+    def batch(cls, series):
+        """Per-point series stacked along a trailing point axis (a copy)."""
+        def stack(f):
+            rows = [getattr(F, f) for F in series]
+            return None if rows[0] is None else np.stack(rows, axis=-1)
+        return cls(grid=series[0].grid, provenance="batch", **{f: stack(f) for f in _ROWS})
 
-    def stack(self):
-        rows = [self.F1, self.F2, self.F3, self.F4]
-        if self.F5 is not None:
-            rows.append(self.F5)
-        return np.stack(rows)
+    def point(self, p):
+        """Series of point ``p`` of a batched solve, as views."""
+        return replace(self, **{f: None if getattr(self, f) is None
+                                else getattr(self, f)[:, p] for f in _ROWS})
 
 
 @dataclass(frozen=True)
@@ -266,45 +272,63 @@ def solve_two_time_grid(k: KernelSpec, sys: LinearizedSystem, grid: TimeGrid,
     )
 
 
-def _closed_rhs(fv, a0, mu, wm, delta, g, with_f5):
+def _closed_rhs(fv, a0, r1, r2, r3, r4, ig, mu2, with_f5):
+    # r1..r4 = (+-i wm - mu, -+i Delta - mu), ig = iG and mu2 = 2 mu are
+    # formed once per solve, with the same operations as written inline
     F1, F2, F3, F4 = fv[0], fv[1], fv[2], fv[3]
-    c34 = 1j * g * (fv[2] - fv[3])
-    c12 = 1j * g * (fv[0] - fv[1])
+    c34 = ig * (F3 - F4)
+    c12 = ig * (F1 - F2)
     out = np.empty_like(fv)
-    out[0] = a0 + (1j * wm - mu + F1) * F1 + c34
-    out[1] = (-1j * wm - mu + F1) * F2 + c34
-    out[2] = (-1j * delta - mu + F1) * F3 + c12
-    out[3] = (1j * delta - mu + F1) * F4 + c12
+    out[0] = a0 + (r1 + F1) * F1 + c34
+    out[1] = (r2 + F1) * F2 + c34
+    out[2] = (r3 + F1) * F3 + c12
+    out[3] = (r4 + F1) * F4 + c12
     if with_f5:
         F5 = fv[4]
         out[1] -= F5
-        out[4] = a0 * F2 + (F1 - 2.0 * mu) * F5
+        out[4] = a0 * F2 + (F1 - mu2) * F5
     return out
 
 
-def solve_ou_closed(k: OUKernel, sys: LinearizedSystem, grid: TimeGrid,
-                    include_f5=True) -> OCoefficientSeries:
+def solve_ou_closed(k, sys, grid: TimeGrid, include_f5=True) -> OCoefficientSeries:
     """Closed ODE fast path for exponential kernels.
 
     Differentiating the quadrature definitions under an exponential
     kernel closes the system on (F1..F5) alone; validated against the
     grid solver.  Step doubling guards against stiffness.
+
+    ``k`` and ``sys`` are one :class:`OUKernel` and one system, or two
+    equal-length sequences of them, one pair per scan point.  The points
+    of a sequence march together, and every F array of the result then
+    carries a trailing point axis (see :meth:`OCoefficientSeries.point`).
     """
-    if not isinstance(k, OUKernel):
+    batch = isinstance(k, (list, tuple))
+    pairs = list(zip(k, sys, strict=True)) if batch else [(k, sys)]
+    if not all(isinstance(q, OUKernel) for q, _ in pairs):
         raise TypeError("closed path needs an exponential kernel")
+    consts = [(complex(q.alpha0), q.mu, s.omega_m, s.Delta, s.G) for q, s in pairs]
+    a0, mu, wm, delta, g = (np.array(c) for c in zip(*consts)) if batch else consts[0]
+    rates = (a0, 1j * wm - mu, -1j * wm - mu, -1j * delta - mu, 1j * delta - mu,
+             1j * g, 2.0 * mu)
     dim = 5 if include_f5 else 4
-    args = (complex(k.alpha0), k.mu, sys.omega_m, sys.Delta, sys.G, include_f5)
-    F = march_doubled(lambda y: _closed_rhs(y, *args), np.zeros(dim), grid,
-                      "closed coefficient system").T.copy()
+    y0 = np.zeros((dim, len(pairs)) if batch else dim)
+    F = np.moveaxis(march_doubled(lambda y: _closed_rhs(y, *rates, include_f5), y0,
+                                  grid, "closed coefficient system"), 1, 0)
     return OCoefficientSeries(
         grid=grid, F1=F[0], F2=F[1], F3=F[2], F4=F[3],
         F5=F[4] if include_f5 else None, provenance="closed-ou",
     )
 
 
-def solve_ocoeff(k: KernelSpec, sys: LinearizedSystem, grid: TimeGrid,
-                 include_f5=True, solver="auto") -> OCoefficientSeries:
-    """Dispatch to the right solver for the kernel variant."""
+def solve_ocoeff(k, sys, grid: TimeGrid, include_f5=True,
+                 solver="auto") -> OCoefficientSeries:
+    """Dispatch to the right solver for the kernel variant.
+
+    Sequences of exponential kernels and systems march together on the
+    closed solver (see :func:`solve_ou_closed`).
+    """
+    if isinstance(k, (list, tuple)) and solver in ("auto", "closed"):
+        return solve_ou_closed([x.ou for x in k], sys, grid, include_f5=include_f5)
     if k.variant == "markov-delta":
         return markov_series(k.weight, grid, include_f5=include_f5)
     if solver == "auto":

@@ -17,6 +17,7 @@ __all__ = [
     "trapezoid_weights",
     "midpoint_values",
     "midpoint_derivative",
+    "midpoint_at",
     "stage_values",
     "rk4_step",
     "march_doubled",
@@ -123,6 +124,17 @@ def midpoint_derivative(values, h):
     return _apply_mid_stencil(values, _DMID_INTERIOR, _DMID_LEFT, _DMID_RIGHT) / h
 
 
+def midpoint_at(values, k):
+    """Midpoint value past node ``k``, as in :func:`stage_values`, for a
+    march that takes one step's midpoint at a time instead of storing all."""
+    n = values.shape[0]
+    if n < 4:
+        return 0.5 * (values[k] + values[k + 1])
+    w = _MID_LEFT if k == 0 else _MID_RIGHT if k == n - 2 else _MID_INTERIOR
+    j = min(max(k - 1, 0), n - 4)
+    return w @ values[j : j + 4]
+
+
 def stage_values(rows):
     """Node and 4th-order midpoint values for each driving coefficient row.
 
@@ -158,7 +170,9 @@ def march_doubled(rhs, y0, grid, what):
     Each step is taken twice (one full, two halves) and the finer result
     is kept.  The march stops with :class:`NumericalFailure`, naming
     ``what``, once the two differ by more than 1e-2 of the state scale.
-    Returns the states stacked along a leading time axis.
+    A state with a trailing point axis marches many points at once; each
+    point is then held to the guard against its own scale.  Returns the
+    states stacked along a leading time axis.
     """
     dt = grid.dt
     y = np.asarray(y0, dtype=complex)
@@ -167,8 +181,9 @@ def march_doubled(rhs, y0, grid, what):
     for kk in range(grid.n_steps):
         coarse = rk4_step(y, dt, rhs)
         y = rk4_step(rk4_step(y, 0.5 * dt, rhs), 0.5 * dt, rhs)
-        err = np.abs(coarse - y).max()
-        if not np.isfinite(err) or err > 1e-2 * max(1.0, np.abs(y).max()):
+        err = np.abs(coarse - y).max(axis=0)
+        scale = np.maximum(1.0, np.abs(y).max(axis=0))
+        if not np.all(np.isfinite(err)) or np.any(err > 1e-2 * scale):
             raise NumericalFailure(
                 f"{what} is stiff at t={dt * (kk + 1):.3f} "
                 "for this step size; refine dt"

@@ -303,6 +303,12 @@ t_final = 4.0
                "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "numeric failure:" in capsys.readouterr().err
+    # the same point among benign ones of a sweep, which march as one batch
+    p.write_text(cfg_text + "[sweep]\nparameter = omega_env\nvalues = 0.0, 1.0, 0.2\n")
+    rc = main(["run", "--scenario", "custom", "--config", str(p),
+               "--out", str(tmp_path / "sweep")])
+    assert rc == 3
+    assert "numeric failure: closed coefficient system is stiff" in capsys.readouterr().err
 
 
 def test_missing_config_file_is_config_error(tmp_path, capsys):

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from nmoptomech.errors import NumericalFailure
+from nmoptomech.kernel import OUKernel
+from nmoptomech.ocoeff import solve_ou_closed
+from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import (
     TimeGrid,
     march_doubled,
@@ -144,3 +147,47 @@ def test_march_doubled_keeps_the_fine_result():
         y = rk4_step(rk4_step(y, 0.05, rhs), 0.05, rhs)
         assert np.array_equal(out[k + 1], y)
     assert np.allclose(out[-1], np.exp(0.3j) * np.array([1.0, 2.0]), atol=1e-8)
+
+
+def test_march_doubled_guard_is_per_point():
+    # the first point sits just past its guard; the second is constant, so
+    # it adds no error, but its large scale would hide the first point's
+    # error from a guard taken over the whole batch
+    rates = np.array([-4.0, 0.0])
+    rhs = lambda v: rates * v
+    grid = TimeGrid(dt=1.0, t_final=1.0)
+    gap, _ = _doubling_gap(lambda v: -4.0 * v, np.array([1.0 + 0j]), 1.0)
+    y_edge = 1e-2 / gap
+    below = march_doubled(rhs, np.array([[y_edge * (1 - 1e-6), 1e6]]), grid, "toy")
+    assert below.shape == (2, 1, 2)
+    with pytest.raises(NumericalFailure, match="toy is stiff at t=1.000"):
+        march_doubled(rhs, np.array([[y_edge * (1 + 1e-6), 1e6]]), grid, "toy")
+
+
+def test_march_doubled_batch_matches_each_point_alone():
+    w = np.array([0.5, 1.0, 2.0])
+    y0 = np.array([[1.0, 2.0, -1.0], [0.5j, 0.0, 1.0 + 1j]])
+    grid = TimeGrid(dt=0.1, t_final=2.0)
+    out = march_doubled(lambda v: 1j * w * v - 0.1 * v * v, y0, grid, "batch")
+    assert out.shape == (grid.n_points, 2, 3)
+    for p in range(3):
+        alone = march_doubled(lambda v: 1j * w[p] * v - 0.1 * v * v, y0[:, p],
+                              grid, "alone")
+        np.testing.assert_allclose(out[:, :, p], alone, rtol=0, atol=1e-15)
+
+
+def test_closed_batch_with_one_stiff_point_raises():
+    # a resonant bath above the damping threshold runs into a pole near
+    # t=2.4 (README, numerical notes); next to a benign point it must
+    # still stop the whole batch, with the time its own march stops at
+    grid = TimeGrid(dt=0.01, t_final=4.0)
+    sys_ = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)
+    benign, stiff = OUKernel(2.0, 0.6), OUKernel(2.0, 1.0, Omega=1.0)
+    solve_ou_closed(benign, sys_, grid)
+    with pytest.raises(NumericalFailure) as alone:
+        solve_ou_closed(stiff, sys_, grid)
+    assert "closed coefficient system is stiff" in str(alone.value)
+    for batch in ([benign, stiff], [stiff, benign]):
+        with pytest.raises(NumericalFailure) as exc:
+            solve_ou_closed(batch, [sys_, sys_], grid)
+        assert str(exc.value) == str(alone.value)
