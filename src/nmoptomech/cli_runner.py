@@ -118,6 +118,8 @@ _FIG4_SLICE_T = 20.0
 _FIG5_GAMMAS = (1.5, 0.8)
 _FIG5_DELTAS = tuple(np.round(np.arange(1.0, 3.0001, 0.05), 10))
 _ONSET_LEVEL = 0.1
+# every sweep point is a full run; a longer range is a typo, not a plan
+_MAX_SWEEP_POINTS = 10_000
 
 
 def _onset_time(times, en, level=_ONSET_LEVEL):
@@ -215,7 +217,10 @@ def _convert(section, key, raw, kind):
     path = f"[{section}] {key}"
     try:
         if kind == "float":
-            return float(raw)
+            x = float(raw)
+            if not math.isfinite(x):
+                raise ValueError(raw)
+            return x
         if kind == "int":
             return int(raw)
         if kind == "bool":
@@ -243,9 +248,8 @@ def _convert(section, key, raw, kind):
             return low
         return raw.strip()
     except ValueError:
-        raise ConfigError(
-            f"{path}: cannot read {raw!r} as {kind.split(':')[0]}"
-        ) from None
+        what = "a finite number" if kind == "float" else kind.split(":")[0]
+        raise ConfigError(f"{path}: cannot read {raw!r} as {what}") from None
 
 
 def parse_config(text, scenario="custom", overrides=None) -> RunConfig:
@@ -260,12 +264,14 @@ def parse_config(text, scenario="custom", overrides=None) -> RunConfig:
     parser = configparser.ConfigParser(
         delimiters=("=",), comment_prefixes=("#", ";"),
         inline_comment_prefixes=("#",), strict=True,
-        empty_lines_in_values=False,
+        empty_lines_in_values=False, interpolation=None,
     )
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax: {exc}") from None
+    if parser.defaults():
+        raise ConfigError("unknown section [DEFAULT]")
 
     entries = {}
     for (sec, key), raw in _PRESETS[scenario].items():
@@ -318,6 +324,9 @@ def _validate(scenario, v, src, resolved) -> RunConfig:
         raise ConfigError("[bath] tabulated kernel needs a table path")
     if v[("run", "paths")] < 1:
         raise ConfigError("[run] paths must be at least 1")
+    for key in ("seed", "store_every"):
+        if v[("run", key)] < 0:
+            raise ConfigError(f"[run] {key} must be nonnegative")
 
     raw_keys = ("omega_c", "g", "omega_drive", "drive", "kappa")
     raw_given = [k for k in raw_keys if v[("system", k)] is not None]
@@ -357,14 +366,19 @@ def _validate(scenario, v, src, resolved) -> RunConfig:
                 raise ConfigError("[sweep] give either values or start/stop/step")
             try:
                 pts = tuple(float(x) for x in sweep_given["values"].split(","))
+                if not all(map(math.isfinite, pts)):
+                    raise ValueError(sweep_given["values"])
             except ValueError:
-                raise ConfigError("[sweep] values must be comma-separated numbers") from None
+                raise ConfigError("[sweep] values must be comma-separated finite numbers") from None
         else:
             if not all(k in sweep_given for k in ("start", "stop", "step")):
                 raise ConfigError("[sweep] needs values or all of start/stop/step")
             start, stop, step = (sweep_given[k] for k in ("start", "stop", "step"))
             if step <= 0 or stop < start:
                 raise ConfigError("[sweep] needs step > 0 and stop >= start")
+            if (stop - start) / step > _MAX_SWEEP_POINTS:
+                raise ConfigError(f"[sweep] start/stop/step give more than "
+                                  f"{_MAX_SWEEP_POINTS} points")
             pts = tuple(np.round(np.arange(start, stop + 0.5 * step, step), 12))
         if not pts:
             raise ConfigError("[sweep] grid is empty")

@@ -52,12 +52,40 @@ def _ladder(n):
     return m
 
 
+def _bands(m):
+    """Nonzero diagonals of ``m`` as (offset, np.diagonal(m, offset))."""
+    rows, cols = np.nonzero(m)
+    return [(int(o), np.diagonal(m, o).copy()) for o in np.unique(cols - rows)]
+
+
+def _lmul(bands, x, out=None):
+    """B @ x in O(d^2) for the band list of B, added into ``out`` if given."""
+    d = x.shape[0]
+    for o, w in bands:
+        lo, hi = max(-o, 0), d - max(o, 0)
+        if out is None:
+            out = np.empty_like(x)
+            out[:lo] = 0.0
+            out[hi:] = 0.0
+            np.multiply(w[:, None], x[lo + o:hi + o], out=out[lo:hi])
+        else:
+            out[lo:hi] += w[:, None] * x[lo + o:hi + o]
+    return out
+
+
+def _dagger(x):
+    """Conjugate transpose, C-ordered: adding ``x.conj().T`` is slow."""
+    return np.conjugate(x.T, out=np.empty_like(x))
+
+
 @dataclass
 class FockOperators:
     """Dense matrices of the two truncated modes.
 
     H is the quadratic Hamiltonian for the system that built the
-    operators (None when none was given); L = b is the damped channel.
+    operators (None when none was given).  In the product index
+    k = i N_b + j every operator of the number-basis marches is a band:
+    a and a^dag sit at offsets +-N_b, b and b^dag at +-1, H has 5 bands.
     """
 
     dims: tuple
@@ -65,18 +93,21 @@ class FockOperators:
     ad: np.ndarray
     b: np.ndarray
     bd: np.ndarray
-    eye: np.ndarray
     H: np.ndarray = None
 
     @property
     def dim(self):
         return self.dims[0] * self.dims[1]
 
-    @property
-    def L(self):
-        return self.b
-
     @cached_property
+    def bands(self):
+        """(offset, diagonal) of "a", "ad", "b", "bd"; band list of "-iH"."""
+        out = {k: _bands(getattr(self, k))[0] for k in ("a", "ad", "b", "bd")}
+        if self.H is not None:
+            out["-iH"] = [(o, -1j * w) for o, w in _bands(self.H)]
+        return out
+
+    @property
     def moment_matrices(self):
         """Stack of the 14 operators matching moments.MOMENT_LABELS."""
         a, ad, b, bd = self.a, self.ad, self.b, self.bd
@@ -86,6 +117,20 @@ class FockOperators:
             ad @ ad, ad @ b, ad @ bd,
             b @ b, b @ bd, bd @ bd,
         ])
+
+    @cached_property
+    def _moment_gather(self):
+        """Label m, flat index of rho[s, r] and value of every nonzero
+        M_m[r, s]: tr(M_m rho) sums M_m[r, s] rho[s, r]."""
+        mats = self.moment_matrices
+        m, r, s = np.nonzero(mats)
+        return m, s * self.dim + r, mats[m, r, s]
+
+    def moment_vector(self, rho):
+        """The 14 unnormalized means tr(M rho), O(d) per call."""
+        m, idx, w = self._moment_gather
+        p = w * rho.ravel()[idx]
+        return np.bincount(m, p.real, 14) + 1j * np.bincount(m, p.imag, 14)
 
     @cached_property
     def _leak_mask(self):
@@ -118,8 +163,7 @@ def build_operators(dims, sys: LinearizedSystem = None) -> FockOperators:
     if sys is not None:
         H = (-sys.Delta * (ad @ a) + sys.omega_m * (bd @ b)
              + sys.G * ((ad + a) @ (bd + b)))
-    return FockOperators(dims=(na, nb), a=a, ad=ad, b=b, bd=bd,
-                         eye=np.eye(na * nb, dtype=complex), H=H)
+    return FockOperators(dims=(na, nb), a=a, ad=ad, b=b, bd=bd, H=H)
 
 
 def basis_state(dims, na=0, nb=0):
@@ -139,7 +183,7 @@ def projector(psi):
 def moments_from_rho(rho, ops: FockOperators, normalize=True) -> MomentState:
     """The 14 means by trace contraction; divides by tr rho by default so
     ensemble-averaged (not exactly normalized) states give estimators."""
-    vals = np.einsum("mij,ji->m", ops.moment_matrices, rho)
+    vals = ops.moment_vector(np.asarray(rho))
     if normalize:
         tr = np.trace(rho)
         if abs(tr) < 1e-12:
@@ -194,17 +238,22 @@ def _check_rho(rho, ops, t, trace_tol, leak_tol):
         )
 
 
-def _run_rho(rhs_for, grid, rho0, ops, store_every, trace_tol, leak_tol):
+def _run_rho(gen_at, rows, grid, rho0, ops, store_every, trace_tol, leak_tol):
     """Shared 4th-order density-matrix march.
 
-    ``rhs_for(k)`` returns the generators of step k at node k, at the
-    midpoint and at node k+1, each a function of rho.
+    ``gen_at(values)`` returns the generator, a function of rho, for the
+    values of the coefficient ``rows`` (none for an autonomous equation)
+    at a node or a step midpoint.  ``rho0`` must be Hermitian, as the
+    band generators assume.
     """
+    nodes, mids = stage_values(rows) if rows else ((), ())
     n = grid.n_points
     dt = grid.dt
     rho = np.array(rho0, dtype=complex)
     if rho.shape != (ops.dim, ops.dim):
         raise ValueError("initial state has wrong dimension")
+    if np.abs(rho - rho.conj().T).max() > 1e-12 * max(1.0, np.abs(rho).max()):
+        raise ValueError("initial state must be Hermitian")
     store = sorted({0, n - 1, *range(0, n, store_every if store_every else n)})
     store_idx = np.array(store)
     rhos = np.empty((len(store), ops.dim, ops.dim), dtype=complex)
@@ -214,16 +263,54 @@ def _run_rho(rhs_for, grid, rho0, ops, store_every, trace_tol, leak_tol):
     t = grid.times()
     for k in range(n):
         traces[k] = np.trace(rho).real
-        moments[k] = np.einsum("mij,ji->m", ops.moment_matrices, rho)
+        moments[k] = ops.moment_vector(rho)
         if ptr < len(store) and store_idx[ptr] == k:
             rhos[ptr] = rho
             ptr += 1
         _check_rho(rho, ops, t[k], trace_tol, leak_tol)
         if k == n - 1:
             break
-        rho = rk4_step(rho, dt, *rhs_for(k))
+        rho = rk4_step(rho, dt, gen_at([r[k] for r in nodes]),
+                       gen_at([r[k] for r in mids]),
+                       gen_at([r[k + 1] for r in nodes]))
     return RhoTrajectory(grid=grid, store_idx=store_idx, rhos=rhos,
                          moments=moments, traces=traces)
+
+
+def _band_generator(ops, lb, o1, o2=()):
+    """drho/dt = E + E^dag, E = -iH rho + L S - L^dag S^dag with
+    S = (O1 rho)^dag - O2 rho, from the band lists of L, O1 and O2.
+
+    For Hermitian rho this is -i[H, rho] + [L, rho O1^dag]
+    + [L^dag, rho O2^dag] + h.c. with left band products only.
+    """
+    hb = ops.bands["-iH"]
+    neg_ld = [(-o, -w.conj()) for o, w in lb]
+    neg_o2 = [(o, -w) for o, w in o2]
+
+    def gen(rho):
+        e = _lmul(hb, rho)
+        s = _dagger(_lmul(o1, rho))
+        _lmul(neg_o2, rho, s)
+        _lmul(lb, s, e)
+        _lmul(neg_ld, _dagger(s), e)
+        e += _dagger(e)
+        return e
+
+    return gen
+
+
+def _weighted(coeffs, bands):
+    """Band list of sum_j c_j B_j."""
+    return [(o, c * w) for c, (o, w) in zip(coeffs, bands)]
+
+
+def _master_generator(ops: FockOperators, fv):
+    """Generator of the memory-carrying master equation at one stage with
+    F1..F4 = ``fv``: -i[H, rho] + [b, rho Obar^dag] + h.c."""
+    bd = ops.bands
+    obar = _weighted(fv, (bd["b"], bd["bd"], bd["a"], bd["ad"]))
+    return _band_generator(ops, [bd["b"]], obar)
 
 
 def integrate_master(F: OCoefficientSeries, ops: FockOperators, rho0,
@@ -231,36 +318,16 @@ def integrate_master(F: OCoefficientSeries, ops: FockOperators, rho0,
                      leak_tol=1e-4) -> RhoTrajectory:
     """Integrate the memory-carrying master equation.
 
-    The generator is applied matrix-free: P = rho Obar^dag,
-    D = b P - P b, drho = -i[H, rho] + D + D^dag.  Only F1..F4 drive the
-    equation; F5 never enters.
+    The generator (:func:`_master_generator`) is applied as band products
+    built once from the ladder structure, O(d^2) per stage.  Only F1..F4
+    drive the equation; F5 never enters.
     """
     if not grid.matches(F.grid):
         raise ValueError("F series and master integration must share one grid")
     if ops.H is None:
         raise ValueError("operators were built without a Hamiltonian")
-    H, b = ops.H, ops.b
-    a, ad, bd = ops.a, ops.ad, ops.bd
-    nodes, mids = stage_values((F.F1, F.F2, F.F3, F.F4))
-
-    def gen_at(fv):
-        od = (fv[0].conjugate() * bd + fv[1].conjugate() * b
-              + fv[2].conjugate() * ad + fv[3].conjugate() * a)
-
-        def gen(rho):
-            p = rho @ od
-            d = b @ p - p @ b
-            return -1j * (H @ rho - rho @ H) + d + d.conj().T
-
-        return gen
-
-    def rhs_for(k):
-        fa = gen_at([r[k] for r in nodes])
-        fm = gen_at([r[k] for r in mids])
-        fb = gen_at([r[k + 1] for r in nodes])
-        return fa, fm, fb
-
-    return _run_rho(rhs_for, grid, rho0, ops, store_every, trace_tol, leak_tol)
+    return _run_rho(lambda fv: _master_generator(ops, fv), (F.F1, F.F2, F.F3, F.F4),
+                    grid, rho0, ops, store_every, trace_tol, leak_tol)
 
 
 def integrate_lindblad(ops: FockOperators, Gamma, rho0, grid: TimeGrid,
@@ -280,10 +347,8 @@ def integrate_lindblad(ops: FockOperators, Gamma, rho0, grid: TimeGrid,
         return (-1j * (H @ rho - rho @ H)
                 + half * ((b @ p - p @ b) + (q @ bd - bd @ q)))
 
-    def rhs_for(k):
-        return gen, gen, gen
-
-    return _run_rho(rhs_for, grid, rho0, ops, store_every, trace_tol, leak_tol)
+    return _run_rho(lambda _: gen, (), grid, rho0, ops, store_every,
+                    trace_tol, leak_tol)
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .fock import FockOperators, RhoTrajectory, _run_rho
+from .fock import (FockOperators, RhoTrajectory, _band_generator, _run_rho,
+                   _weighted)
 from .kernel import KernelSpec, OUKernel, eval_kernel, spectral_density
 from .params import LinearizedSystem
-from .stepping import (TimeGrid, march_doubled, rk4_step, stage_values,
-                       trapezoid_weights)
+from .stepping import TimeGrid, march_doubled, rk4_step, trapezoid_weights
 
 __all__ = [
     "ThermalBathSpec",
@@ -436,47 +436,29 @@ def solve_thermal_ocoeff(kernels, sys: LinearizedSystem, grid: TimeGrid,
     raise ValueError(f"unknown solver {solver!r}")
 
 
+def _thermal_generator(ops: FockOperators, x):
+    """Two-bath generator at one stage with X11..X14, X21..X24 = ``x``:
+    -i[H, rho] + [L, rho Obar1^dag] + [L^dag, rho Obar2^dag] + h.c. with
+    L = a + b (the q_i = Obar_i rho terms are the daggers p_i^dag)."""
+    bd = ops.bands
+    basis = (bd["a"], bd["ad"], bd["b"], bd["bd"])
+    return _band_generator(ops, [bd["a"], bd["b"]], _weighted(x[0:4], basis),
+                           _weighted(x[4:8], basis))
+
+
 def integrate_thermal_master(Xij: ThermalOCoefficients, ops: FockOperators,
                              rho0, grid: TimeGrid, store_every=0,
                              trace_tol=1e-6, leak_tol=1e-4) -> RhoTrajectory:
     """Integrate the two-bath state equation with channel L = a + b.
 
-    The generator keeps the two bath contributions as separate
-    commutator pairs, each Hermiticity- and trace-preserving on its own.
+    The generator (:func:`_thermal_generator`) runs on the band products
+    of the zero-temperature master equation; each bath term is
+    Hermiticity- and trace-preserving on its own.
     """
     if not grid.matches(Xij.grid):
         raise ValueError("coefficients and integration must share one grid")
     if ops.H is None:
         raise ValueError("operators were built without a Hamiltonian")
-    H = ops.H
-    Lop = ops.a + ops.b
-    Ld = Lop.conj().T
-    basis = (ops.a, ops.ad, ops.b, ops.bd)
-    dag_basis = (ops.ad, ops.a, ops.bd, ops.b)
     series = [Xij.X[:, i, j] for i in range(2) for j in range(4)]
-    nodes, mids = stage_values(series)
-
-    def gen_at(vals):
-        o1 = sum(c * m for c, m in zip(vals[0:4], basis))
-        o1d = sum(c.conjugate() * m for c, m in zip(vals[0:4], dag_basis))
-        o2 = sum(c * m for c, m in zip(vals[4:8], basis))
-        o2d = sum(c.conjugate() * m for c, m in zip(vals[4:8], dag_basis))
-
-        def gen(rho):
-            p1 = rho @ o1d
-            q1 = o1 @ rho
-            p2 = rho @ o2d
-            q2 = o2 @ rho
-            return (-1j * (H @ rho - rho @ H)
-                    + (Lop @ p1 - p1 @ Lop) + (q1 @ Ld - Ld @ q1)
-                    + (Ld @ p2 - p2 @ Ld) + (q2 @ Lop - Lop @ q2))
-
-        return gen
-
-    def rhs_for(k):
-        fa = gen_at([r[k] for r in nodes])
-        fm = gen_at([r[k] for r in mids])
-        fb = gen_at([r[k + 1] for r in nodes])
-        return fa, fm, fb
-
-    return _run_rho(rhs_for, grid, rho0, ops, store_every, trace_tol, leak_tol)
+    return _run_rho(lambda x: _thermal_generator(ops, x), series, grid, rho0,
+                    ops, store_every, trace_tol, leak_tol)

@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nmoptomech.cli_runner import RunConfig, _onset_time, main, parse_config
+from nmoptomech.cli_runner import (_SCENARIOS, _SCHEMA, RunConfig, _onset_time,
+                                   main, parse_config)
 from nmoptomech.errors import ConfigError
 
 MINIMAL = """\
@@ -67,6 +70,10 @@ def test_unknown_section_rejected():
     with pytest.raises(ConfigError) as info:
         parse_config("[baths]\ngamma = 0.5\n")
     assert "baths" in str(info.value)
+    # configparser would spread [DEFAULT] keys over every section, or drop
+    # them when no other section is given
+    with pytest.raises(ConfigError, match=r"\[DEFAULT\]"):
+        parse_config("[DEFAULT]\nt_final = 3\n", scenario="fig2")
 
 
 def test_type_errors_name_the_key():
@@ -279,6 +286,78 @@ def test_exit_code_two_on_config_error(tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "config error:" in capsys.readouterr().err
+
+
+_SYSTEM = "[system]\ndelta = 1.0\ncoupling = 0.1\n"
+
+
+@pytest.mark.parametrize("text, key", [
+    ("[system]\ndelta = nan\ncoupling = 0.1\n", "[system] delta: cannot read"),
+    ("[system]\ndelta = 1.0\ncoupling = inf\n", "[system] coupling: cannot read"),
+    (_SYSTEM + "[grid]\ndt = nan\n", "[grid] dt: cannot read"),
+    (_SYSTEM + "[grid]\nt_final = nan\n", "[grid] t_final: cannot read"),
+    (_SYSTEM + "[bath]\ngamma = -inf\n", "[bath] gamma: cannot read"),
+    (_SYSTEM + "[sweep]\nparameter = gamma\nstart = 0.5\nstop = 1\nstep = nan\n",
+     "[sweep] step: cannot read"),
+    (_SYSTEM + "[sweep]\nparameter = gamma\nvalues = 0.5, inf\n", "[sweep] values"),
+    (_SYSTEM + "[sweep]\nparameter = gamma\nstart = 0.5\nstop = 1e9\nstep = 1e-9\n",
+     "[sweep] start/stop/step"),
+    (_SYSTEM + "[run]\nengine = trajectories\nseed = -1\n", "[run] seed"),
+    (_SYSTEM + "[run]\nstore_every = -5\n", "[run] store_every"),
+])
+def test_exit_code_two_on_out_of_range_numbers(tmp_path, capsys, text, key):
+    p = tmp_path / "c.cfg"
+    p.write_text(text)
+    rc = main(["run", "--scenario", "custom", "--config", str(p),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["nan", "-inf", "+inf", "1e400", "-0", "0x10", "1_0", ""]),
+)
+_JUNK = st.text(alphabet="abcxyz019.,-+=[]%#;:$() \t\n", max_size=12)
+_DIMS = st.lists(st.integers(-3, 40).map(str), max_size=3).map(",".join)
+_VALUES = st.one_of(_NUMBERS, _JUNK, _DIMS,
+                    st.sampled_from(["ou", "markov", "tabulated", "moments",
+                                     "fock-master", "true", "csv,svg", "gamma"]))
+_SECTIONS = st.sampled_from(sorted(_SCHEMA) + ["DEFAULT", "sweeps", "Run", ""])
+
+
+@st.composite
+def _config_text(draw):
+    sections = {}
+    if draw(st.booleans()):  # a valid base, so fuzzed keys reach validation
+        sections = {"system": {"delta": "1.0", "coupling": "0.1"}}
+    for sec in draw(st.lists(_SECTIONS, max_size=5, unique=True)):
+        keys = sorted(_SCHEMA.get(sec, {})) + ["bogus", "Gamma", "t final"]
+        for key in draw(st.lists(st.sampled_from(keys), max_size=6, unique=True)):
+            sections.setdefault(sec, {})[key] = draw(_VALUES)
+    if draw(st.booleans()):
+        # a range sweep of at most ~1,000 points
+        start = draw(st.floats(-5, 5))
+        step = draw(st.floats(1e-3, 5))
+        stop = start + step * draw(st.integers(0, 999))
+        param = draw(st.sampled_from(["gamma", "decay", "delta", "temperature"]))
+        sections["sweep"] = {"parameter": param, "start": repr(start),
+                             "stop": repr(stop), "step": repr(step)}
+    return "".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                   for sec, kv in sections.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_config_text(), st.sampled_from(_SCENARIOS))
+def test_fuzzed_config_raises_only_config_error(text, scenario):
+    try:
+        cfg = parse_config(text, scenario=scenario)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+    assert math.isfinite(cfg.dt) and math.isfinite(cfg.t_final)
 
 
 def test_exit_code_three_on_numerical_failure(tmp_path, capsys):

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 
 from nmoptomech.errors import NumericalFailure, TruncationError
 from nmoptomech.fock import (
+    _master_generator,
     average_trajectories,
     basis_state,
     build_operators,
@@ -28,7 +29,7 @@ from nmoptomech.kernel import (
 from nmoptomech.moments import MOMENT_LABELS
 from nmoptomech.ocoeff import markov_series, solve_ou_closed
 from nmoptomech.params import LinearizedSystem
-from nmoptomech.stepping import TimeGrid
+from nmoptomech.stepping import TimeGrid, rk4_step, stage_values
 
 SYS = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)
 OU_MAIN = OUKernel(Gamma=2.0, gamma=0.6, Omega=0.0)
@@ -198,3 +199,103 @@ def test_trace_distance_known_values():
     assert trace_distance(rho, sig) == pytest.approx(1.0, abs=1e-12)
 
 
+
+
+def dense_master_generator(ops, fv):
+    """The master-equation generator as dense d x d products (test oracle)."""
+    H, a, ad, b, bd = ops.H, ops.a, ops.ad, ops.b, ops.bd
+    od = (np.conj(fv[0]) * bd + np.conj(fv[1]) * b
+          + np.conj(fv[2]) * ad + np.conj(fv[3]) * a)
+
+    def gen(rho):
+        p = rho @ od
+        d = b @ p - p @ b
+        return -1j * (H @ rho - rho @ H) + d + d.conj().T
+
+    return gen
+
+
+def random_hermitian(d, rng):
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return m + m.conj().T
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 5), (10, 10)])
+def test_band_generator_matches_dense_formula(dims):
+    rng = np.random.default_rng(sum(dims))
+    ops = build_operators(dims, SYS)
+    for _ in range(3):
+        rho = random_hermitian(ops.dim, rng)
+        fv = rng.normal(size=4) + 1j * rng.normal(size=4)
+        got = _master_generator(ops, fv)(rho)
+        want = dense_master_generator(ops, fv)(rho)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.linalg.norm(rho)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 5), (10, 10)])
+def test_band_moment_readout_matches_trace_contraction(dims):
+    rng = np.random.default_rng(7)
+    ops = build_operators(dims)
+    d = ops.dim
+    rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    want = np.einsum("mij,ji->m", ops.moment_matrices, rho)
+    got = moments_from_rho(rho, ops, normalize=False).vector
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.linalg.norm(rho)
+
+
+def test_master_march_matches_dense_generator_march():
+    grid = TimeGrid(dt=0.01, t_final=2.0)
+    dims = (6, 6)
+    ops = build_operators(dims, SYS)
+    F = solve_ou_closed(OU_MAIN, SYS, grid)
+    rho0 = projector((basis_state(dims) + basis_state(dims, 1, 2)) / np.sqrt(2))
+    rt = integrate_master(F, ops, rho0, grid, store_every=50)
+    nodes, mids = stage_values((F.F1, F.F2, F.F3, F.F4))
+    rho = rho0
+    worst = 0.0
+    for k in range(grid.n_steps):
+        if k in rt.store_idx:
+            worst = max(worst, np.max(np.abs(rt.rho_at(k) - rho)))
+        rho = rk4_step(rho, grid.dt,
+                       *(dense_master_generator(ops, [r[j] for r in rows])
+                         for rows, j in ((nodes, k), (mids, k), (nodes, k + 1))))
+    worst = max(worst, np.max(np.abs(rt.final - rho)))
+    assert grid.n_steps == 200
+    assert worst < 1e-12
+
+
+def _mixture(dims, p, na, nb):
+    """(1 - p)|0,0><0,0| + p|na,nb><na,nb|."""
+    return ((1 - p) * projector(basis_state(dims))
+            + p * projector(basis_state(dims, na, nb)))
+
+
+def test_master_guards_fire_at_their_thresholds():
+    grid = TimeGrid(dt=0.01, t_final=0.2)
+    dims = (4, 4)
+    ops = build_operators(dims, SYS)
+    F = solve_ou_closed(OU_MAIN, SYS, grid)
+    rho0 = projector(basis_state(dims))
+    tol = 1e-6
+    with pytest.raises(NumericalFailure, match=r"trace drifted .* at t=0\.000"):
+        integrate_master(F, ops, (1 + 1.01 * tol) * rho0, grid, trace_tol=tol)
+    integrate_master(F, ops, (1 + 0.99 * tol) * rho0, grid, trace_tol=tol)
+    leak = 1e-4
+    with pytest.raises(TruncationError) as info:
+        integrate_master(F, ops, _mixture(dims, 1.01 * leak, 0, 3), grid,
+                         leak_tol=leak)
+    assert info.value.suggested_dims == (8, 8)
+    integrate_master(F, ops, _mixture(dims, 0.99 * leak, 0, 3), grid,
+                     leak_tol=leak)
+
+
+def test_density_matrix_marches_reject_non_hermitian_state():
+    grid = TimeGrid(dt=0.01, t_final=0.1)
+    dims = (3, 3)
+    ops = build_operators(dims, SYS)
+    rho0 = projector(basis_state(dims))
+    rho0[0, 1] = 0.1
+    with pytest.raises(ValueError, match="Hermitian"):
+        integrate_master(markov_series(1.0, grid), ops, rho0, grid)
+    with pytest.raises(ValueError, match="Hermitian"):
+        integrate_lindblad(ops, 1.0, rho0, grid)

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nmoptomech.errors import NumericalFailure
+from nmoptomech.errors import NumericalFailure, TruncationError
 from nmoptomech.fock import basis_state, build_operators, integrate_master, projector
 from nmoptomech.kernel import KernelSpec, OUKernel, eval_kernel
 from nmoptomech.ocoeff import solve_ou_closed
 from nmoptomech.params import LinearizedSystem
-from nmoptomech.stepping import TimeGrid
+from nmoptomech.stepping import TimeGrid, rk4_step, stage_values
 from nmoptomech.thermal import (
+    _thermal_generator,
     ThermalBathSpec,
     ThermalOCoefficients,
     effective_kernels,
@@ -198,3 +199,84 @@ def test_mirror_only_channel_reproduces_single_bath_dynamics():
     worst = max(float(np.max(np.abs(a - b))) for a, b in zip(ra.rhos, rb.rhos))
     assert worst < 1e-6
     assert np.max(np.abs(ra.moments - rb.moments)) < 1e-6
+
+
+def dense_thermal_generator(ops, x):
+    """The two-bath generator as dense d x d products (test oracle)."""
+    H = ops.H
+    L = ops.a + ops.b
+    Ld = L.conj().T
+    basis = (ops.a, ops.ad, ops.b, ops.bd)
+    dag_basis = (ops.ad, ops.a, ops.bd, ops.b)
+    o1 = sum(c * m for c, m in zip(x[0:4], basis))
+    o1d = sum(np.conj(c) * m for c, m in zip(x[0:4], dag_basis))
+    o2 = sum(c * m for c, m in zip(x[4:8], basis))
+    o2d = sum(np.conj(c) * m for c, m in zip(x[4:8], dag_basis))
+
+    def gen(rho):
+        p1, q1, p2, q2 = rho @ o1d, o1 @ rho, rho @ o2d, o2 @ rho
+        return (-1j * (H @ rho - rho @ H)
+                + (L @ p1 - p1 @ L) + (q1 @ Ld - Ld @ q1)
+                + (Ld @ p2 - p2 @ Ld) + (q2 @ L - L @ q2))
+
+    return gen
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 5), (10, 10)])
+def test_band_thermal_generator_matches_dense_formula(dims):
+    rng = np.random.default_rng(sum(dims))
+    ops = build_operators(dims, SYS)
+    for _ in range(3):
+        m = rng.normal(size=(ops.dim, ops.dim)) + 1j * rng.normal(size=(ops.dim, ops.dim))
+        rho = m + m.conj().T
+        x = rng.normal(size=8) + 1j * rng.normal(size=8)
+        got = _thermal_generator(ops, x)(rho)
+        want = dense_thermal_generator(ops, x)(rho)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.linalg.norm(rho)
+
+
+def _two_bath_coefficients(grid):
+    pair = (KernelSpec.from_ou(0.8, 1.0, 0.0), KernelSpec.from_ou(0.3, 1.2, 0.5))
+    return solve_thermal_ocoeff(pair, SYS, grid)
+
+
+def test_thermal_march_matches_dense_generator_march():
+    grid = TimeGrid(dt=0.01, t_final=2.0)
+    X = _two_bath_coefficients(grid)
+    dims = (6, 6)
+    ops = build_operators(dims, SYS)
+    rho0 = projector((basis_state(dims) + basis_state(dims, 1, 1)) / np.sqrt(2))
+    rt = integrate_thermal_master(X, ops, rho0, grid, store_every=50,
+                                  leak_tol=1e-2)
+    nodes, mids = stage_values([X.X[:, i, j] for i in range(2) for j in range(4)])
+    rho = rho0
+    worst = 0.0
+    for k in range(grid.n_steps):
+        if k in rt.store_idx:
+            worst = max(worst, np.max(np.abs(rt.rho_at(k) - rho)))
+        rho = rk4_step(rho, grid.dt,
+                       *(dense_thermal_generator(ops, [r[j] for r in rows])
+                         for rows, j in ((nodes, k), (mids, k), (nodes, k + 1))))
+    worst = max(worst, np.max(np.abs(rt.final - rho)))
+    assert grid.n_steps == 200
+    assert worst < 1e-12
+
+
+def test_thermal_guards_fire_at_their_thresholds():
+    grid = TimeGrid(dt=0.01, t_final=0.2)
+    X = _two_bath_coefficients(grid)
+    dims = (4, 4)
+    ops = build_operators(dims, SYS)
+    vac = projector(basis_state(dims))
+    tol = 1e-6
+    with pytest.raises(NumericalFailure, match=r"trace drifted .* at t=0\.000"):
+        integrate_thermal_master(X, ops, (1 + 1.01 * tol) * vac, grid, trace_tol=tol)
+    integrate_thermal_master(X, ops, (1 + 0.99 * tol) * vac, grid, trace_tol=tol)
+    leak = 1e-3
+    top = projector(basis_state(dims, 3, 0))
+    with pytest.raises(TruncationError) as info:
+        integrate_thermal_master(X, ops, (1 - 1.01 * leak) * vac + 1.01 * leak * top,
+                                 grid, leak_tol=leak)
+    assert info.value.suggested_dims == (8, 8)
+    integrate_thermal_master(X, ops, (1 - 0.99 * leak) * vac + 0.99 * leak * top,
+                             grid, leak_tol=leak)
