@@ -934,6 +934,10 @@ def _scenario_custom(cfg, outdir, manifest):
 
 
 def _echo_text(cfg: RunConfig):
+    # fig3 and fig5 scan their own memory rates unless gamma is set by the
+    # user; read back as a file value, an echoed preset gamma would narrow
+    # the scan, so that line is echoed as a comment
+    scanned = cfg.scenario in ("fig3", "fig5") and not _user_set(cfg.gamma_source)
     lines = [f"# resolved configuration, scenario {cfg.scenario}"]
     current = None
     for sec, key, raw, source in cfg.resolved:
@@ -941,6 +945,10 @@ def _echo_text(cfg: RunConfig):
             lines.append("")
             lines.append(f"[{sec}]")
             current = sec
+        if scanned and (sec, key) == ("bath", "gamma"):
+            lines.append(f"# {key} = {raw}  # {source}; unused: the scenario "
+                         "scans its own memory rates")
+            continue
         lines.append(f"{key} = {raw}  # {source}")
     return "\n".join(lines) + "\n"
 

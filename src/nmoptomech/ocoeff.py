@@ -36,6 +36,7 @@ from .stepping import (
     march_doubled,
     midpoint_derivative,
     midpoint_values,
+    rk4_step,
     trapezoid_weights,
 )
 
@@ -93,8 +94,8 @@ class OCoefficientSeries:
 class TwoTimeField:
     """Stored two-time solution f_j(t_k, s_l), l <= k, plus F5'(t_k, s_l).
 
-    ``f5_slab`` is the (s, s') slab at the final time.  Row k of each
-    f_j array holds s-nodes 0..k; entries above the diagonal are zero.
+    ``f5_slab`` is the (s, s') slab at the final time; both are None
+    without f5.  Row k of each f_j holds s-nodes 0..k, zero past them.
     """
 
     grid: TimeGrid
@@ -150,124 +151,116 @@ def _row_rhs(rows, fj, f5p, wm, delta, g):
     return np.stack([d1, d2, d3, d4])
 
 
-def solve_two_time_grid(k: KernelSpec, sys: LinearizedSystem, grid: TimeGrid,
-                        include_f5=True, store_fields=False,
-                        slab_budget=_SLAB_BUDGET) -> OCoefficientSeries:
-    """March the two-time system and quadrature the F series.
+def _two_time_march(row_rhs, bc, kernels, grid, with_slab=False,
+                    store_fields=False, what="coefficient march"):
+    """The two-time grid march of B baths with boundary rows ``bc`` (B, 4).
 
-    Works for any kernel with pointwise values.  Each time step advances
-    every s-row with a 4th-order stage scheme whose stage F values are
-    re-quadratured from the stage rows (half-node kernel weights plus the
-    exact boundary-node contribution).  The f5 slab is advanced by
-    rank-one stage outer products.  The delta kernel short-circuits to
-    the exact constant series.
+    ``row_rhs(y, x, v)`` is the time derivative of the s-rows ``y``
+    (B, 4, L) at the kernel averages ``x`` (B, 4) and the F5' row ``v``.
+    Each step is one :func:`rk4_step` over every s-row; the stage
+    averages are re-quadratured from the stage rows with half-node kernel
+    weights plus the exact boundary-node contribution.  With
+    ``with_slab`` (one bath) the stages record their (f1 row, F5' row)
+    pairs and the f5 slab takes their weighted outer products once per
+    step.  Returns the node averages (n, B, 4), F5 (None without the
+    slab), and with ``store_fields`` the (n, n) rows of every bath in
+    order, the F5' rows and the last slab.
     """
-    if k.variant == "markov-delta":
-        return markov_series(k.weight, grid, include_f5=include_f5)
     n = grid.n_points
     dt = grid.dt
-    wm, delta, g = sys.omega_m, sys.Delta, sys.G
-    need = 16 * n * n * (1 + (5 if store_fields else 0)) if (include_f5 or store_fields) else 0
-    if need > slab_budget:
+    need = 16 * n * n * (1 + (5 if store_fields else 0)) if (with_slab or store_fields) else 0
+    if need > _SLAB_BUDGET:
         raise NumericalFailure(
             f"two-time storage would need {need/1e9:.1f} GB, over the "
-            f"{slab_budget/1e9:.1f} GB budget; coarsen the grid or drop f5"
+            f"{_SLAB_BUDGET/1e9:.1f} GB budget; coarsen the grid or drop f5"
         )
+    nb = len(kernels)
     t = grid.times()
-    alpha_lag = np.asarray(eval_kernel(k, t, 0.0), dtype=complex)
-    alpha_half = np.asarray(eval_kernel(k, t + 0.5 * dt, 0.0), dtype=complex)
-    alpha0 = alpha_lag[0]
+    lag = [np.asarray(eval_kernel(k, t, 0.0), dtype=complex) for k in kernels]
+    half = [np.asarray(eval_kernel(k, t + 0.5 * dt, 0.0), dtype=complex)
+            for k in kernels]
+    bw2 = np.array([0.25 * dt * a[0] * b for a, b in zip(lag, bc)])
+    bw4 = np.array([0.5 * dt * a[0] * b for a, b in zip(lag, bc)])
+    wgt = (dt / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
 
-    Y = np.zeros((4, n), dtype=complex)
-    Y[:, 0] = _BC
-    F = np.zeros((5, n), dtype=complex)
-    S = np.zeros((n, n), dtype=complex) if include_f5 else None
-    f5p_cur = np.zeros(n, dtype=complex) if include_f5 else None
+    def average(y, kw):
+        return np.array([y[i] @ kw[i] for i in range(nb)])
+
+    Y = np.zeros((nb, 4, n), dtype=complex)
+    Y[:, :, 0] = bc
+    X = np.zeros((n, nb, 4), dtype=complex)
+    F5 = S = f5p = f5p_hist = None
+    if with_slab:
+        F5, f5p, S = np.zeros(n, complex), np.zeros(n, complex), np.zeros((n, n), complex)
     if store_fields:
-        hist = [np.zeros((n, n), dtype=complex) for _ in range(5)]
-        for j in range(4):
-            hist[j][0, 0] = _BC[j]
+        rows_hist = np.zeros((nb, 4, n, n), dtype=complex)
+        rows_hist[:, :, 0, 0] = bc
+        f5p_hist = np.zeros((n, n), dtype=complex) if with_slab else None
     for kk in range(n - 1):
         L = kk + 1
         w = trapezoid_weights(L, dt)
-        kw2 = w.copy()
-        kw2[-1] += 0.25 * dt
-        kw2 = kw2 * alpha_half[kk::-1]
-        kw4 = w.copy()
-        kw4[-1] += 0.5 * dt
-        kw4 = kw4 * alpha_lag[kk + 1:0:-1]
-        bw2 = 0.25 * dt * alpha0 * _BC
-        bw4 = 0.5 * dt * alpha0 * _BC
+        kw2 = [np.append(w[:-1], w[-1] + 0.25 * dt) * h[kk::-1] for h in half]
+        kw4 = [np.append(w[:-1], w[-1] + 0.5 * dt) * a[kk + 1:0:-1] for a in lag]
+        us, vs = [], []
+        b_half, b_end = (np.vstack([kw2[0], kw4[0]]) @ S[:L, :L] if with_slab
+                         else (None, None))
 
-        rows = Y[:, :L]
-        f1s = F[0:4, kk]
-        if include_f5:
-            SL = S[:L, :L]
-            v1 = f5p_cur[:L].copy()
-            kmat = np.vstack([kw2, kw4]) @ SL
-            b_half, b_end = kmat[0], kmat[1]
-        else:
-            v1 = None
-        u1 = rows[0].copy()
+        def stage(kw=None, bw=None, b=None, c=None):
+            # kw None: the step's first stage, at the node
+            def f(y):
+                x = X[kk] if kw is None else average(y, kw) + bw
+                v = None
+                if with_slab:
+                    v = f5p[:L].copy() if kw is None else b + c * (kw[0] @ us[-1]) * vs[-1]
+                    us.append(y[0, 0])
+                    vs.append(v)
+                return row_rhs(y, x, v)
+            return f
 
-        k1 = _row_rhs(rows, f1s, v1, wm, delta, g)
-        y2 = rows + (0.5 * dt) * k1
-        f2s = y2 @ kw2 + bw2
-        if include_f5:
-            u2 = y2[0]
-            v2 = b_half + (0.5 * dt) * (kw2 @ u1) * v1
-        else:
-            v2 = None
-        k2 = _row_rhs(y2, f2s, v2, wm, delta, g)
-        y3 = rows + (0.5 * dt) * k2
-        f3s = y3 @ kw2 + bw2
-        if include_f5:
-            u3 = y3[0]
-            v3 = b_half + (0.5 * dt) * (kw2 @ u2) * v2
-        else:
-            v3 = None
-        k3 = _row_rhs(y3, f3s, v3, wm, delta, g)
-        y4 = rows + dt * k3
-        f4s = y4 @ kw4 + bw4
-        if include_f5:
-            u4 = y4[0]
-            v4 = b_end + dt * (kw4 @ u3) * v3
-        else:
-            v4 = None
-        k4 = _row_rhs(y4, f4s, v4, wm, delta, g)
-
-        Y[:, :L] = rows + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        Y[:, L] = _BC
-        Lp = L + 1
-        if include_f5:
-            wgt = (dt / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
-            U = np.stack([u1, u2, u3, u4], axis=1) * wgt
-            V = np.stack([v1, v2, v3, v4], axis=0)
-            SL += U @ V
-            S[:L, L] = Y[1, :L]
-        kw1 = trapezoid_weights(Lp, dt) * alpha_lag[kk + 1::-1]
-        F[0:4, kk + 1] = Y[:, :Lp] @ kw1
-        if include_f5:
-            f5p_cur[:Lp] = kw1 @ S[:Lp, :Lp]
-            F[4, kk + 1] = f5p_cur[:Lp] @ kw1
+        step = rk4_step(Y[:, :, :L], dt, stage(), stage(kw2, bw2, b_half, 0.5 * dt),
+                        stage(kw4, bw4, b_end, dt))
+        if with_slab:
+            S[:L, :L] += (np.stack(us, axis=1) * wgt) @ np.stack(vs, axis=0)
+        Y[:, :, :L] = step
+        Y[:, :, L] = bc
+        kw1 = [trapezoid_weights(L + 1, dt) * a[kk + 1::-1] for a in lag]
+        X[kk + 1] = average(Y[:, :, :L + 1], kw1)
+        if with_slab:
+            S[:L, L] = Y[0, 1, :L]
+            f5p[:L + 1] = kw1[0] @ S[:L + 1, :L + 1]
+            F5[kk + 1] = f5p[:L + 1] @ kw1[0]
         if store_fields:
-            for j in range(4):
-                hist[j][kk + 1, :Lp] = Y[j, :Lp]
-            if include_f5:
-                hist[4][kk + 1, :Lp] = f5p_cur[:Lp]
-        if not np.all(np.isfinite(F[:, kk + 1])):
+            rows_hist[:, :, kk + 1, :L + 1] = Y[:, :, :L + 1]
+            if with_slab:
+                f5p_hist[kk + 1, :L + 1] = f5p[:L + 1]
+        if not (np.all(np.isfinite(X[kk + 1]))
+                and (F5 is None or np.isfinite(F5[kk + 1]))):
             raise NumericalFailure(
-                f"coefficient march diverged at t={t[kk + 1]:.3f}; "
+                f"{what} diverged at t={t[kk + 1]:.3f}; "
                 "the grid is too coarse for these parameters"
             )
-    fields = None
-    if store_fields:
-        fields = TwoTimeField(grid=grid, f1=hist[0], f2=hist[1], f3=hist[2],
-                              f4=hist[3], f5_prime=hist[4],
-                              f5_slab=S.copy() if include_f5 else None)
+    return X, F5, (*rows_hist.reshape(4 * nb, n, n), f5p_hist, S) if store_fields else None
+
+
+def solve_two_time_grid(k: KernelSpec, sys: LinearizedSystem, grid: TimeGrid,
+                        include_f5=True, store_fields=False) -> OCoefficientSeries:
+    """March the two-time system and quadrature the F series.
+
+    Works for any kernel with pointwise values; the march is
+    :func:`_two_time_march` with one bath and, unless ``include_f5`` is
+    off, the f5 slab.  The delta kernel short-circuits to the exact
+    constant series.
+    """
+    if k.variant == "markov-delta":
+        return markov_series(k.weight, grid, include_f5=include_f5)
+    wm, delta, g = sys.omega_m, sys.Delta, sys.G
+    X, F5, stored = _two_time_march(
+        lambda y, x, v: _row_rhs(y[0], x[0], v, wm, delta, g)[None],
+        _BC[None], [k], grid, include_f5, store_fields)
+    F = np.ascontiguousarray(X[:, 0].T)
+    fields = TwoTimeField(grid, *stored) if store_fields else None
     return OCoefficientSeries(
-        grid=grid, F1=F[0], F2=F[1], F3=F[2], F4=F[3],
-        F5=F[4] if include_f5 else None,
+        grid=grid, F1=F[0], F2=F[1], F3=F[2], F4=F[3], F5=F5,
         provenance="two-time-grid", fields=fields,
     )
 

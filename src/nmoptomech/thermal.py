@@ -33,8 +33,9 @@ from .errors import NumericalFailure
 from .fock import (FockOperators, RhoTrajectory, _band_generator, _run_rho,
                    _weighted)
 from .kernel import KernelSpec, OUKernel, eval_kernel, spectral_density
+from .ocoeff import _two_time_march
 from .params import LinearizedSystem
-from .stepping import TimeGrid, march_doubled, rk4_step, trapezoid_weights
+from .stepping import TimeGrid, march_doubled
 
 __all__ = [
     "ThermalBathSpec",
@@ -161,9 +162,11 @@ def _half_transforms(lags, omega, g1, g2):
     a2 = np.empty(len(lags), dtype=complex)
     for lo in range(0, len(lags), 256):
         hi = lo + 256
-        e = np.exp(-1j * np.multiply.outer(lags[lo:hi], omega))
+        # in place, and g2 real: conj(e) @ g2 == conj(e @ g2)
+        e = np.multiply.outer(lags[lo:hi], -1j * omega)
+        np.exp(e, out=e)
         a1[lo:hi] = e @ g1
-        a2[lo:hi] = e.conj() @ g2
+        a2[lo:hi] = np.conj(e @ g2)
     return a1, a2
 
 
@@ -346,67 +349,23 @@ def _solve_thermal_closed(pair, sys, grid):
 def _solve_thermal_grid(pair, sys, grid):
     """Two-time march of the eight coefficient rows.
 
-    Same stage scheme as the single-bath grid solver: each step advances
-    every s-row, stage kernel averages are re-quadratured from the stage
-    rows with half-node weights plus the exact boundary contribution.
-    No memory slab is needed because the noise-expansion rows are
-    dropped by design.
+    Both baths' rows share the grid march of the single-bath solver
+    (:func:`ocoeff._two_time_march`), each with its own boundary rows and
+    kernel.  No memory slab is needed because the noise-expansion rows
+    are dropped by design.
     """
     for k in pair:
         if k.variant == "markov-delta":
             raise ValueError("the grid path needs kernels with pointwise "
                              "values; use the closed solver for delta baths")
-    n = grid.n_points
-    dt = grid.dt
     wm, delta, g = sys.omega_m, sys.Delta, sys.G
-    t = grid.times()
-    lag = [np.asarray(eval_kernel(k, t, 0.0), dtype=complex) for k in pair]
-    half = [np.asarray(eval_kernel(k, t + 0.5 * dt, 0.0), dtype=complex)
-            for k in pair]
-    a0 = np.array([lag[0][0], lag[1][0]])
-    bc8 = _BC.reshape(8)
 
-    Y = np.zeros((8, n), dtype=complex)
-    Y[:, 0] = bc8
-    out = np.zeros((n, 2, 4), dtype=complex)
-    Xnode = np.zeros((2, 4), dtype=complex)
+    def row_rhs(rows, x, _):
+        return np.einsum("jk,ikl->ijl", _coupling_matrix(x, wm, delta, g), rows)
 
-    def row_rhs(rows, xs):
-        kmat = _coupling_matrix(xs, wm, delta, g)
-        r = rows.reshape(2, 4, -1)
-        return np.einsum("jk,ikl->ijl", kmat, r).reshape(8, -1)
-
-    def quad(rows, kw, bw):
-        xs = np.empty((2, 4), dtype=complex)
-        blocks = rows.reshape(2, 4, -1)
-        for i in range(2):
-            xs[i] = blocks[i] @ kw[i] + bw * a0[i] * _BC[i]
-        return xs
-
-    for kk in range(n - 1):
-        L = kk + 1
-        w = trapezoid_weights(L, dt)
-        w2 = w.copy()
-        w2[-1] += 0.25 * dt
-        kw2 = [w2 * h[kk::-1] for h in half]
-        w4 = w.copy()
-        w4[-1] += 0.5 * dt
-        kw4 = [w4 * a[kk + 1:0:-1] for a in lag]
-
-        Y[:, :L] = rk4_step(
-            Y[:, :L], dt, lambda r: row_rhs(r, Xnode),
-            lambda r: row_rhs(r, quad(r, kw2, 0.25 * dt)),
-            lambda r: row_rhs(r, quad(r, kw4, 0.5 * dt)))
-        Y[:, L] = bc8
-        kw1 = [trapezoid_weights(L + 1, dt) * a[kk + 1::-1] for a in lag]
-        Xnode = quad(Y[:, :L + 1], kw1, 0.0)
-        out[kk + 1] = Xnode
-        if not np.all(np.isfinite(Xnode)):
-            raise NumericalFailure(
-                f"thermal coefficient march diverged at t={t[kk + 1]:.3f}; "
-                "the grid is too coarse for these parameters"
-            )
-    return ThermalOCoefficients(grid=grid, X=out, provenance="two-time-grid")
+    X, _, _ = _two_time_march(row_rhs, _BC, pair, grid,
+                              what="thermal coefficient march")
+    return ThermalOCoefficients(grid=grid, X=X, provenance="two-time-grid")
 
 
 def solve_thermal_ocoeff(kernels, sys: LinearizedSystem, grid: TimeGrid,

@@ -264,6 +264,32 @@ values = 0.5, 1.0
     assert runs[0].read_text() != runs[1].read_text()
 
 
+@pytest.mark.parametrize("scenario, text, flags", [
+    ("fig2", "", ["--tfinal", "15"]),
+    ("fig3", "", ["--tfinal", "2"]),
+    ("fig3", "", ["--tfinal", "2", "--gamma", "0.9"]),
+    ("fig4", "", ["--tfinal", "1"]),
+    ("fig5", "", ["--tfinal", "1", "--dt", "0.02"]),
+    ("custom", MINIMAL + "[grid]\ndt = 0.02\nt_final = 1.0\n[sweep]\n"
+     "parameter = gamma\nstart = 0.5\nstop = 1.5\nstep = 0.5\n", []),
+], ids=["fig2", "fig3", "fig3-gamma", "fig4", "fig5", "custom-sweep"])
+def test_resolved_config_reproduces_every_csv(tmp_path, scenario, text, flags):
+    p = tmp_path / "c.cfg"
+    p.write_text(text)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["run", "--scenario", scenario, "--config", str(p),
+                 "--out", str(first), *flags]) == 0
+    # feed the echo back with only the output directory changed
+    echo = [f"out = {second}" if line.startswith("out = ") else line
+            for line in (first / "resolved.cfg").read_text().splitlines()]
+    p.write_text("\n".join(echo) + "\n")
+    assert main(["run", "--scenario", scenario, "--config", str(p)]) == 0
+    csvs = sorted(f.relative_to(first) for f in first.rglob("*.csv"))
+    assert csvs == sorted(f.relative_to(second) for f in second.rglob("*.csv"))
+    for name in csvs:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
 def test_gamma_flag_narrows_multi_gamma_scenario(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("")

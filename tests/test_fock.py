@@ -155,6 +155,24 @@ def test_trajectory_requires_refined_noise_grid():
         propagate_trajectory(F, ops, z, basis_state(dims), grid)
 
 
+def test_trajectory_norm_cap_fires_at_its_threshold():
+    # the march is linear in psi0, so scaling psi0 moves the largest checked
+    # amplitude (after the first and the last step) onto the 1e6 cap
+    grid = TimeGrid(dt=0.05, t_final=0.15)
+    dims = (3, 3)
+    ops = build_operators(dims, SYS)
+    k = KernelSpec.from_ou(2.0, 0.6, 0.0)
+    F = solve_ou_closed(k.ou, SYS, grid)
+    noise = sample_noise_path(k, grid.refine(), path_seed(7, 0))
+    psi0 = basis_state(dims, 1, 0)
+    unit = propagate_trajectory(F, ops, noise, psi0, grid, store_every=1)
+    worst = max(np.abs(unit.states[1]).max(), np.abs(unit.states[-1]).max())
+    with pytest.raises(NumericalFailure, match="heavy-tailed norm"):
+        propagate_trajectory(F, ops, noise, psi0 * (1e6 / worst) * (1 + 1e-6), grid)
+    path = propagate_trajectory(F, ops, noise, psi0 * (1e6 / worst) * (1 - 1e-6), grid)
+    assert np.abs(path.final).max() < 1e6
+
+
 def test_ensemble_mean_approaches_master():
     grid = TimeGrid(dt=0.02, t_final=4.0)
     dims = (6, 6)

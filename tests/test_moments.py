@@ -1,13 +1,17 @@
 """Second-moment evolution and the covariance extraction."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from nmoptomech.gaussian_ent import two_mode_squeezed_covariance
 from nmoptomech.kernel import KernelSpec, OUKernel
 from nmoptomech.moments import (
+    DIP_TOL,
     MOMENT_LABELS,
     MomentState,
+    MomentTrajectory,
     covariance_from_moments,
     integrate_moments,
 )
@@ -122,3 +126,22 @@ def test_en_series_matches_pointwise():
     en = traj.en_series()
     for idx in (0, 150, 599):
         assert en[idx] == pytest.approx(traj.en_at(idx), abs=1e-12)
+
+
+def _scaled_vacuum(nu, grid):
+    # zero means and <a a^dag> = <b b^dag> = (nu + 1)/2 give V = nu * I
+    values = np.zeros((grid.n_points, 14), dtype=complex)
+    values[:, MOMENT_LABELS.index("aad")] = 0.5 * (nu + 1.0)
+    values[:, MOMENT_LABELS.index("bbd")] = 0.5 * (nu + 1.0)
+    return MomentTrajectory(grid=grid, values=values)
+
+
+def test_physicality_monitor_fires_at_its_threshold():
+    grid = TimeGrid(dt=0.1, t_final=3.0)
+    below = _scaled_vacuum(1.0 - 2.0 * DIP_TOL, grid)
+    assert np.allclose(below.covariance(0).V, (1.0 - 2.0 * DIP_TOL) * np.eye(4))
+    with pytest.warns(RuntimeWarning, match="physicality dip"):
+        below.en_series()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _scaled_vacuum(1.0 - 0.5 * DIP_TOL, grid).en_series()

@@ -1,6 +1,9 @@
 """Coefficient solvers: closed exponential route, two-time grid route,
 Markov constants, and the defining integro-differential relations."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -8,6 +11,7 @@ from scipy.integrate import solve_ivp
 from nmoptomech.errors import NumericalFailure
 from nmoptomech.kernel import KernelSpec, OUKernel
 from nmoptomech.ocoeff import (
+    _SLAB_BUDGET,
     consistency_residual,
     markov_series,
     solve_ocoeff,
@@ -142,6 +146,27 @@ def test_stiffness_guard_raises():
     k = OUKernel(Gamma=2.0, gamma=1.0, Omega=1.0)
     with pytest.raises(NumericalFailure):
         solve_ou_closed(k, SYS, grid)
+
+
+@pytest.mark.parametrize("store_fields, include_f5, arrays", [
+    (False, True, 1), (True, True, 6), (True, False, 6)])
+def test_two_time_storage_guard_raises_before_allocating(store_fields, include_f5,
+                                                         arrays):
+    # the smallest grid whose n x n complex arrays exceed the budget; one
+    # node fewer fits, but that side would allocate about 2 GB
+    n = math.isqrt(_SLAB_BUDGET // (16 * arrays)) + 1
+    assert 16 * arrays * (n - 1) ** 2 <= _SLAB_BUDGET < 16 * arrays * n ** 2
+    grid = TimeGrid(dt=1.0, t_final=float(n - 1))
+    assert grid.n_points == n
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalFailure, match="two-time storage would need"):
+            solve_two_time_grid(KernelSpec(variant="ou", ou=OU), SYS, grid,
+                                include_f5=include_f5, store_fields=store_fields)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_markov_limit_of_large_gamma():
