@@ -14,15 +14,16 @@ Quadratures are q = a + ad, p = -i(a - ad); with [xi_a, xi_b] = 2iM the
 vacuum covariance matrix is the identity.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFailure
-from .gaussian_ent import log_negativity, min_symplectic_eigenvalue
+from .gaussian_ent import log_negativity, symplectic_readout
 from .ocoeff import OCoefficientSeries
-from .stepping import TimeGrid, midpoint_at, rk4_step, stage_values
+from .stepping import TimeGrid, midpoint_at, rk4_step
 
 __all__ = [
     "DIP_TOL",
@@ -32,6 +33,7 @@ __all__ = [
     "MomentTrajectory",
     "integrate_moments",
     "covariance_from_moments",
+    "covariances",
 ]
 
 # how far below 1 the smallest symplectic eigenvalue may dip unreported
@@ -118,43 +120,27 @@ class CovarianceMatrix:
         return self.V[0:2, 2:4]
 
 
-def _cov_entries(v):
-    """The ten independent covariance entries from moment vector(s).
+def covariances(v):
+    """Covariance matrices, shape (..., 4, 4), of moment vector(s).
 
     ``v`` has the moment axis last, so both a single (14,) vector and a
     trajectory (n, 14) array work.
     """
-    a, ad, b, bd = v[..., 0], v[..., 1], v[..., 2], v[..., 3]
-    aa, aad, ab, abd = v[..., 4], v[..., 5], v[..., 6], v[..., 7]
-    adad, adb, adbd = v[..., 8], v[..., 9], v[..., 10]
-    bb, bbd, bdbd = v[..., 11], v[..., 12], v[..., 13]
+    a, ad, b, bd, aa, aad, ab, abd, adad, adb, adbd, bb, bbd, bdbd = np.moveaxis(v, -1, 0)
     q1, p1 = a + ad, -1j * (a - ad)
     q2, p2 = b + bd, -1j * (b - bd)
-    return {
-        "11": (aa + adad + 2.0 * aad - 1.0 - q1 * q1).real,
-        "12": (-1j * (aa - adad) - q1 * p1).real,
-        "22": (2.0 * aad - 1.0 - aa - adad - p1 * p1).real,
-        "33": (bb + bdbd + 2.0 * bbd - 1.0 - q2 * q2).real,
-        "34": (-1j * (bb - bdbd) - q2 * p2).real,
-        "44": (2.0 * bbd - 1.0 - bb - bdbd - p2 * p2).real,
-        "13": (ab + abd + adb + adbd - q1 * q2).real,
-        "14": (-1j * (ab - abd + adb - adbd) - q1 * p2).real,
-        "23": (-1j * (ab + abd - adb - adbd) - p1 * q2).real,
-        "24": (-(ab - abd - adb + adbd) - p1 * p2).real,
-    }
-
-
-_V_KEYS = (("11", "12", "13", "14"), ("12", "22", "23", "24"),
-           ("13", "23", "33", "34"), ("14", "24", "34", "44"))
-
-
-def _cov_matrix(e):
-    """Covariance matrices, shape (..., 4, 4), from :func:`_cov_entries`."""
-    V = np.empty(np.shape(e["11"]) + (4, 4))
-    for i, row in enumerate(_V_KEYS):
-        for j, key in enumerate(row):
-            V[..., i, j] = e[key]
-    return V
+    v11 = (aa + adad + 2.0 * aad - 1.0 - q1 * q1).real
+    v12 = (-1j * (aa - adad) - q1 * p1).real
+    v22 = (2.0 * aad - 1.0 - aa - adad - p1 * p1).real
+    v33 = (bb + bdbd + 2.0 * bbd - 1.0 - q2 * q2).real
+    v34 = (-1j * (bb - bdbd) - q2 * p2).real
+    v44 = (2.0 * bbd - 1.0 - bb - bdbd - p2 * p2).real
+    v13 = (ab + abd + adb + adbd - q1 * q2).real
+    v14 = (-1j * (ab - abd + adb - adbd) - q1 * p2).real
+    v23 = (-1j * (ab + abd - adb - adbd) - p1 * q2).real
+    v24 = (-(ab - abd - adb + adbd) - p1 * p2).real
+    return np.stack([v11, v12, v13, v14, v12, v22, v23, v24,
+                     v13, v23, v33, v34, v14, v24, v34, v44], axis=-1).reshape(np.shape(a) + (4, 4))
 
 
 def covariance_from_moments(m) -> CovarianceMatrix:
@@ -167,7 +153,7 @@ def covariance_from_moments(m) -> CovarianceMatrix:
     v = m.vector if isinstance(m, MomentState) else np.asarray(m, dtype=complex)
     if v.shape != (14,):
         raise ValueError("moment vector must have 14 components")
-    return CovarianceMatrix(V=_cov_matrix(_cov_entries(v)))
+    return CovarianceMatrix(V=covariances(v))
 
 
 def _moment_rhs(m, f1, f2, f3, f4, f1c, f2c, f3c, f4c, wm, delta, g):
@@ -217,53 +203,55 @@ class MomentTrajectory:
         return covariance_from_moments(self.values[k])
 
     def en_series(self, tol=1e-10, monitor=True):
-        """Logarithmic negativity at every node, vectorized.
+        """Logarithmic negativity at every node, shape (n,), or (n, P) for
+        a batched march; read out point by point.
 
         Matches per-node :func:`gaussian_ent.log_negativity` results.
         The physicality monitor warns (never raises) when the smallest
-        symplectic eigenvalue of V dips below 1 by more than ``DIP_TOL``.
+        symplectic eigenvalue of V dips below 1 by more than ``DIP_TOL``
+        at any node; a batched march warns once for all its points.
         """
-        e = _cov_entries(self.values)
-        det_a = e["11"] * e["22"] - e["12"] ** 2
-        det_b = e["33"] * e["44"] - e["34"] ** 2
-        det_c = e["13"] * e["24"] - e["14"] * e["23"]
-        det_v = np.linalg.det(_cov_matrix(e))
-        sigma = det_a + det_b - 2.0 * det_c
-        disc = sigma * sigma - 4.0 * det_v
-        scale = np.maximum(np.maximum(sigma * sigma, 4.0 * np.abs(det_v)), 1.0)
-        if np.any(disc < -tol * scale):
-            k = int(np.argmax(disc < -tol * scale))
-            raise NumericalFailure(
-                f"unphysical covariance matrix at node {k} "
-                "(negative discriminant in the symplectic spectrum)"
-            )
-        nu_sq = 0.5 * (sigma - np.sqrt(np.maximum(disc, 0.0)))
-        if np.any(nu_sq <= 0.0):
-            raise NumericalFailure("nonpositive nu_minus^2 along the trajectory")
-        nu = np.sqrt(nu_sq)
-        if monitor:
-            worst = self.min_symplectic_sample()
-            if worst < 1.0 - DIP_TOL:
-                warnings.warn(
-                    f"covariance physicality dip: min symplectic eigenvalue "
-                    f"{worst:.8f} < 1", RuntimeWarning, stacklevel=2)
-        return np.maximum(0.0, -np.log(nu))
-
-    def min_symplectic_sample(self, samples=24):
-        """Smallest symplectic eigenvalue of V over about ``samples`` nodes."""
-        n = self.values.shape[0]
-        stride = max(1, n // samples)
-        worst = np.inf
-        for k in range(0, n, stride):
-            try:
-                worst = min(worst, min_symplectic_eigenvalue(
-                    covariance_from_moments(self.values[k]).V))
-            except ValueError:
-                return -np.inf
-        return worst
+        batch = self.values.ndim == 3
+        values = self.values if batch else self.values[..., None]
+        en = np.empty((values.shape[0], values.shape[2]))
+        worst = []
+        for p in range(values.shape[2]):
+            r = symplectic_readout(covariances(values[..., p]), tol)
+            if np.any(r.negative):
+                raise NumericalFailure(
+                    f"unphysical covariance matrix at node {int(np.argmax(r.negative))} "
+                    "(negative discriminant in the symplectic spectrum)"
+                )
+            if np.any(r.nu_pt_sq <= 0.0):
+                raise NumericalFailure("nonpositive nu_minus^2 along the trajectory")
+            en[:, p] = r.en
+            worst.append(float(r.nu.min()))
+        dips = [w for w in worst if w < 1.0 - DIP_TOL]
+        if monitor and dips:
+            where = f" at {len(dips)} of {len(worst)} scan points" if batch else ""
+            warnings.warn(f"covariance physicality dip{where}: min symplectic "
+                          f"eigenvalue {min(dips):.8f} < 1", RuntimeWarning, stacklevel=2)
+        return en if batch else en[:, 0]
 
     def en_at(self, k):
         return log_negativity(self.covariance(k).V).En
+
+
+@functools.cache
+def _affine_basis():
+    """:func:`_moment_rhs` probed into its affine form dm/dt = M(p) m + c(p).
+
+    It is linear in each of its 11 parameters p = (f1..f4, their
+    conjugates, wm, delta, g): M(p) = p @ basis[:, :196] (row-major
+    14 x 14) and c(p) = p @ basis[:, 196:].
+    """
+    basis = np.empty((11, 210), dtype=complex)
+    for j, p in enumerate(np.eye(11)):
+        c = np.array(_moment_rhs(np.zeros(14), *p))
+        cols = [np.array(_moment_rhs(e, *p)) - c for e in np.eye(14)]
+        basis[j, :196] = np.stack(cols, axis=1).ravel()
+        basis[j, 196:] = c
+    return basis
 
 
 def integrate_moments(F: OCoefficientSeries, sys, init: MomentState,
@@ -275,53 +263,48 @@ def integrate_moments(F: OCoefficientSeries, sys, init: MomentState,
     delta-kernel series).  A batched F series (see
     :func:`ocoeff.solve_ou_closed`) with a sequence of systems, one per
     point, marches every point at once; the values then carry a trailing
-    point axis (see :meth:`MomentTrajectory.point`).
+    point axis (see :meth:`MomentTrajectory.point`).  A single point is a
+    batch of one: every stage is one product with the affine basis and
+    one batched 14 x 14 matrix-vector product.
     """
     if not grid.matches(F.grid):
         raise ValueError("F series and moment integration must share one grid")
     if init.conjugation_residual() > 1e-9:
         raise ValueError("initial moments break the conjugation pairing")
     n = grid.n_points
-    dt = grid.dt
-    rows = (F.F1, F.F2, F.F3, F.F4)
-    batch = rows[0].ndim == 2
-    if batch:
-        systems = list(sys)
-        if len(systems) != rows[0].shape[1]:
-            raise ValueError("need one system per point of the F series")
-        wm, delta, g = (np.array([getattr(s, a) for s in systems])
-                        for a in ("omega_m", "Delta", "G"))
-        unpack = list
+    batch = F.F1.ndim == 2
+    systems = list(sys) if batch else [sys]
+    rows = [r.reshape(n, -1) for r in (F.F1, F.F2, F.F3, F.F4)]
+    if len(systems) != rows[0].shape[1]:
+        raise ValueError("need one system per point of the F series")
+    basis = _affine_basis()
+    par = np.empty((len(systems), 11), dtype=complex)
+    par[:, 8:] = [(s.omega_m, s.Delta, s.G) for s in systems]
 
-        def stage(k, mid):
-            # midpoints step by step: no stored stage arrays for every point
-            return tuple(midpoint_at(r, k) if mid else r[k] for r in rows)
-    else:
-        wm, delta, g = sys.omega_m, sys.Delta, sys.G
-        # on Python complex scalars: cheaper than numpy for 14 entries
-        unpack = np.ndarray.tolist
-        nodes, mids = ([x.tolist() for x in part] for part in stage_values(rows))
+    def rhs(f):
+        par[:, :4] = np.transpose(f)
+        par[:, 4:8] = par[:, :4].conj()
+        op = par @ basis
+        M, c = op[:, :196].reshape(-1, 14, 14), op[:, 196:]
+        return lambda y: (M @ y[..., None])[..., 0] + c
 
-        def stage(k, mid):
-            return tuple(r[k] for r in (mids if mid else nodes))
-
-    def rhs_at(k, mid=False):
-        f = stage(k, mid)
-        fc = tuple(x.conjugate() for x in f)
-        return lambda y: np.array(_moment_rhs(unpack(y), *f, *fc, wm, delta, g))
-
-    vals = np.empty((n,) + init.vector.shape + rows[0].shape[1:], dtype=complex)
-    vals[0] = init.vector[:, None] if batch else init.vector
+    # the state marches as (P, 14); midpoints step by step, so no stage
+    # arrays are stored for every point
+    vals = np.empty((n, 14, len(systems)), dtype=complex)
+    y = np.tile(init.vector, (len(systems), 1))
+    vals[0] = y.T
+    f_next = rhs([r[0] for r in rows])
     for k in range(n - 1):
-        vals[k + 1] = rk4_step(vals[k], dt, rhs_at(k), rhs_at(k, mid=True),
-                               rhs_at(k + 1))
+        f_node, f_next = f_next, rhs([r[k + 1] for r in rows])
+        y = rk4_step(y, grid.dt, f_node, rhs([midpoint_at(r, k) for r in rows]), f_next)
+        vals[k + 1] = y.T
     if not np.all(np.isfinite(vals)):
         raise NumericalFailure("moment integration blew up; refine the grid")
-    for last in vals[-1].reshape(14, -1).T:  # one row per point
+    for last in y:  # one row per point
         drift = MomentState.from_vector(last).conjugation_residual()
         scale = max(1.0, float(np.abs(last).max()))
         if drift > 1e-6 * scale:
             raise NumericalFailure(
                 f"conjugation pairing drifted by {drift:.2e}; integration unstable"
             )
-    return MomentTrajectory(grid=grid, values=vals)
+    return MomentTrajectory(grid=grid, values=vals if batch else vals[..., 0])

@@ -168,13 +168,15 @@ def _two_time_march(row_rhs, bc, kernels, grid, with_slab=False,
     """
     n = grid.n_points
     dt = grid.dt
-    need = 16 * n * n * (1 + (5 if store_fields else 0)) if (with_slab or store_fields) else 0
+    nb = len(kernels)
+    # n x n complex arrays: the slab; with store_fields every bath's rows and F5'
+    arrays = int(with_slab) + (4 * nb + int(with_slab) if store_fields else 0)
+    need = 16 * n * n * arrays
     if need > _SLAB_BUDGET:
         raise NumericalFailure(
             f"two-time storage would need {need/1e9:.1f} GB, over the "
             f"{_SLAB_BUDGET/1e9:.1f} GB budget; coarsen the grid or drop f5"
         )
-    nb = len(kernels)
     t = grid.times()
     lag = [np.asarray(eval_kernel(k, t, 0.0), dtype=complex) for k in kernels]
     half = [np.asarray(eval_kernel(k, t + 0.5 * dt, 0.0), dtype=complex)

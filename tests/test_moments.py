@@ -5,17 +5,24 @@ import warnings
 import numpy as np
 import pytest
 
-from nmoptomech.gaussian_ent import two_mode_squeezed_covariance
+from nmoptomech.gaussian_ent import (
+    log_negativity,
+    symplectic_readout,
+    two_mode_squeezed_covariance,
+)
 from nmoptomech.kernel import KernelSpec, OUKernel
 from nmoptomech.moments import (
     DIP_TOL,
     MOMENT_LABELS,
     MomentState,
     MomentTrajectory,
+    _affine_basis,
+    _moment_rhs,
     covariance_from_moments,
+    covariances,
     integrate_moments,
 )
-from nmoptomech.ocoeff import markov_series, solve_ou_closed
+from nmoptomech.ocoeff import OCoefficientSeries, markov_series, solve_ou_closed
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import TimeGrid
 
@@ -145,3 +152,59 @@ def test_physicality_monitor_fires_at_its_threshold():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _scaled_vacuum(1.0 - 0.5 * DIP_TOL, grid).en_series()
+
+
+def test_physicality_monitor_checks_every_node():
+    # one dipping node between the nodes that a monitor sampling every
+    # n // 24 nodes would visit
+    grid = TimeGrid(dt=0.1, t_final=24.0)
+    traj = _scaled_vacuum(1.0, grid)
+    stride = grid.n_points // 24
+    traj.values[stride // 2] = _scaled_vacuum(1.0 - 2.0 * DIP_TOL, grid).values[0]
+    assert stride // 2 % stride != 0
+    with pytest.warns(RuntimeWarning, match="physicality dip"):
+        traj.en_series()
+
+
+def test_affine_basis_reproduces_the_moment_equations():
+    # the march relies on the right-hand side being affine in the means and
+    # linear in each parameter; random complex means and coefficients on a batch
+    rng = np.random.default_rng(2007)
+    P = 7
+    m = rng.standard_normal((14, P)) + 1j * rng.standard_normal((14, P))
+    f = 3.0 * (rng.standard_normal((4, P)) + 1j * rng.standard_normal((4, P)))
+    wm, delta, g = rng.uniform(-3.0, 3.0, (3, P))
+    par = np.concatenate([f, f.conj(), [wm, delta, g]]).T
+    op = par @ _affine_basis()
+    got = (op[:, :196].reshape(P, 14, 14) @ m.T[..., None])[..., 0] + op[:, 196:]
+    want = np.array(_moment_rhs(m, *f, *f.conj(), wm, delta, g)).T
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_single_point_march_is_a_batch_of_one():
+    grid = TimeGrid(dt=0.01, t_final=5.0)
+    sys_ = LinearizedSystem(omega_m=1.0, Delta=1.3, G=0.1)
+    F = solve_ou_closed(OUKernel(Gamma=2.0, gamma=0.6, Omega=0.2), sys_, grid)
+    init = MomentState.coherent(0.2 - 0.1j, 0.3j)
+    one = integrate_moments(F, sys_, init, grid)
+    batch = integrate_moments(OCoefficientSeries.batch([F]), [sys_], init, grid)
+    assert batch.values.shape == one.values.shape + (1,)
+    assert np.array_equal(one.values, batch.values[..., 0])
+
+
+def test_trajectory_readout_is_nan_where_log_negativity_raises():
+    # the loose-tolerance read-out of the trajectories engine, row by row
+    grid = TimeGrid(dt=0.01, t_final=6.0)
+    sys_ = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)
+    F = solve_ou_closed(OUKernel(Gamma=2.0, gamma=0.6, Omega=0.0), sys_, grid)
+    rows = integrate_moments(F, sys_, MomentState.vacuum(), grid).values[::40].copy()
+    bad = 5
+    rows[bad] = MomentState.vacuum().vector
+    rows[bad, MOMENT_LABELS.index("aad")] = 0.5  # cavity block A = 0: det V = 0
+    en = symplectic_readout(covariances(rows), tol=1e-6).en
+    assert np.isnan(en[bad])
+    with pytest.raises(ValueError, match="positive determinant"):
+        log_negativity(covariances(rows[bad]), tol=1e-6)
+    for k in np.flatnonzero(np.arange(len(rows)) != bad):
+        assert en[k] == log_negativity(covariances(rows[k]), tol=1e-6).En
+    assert np.max(en[1:bad]) > 0.0
