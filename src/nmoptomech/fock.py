@@ -26,7 +26,7 @@ from .kernel import KernelSpec, path_seed, sample_noise_batch, NoisePath
 from .moments import MomentState, MomentTrajectory
 from .ocoeff import OCoefficientSeries
 from .params import LinearizedSystem
-from .stepping import TimeGrid, pairwise_sum, rk4_step, stage_values
+from .stepping import TimeGrid, rk4_step, stage_values
 
 __all__ = [
     "FockOperators",
@@ -59,17 +59,21 @@ def _bands(m):
 
 
 def _lmul(bands, x, out=None):
-    """B @ x in O(d^2) for the band list of B, added into ``out`` if given."""
+    """B @ x in O(d^2) for the band list of B, added into ``out`` if given.
+
+    A diagonal may carry one weight per column of ``x`` as a second axis.
+    """
     d = x.shape[0]
     for o, w in bands:
         lo, hi = max(-o, 0), d - max(o, 0)
+        w = w.reshape(hi - lo, -1)
         if out is None:
             out = np.empty_like(x)
             out[:lo] = 0.0
             out[hi:] = 0.0
-            np.multiply(w[:, None], x[lo + o:hi + o], out=out[lo:hi])
+            np.multiply(w, x[lo + o:hi + o], out=out[lo:hi])
         else:
-            out[lo:hi] += w[:, None] * x[lo + o:hi + o]
+            out[lo:hi] += w * x[lo + o:hi + o]
     return out
 
 
@@ -106,6 +110,20 @@ class FockOperators:
         if self.H is not None:
             out["-iH"] = [(o, -1j * w) for o, w in _bands(self.H)]
         return out
+
+    @cached_property
+    def _drift_basis(self):
+        """(offset, diagonals) of the trajectory drift
+        A = -iH - sum_j F_j b^dag X_j, X = (b, b^dag, a, a^dag): row i of a
+        band's diagonals is term i, so (1, -F1, ..., -F4) @ diagonals is
+        A's band at that offset."""
+        terms = [self.bands["-iH"]] + [_bands(self.bd @ x) for x in
+                                       (self.b, self.bd, self.a, self.ad)]
+        basis = {}
+        for i, t in enumerate(terms):
+            for o, w in t:
+                basis.setdefault(o, np.zeros((5, len(w)), dtype=complex))[i] += w
+        return sorted(basis.items(), key=lambda band: band[0])
 
     @property
     def moment_matrices(self):
@@ -367,11 +385,16 @@ class StatePath:
 
 def _propagate_states(F, ops, Z, psi0, grid, store_idx, norm_cap=1e6):
     """March a batch of trajectories; Z has one noise column per path on
-    the refined (half-step) grid."""
+    the refined (half-step) grid.
+
+    A stage applies the drift's band list (``FockOperators._drift_basis``
+    weighted by F1..F4) and the b band times each path's noise, so every
+    path is advanced element by element, independent of the batch width.
+    """
     n = grid.n_points
     dt = grid.dt
-    H, b = ops.H, ops.b
-    drift = [ops.bd @ ops.b, ops.bd @ ops.bd, ops.bd @ ops.a, ops.bd @ ops.ad]
+    basis = ops._drift_basis
+    ob, wb = ops.bands["b"]
     nodes, mids = stage_values((F.F1, F.F2, F.F3, F.F4))
     psi = np.array(psi0, dtype=complex)
     if psi.ndim == 1:
@@ -379,15 +402,10 @@ def _propagate_states(F, ops, Z, psi0, grid, store_idx, norm_cap=1e6):
     out = np.empty((len(store_idx), psi.shape[0], psi.shape[1]), dtype=complex)
     ptr = 0
 
-    def amat(fv):
-        m = -1j * H
-        for c, mat in zip(fv, drift):
-            m = m - c * mat
-        return m
-
     def rhs_at(fv, z_row):
-        m = amat(fv)
-        return lambda p: m @ p + (b @ p) * z_row
+        c = np.array([1.0, *(-f for f in fv)])
+        bands = [(o, c @ w) for o, w in basis] + [(ob, np.outer(wb, z_row))]
+        return lambda p: _lmul(bands, p)
 
     for k in range(n):
         if ptr < len(store_idx) and store_idx[ptr] == k:
@@ -466,7 +484,7 @@ class AveragedEnsemble:
 
 
 def average_trajectories(paths) -> AveragedEnsemble:
-    """Pairwise-summed mean of |psi><psi| over the ensemble.
+    """Mean of |psi><psi| over the ensemble, one matrix product per node.
 
     All paths must share their stored nodes.  The standard error of the
     projector trace (|psi|^2) is reported per node.
@@ -483,17 +501,10 @@ def average_trajectories(paths) -> AveragedEnsemble:
     rhos = np.empty((n_nodes, dim, dim), dtype=complex)
     tr_mean = np.empty(n_nodes)
     tr_se = np.empty(n_nodes)
-    chunk = 256
     for j in range(n_nodes):
-        partials = []
-        norms = np.empty(m)
-        for lo in range(0, m, chunk):
-            hi = min(lo + chunk, m)
-            block = np.stack([p.states[j] for p in paths[lo:hi]])
-            norms[lo:hi] = np.einsum("pi,pi->p", block, block.conj()).real
-            outer = np.einsum("pi,pj->pij", block, block.conj())
-            partials.append(pairwise_sum(outer))
-        rhos[j] = pairwise_sum(np.stack(partials)) / m
+        block = np.stack([p.states[j] for p in paths])
+        norms = np.einsum("pi,pi->p", block, block.conj()).real
+        rhos[j] = block.T @ block.conj() / m
         tr_mean[j] = norms.mean()
         tr_se[j] = norms.std(ddof=1) / np.sqrt(m) if m > 1 else 0.0
     return AveragedEnsemble(grid=paths[0].grid, node_indices=idx, rhos=rhos,

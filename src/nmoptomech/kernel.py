@@ -182,12 +182,12 @@ def path_seed(master_seed, index):
 def _standard_draws(grid, seeds):
     """One column of circular standard complex normals per seed."""
     n = grid.n_points
-    cols = []
-    for s in seeds:
+    out = np.empty((n, len(seeds)), dtype=complex)
+    for j, s in enumerate(seeds):
         rng = np.random.default_rng(s)
-        cols.append(np.sqrt(0.5) * (rng.standard_normal(n)
-                                    + 1j * rng.standard_normal(n)))
-    return np.stack(cols, axis=1)
+        out[:, j] = np.sqrt(0.5) * (rng.standard_normal(n)
+                                    + 1j * rng.standard_normal(n))
+    return out
 
 
 def _cholesky_factor(k, grid):

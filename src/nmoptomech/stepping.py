@@ -21,7 +21,6 @@ __all__ = [
     "stage_values",
     "rk4_step",
     "march_doubled",
-    "pairwise_sum",
 ]
 
 
@@ -191,24 +190,3 @@ def march_doubled(rhs, y0, grid, what):
         out[kk + 1] = y
     return out
 
-
-def pairwise_sum(values, axis=0):
-    """Deterministic pairwise reduction along ``axis``.
-
-    The summation tree depends only on the length of the axis, never on
-    chunking or scheduling, so ensemble averages are bit-reproducible.
-    """
-    v = np.asarray(values)
-    v = np.moveaxis(v, axis, 0)
-    if v.shape[0] == 0:
-        return np.zeros(v.shape[1:], dtype=v.dtype)
-    while v.shape[0] > 1:
-        n = v.shape[0]
-        even = v[0 : n - (n % 2) : 2]
-        odd = v[1 : n - (n % 2) : 2]
-        head = even + odd
-        if n % 2:
-            v = np.concatenate([head, v[-1:]], axis=0)
-        else:
-            v = head
-    return v[0]

@@ -317,3 +317,76 @@ def test_density_matrix_marches_reject_non_hermitian_state():
         integrate_master(markov_series(1.0, grid), ops, rho0, grid)
     with pytest.raises(ValueError, match="Hermitian"):
         integrate_lindblad(ops, 1.0, rho0, grid)
+
+
+def dense_trajectory_rhs(ops, fv, z):
+    """The trajectory drift as dense d x d products (test oracle):
+    (-iH - sum_j F_j b^dag X_j + z b) psi, X = (b, b^dag, a, a^dag)."""
+    bd = ops.bd
+    amat = -1j * ops.H
+    for c, x in zip(fv, (ops.b, ops.bd, ops.a, ops.ad)):
+        amat = amat - c * (bd @ x)
+    amat = amat + z * ops.b
+    return lambda psi: amat @ psi
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 5), (6, 6)])
+def test_band_drift_march_matches_dense_drift_march(dims):
+    grid = TimeGrid(dt=0.02, t_final=0.4)
+    ops = build_operators(dims, SYS)
+    k = KernelSpec.from_ou(2.0, 0.6, 0.0)
+    F = solve_ou_closed(k.ou, SYS, grid)
+    noise = sample_noise_path(k, grid.refine(), path_seed(11, sum(dims)))
+    psi0 = (basis_state(dims) + basis_state(dims, 1, 1)) / np.sqrt(2)
+    path = propagate_trajectory(F, ops, noise, psi0, grid)
+    nodes, mids = stage_values((F.F1, F.F2, F.F3, F.F4))
+    z = noise.values
+    psi = psi0
+    worst = np.max(np.abs(path.states[0] - psi))
+    for s in range(grid.n_steps):
+        psi = rk4_step(psi, grid.dt,
+                       *(dense_trajectory_rhs(ops, [r[j] for r in rows], z[zi])
+                         for rows, j, zi in ((nodes, s, 2 * s),
+                                             (mids, s, 2 * s + 1),
+                                             (nodes, s + 1, 2 * s + 2))))
+        worst = max(worst, np.max(np.abs(path.states[s + 1] - psi))
+                    / np.max(np.abs(psi)))
+    assert grid.n_steps == 20
+    assert worst < 1e-13
+
+
+def test_ensemble_mean_is_bitwise_independent_of_batch_width():
+    grid = TimeGrid(dt=0.05, t_final=1.0)
+    dims = (4, 4)
+    ops = build_operators(dims, SYS)
+    k = KernelSpec.from_ou(1.0, 0.8, 0.0)
+    F = solve_ou_closed(k.ou, SYS, grid)
+    psi0 = basis_state(dims)
+    m = 96
+    runs = [average_trajectories(propagate_ensemble(
+        F, ops, k, psi0, grid, m, 99, batch_size=b, store_every=5))
+        for b in (7, 64, m)]
+    for other in runs[1:]:
+        assert np.array_equal(runs[0].rhos, other.rhos)
+        assert np.array_equal(runs[0].trace_mean, other.trace_mean)
+        assert np.array_equal(runs[0].trace_se, other.trace_se)
+
+
+def test_ensemble_mean_matches_outer_product_mean():
+    grid = TimeGrid(dt=0.05, t_final=1.0)
+    dims = (3, 4)
+    ops = build_operators(dims, SYS)
+    k = KernelSpec.from_ou(2.0, 0.6, 0.0)
+    F = solve_ou_closed(k.ou, SYS, grid)
+    paths = propagate_ensemble(F, ops, k, basis_state(dims, 1, 0), grid, 50,
+                               5, batch_size=16, store_every=4)
+    avg = average_trajectories(paths)
+    for j in range(len(avg.node_indices)):
+        block = np.stack([p.states[j] for p in paths])
+        want = np.einsum("pi,pj->pij", block, block.conj()).mean(axis=0)
+        rho = avg.rhos[j]
+        assert np.max(np.abs(rho - want)) <= 1e-14 * np.linalg.norm(want)
+        norms = np.linalg.norm(block, axis=1) ** 2
+        assert avg.trace_mean[j] == pytest.approx(norms.mean(), rel=1e-14)
+        assert avg.trace_se[j] == pytest.approx(
+            norms.std(ddof=1) / np.sqrt(len(paths)), rel=1e-12)

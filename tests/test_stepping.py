@@ -12,7 +12,6 @@ from nmoptomech.stepping import (
     march_doubled,
     midpoint_derivative,
     midpoint_values,
-    pairwise_sum,
     rk4_step,
     stage_values,
     trapezoid_weights,
@@ -78,13 +77,6 @@ def test_midpoint_derivative_matches_cosine():
     d = midpoint_derivative(y, x[1] - x[0])
     exact = 2.0 * np.cos(2.0 * (x[:-1] + x[1:]) / 2)
     assert np.max(np.abs(d - exact)) < 1e-6
-
-
-def test_pairwise_sum_matches_exact_sum():
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal((1000, 3))
-    assert np.allclose(pairwise_sum(v), v.sum(axis=0), atol=1e-12)
-    assert pairwise_sum(np.zeros((0, 2))).shape == (2,)
 
 
 def test_stage_values_fall_back_to_average_on_short_grids():
