@@ -72,7 +72,6 @@ from .fock import (
     trace_distance,
 )
 from .thermal import (
-    ThermalBathSpec,
     EffectiveKernels,
     ThermalOCoefficients,
     thermal_occupation,
@@ -136,7 +135,6 @@ __all__ = [
     "propagate_ensemble",
     "average_trajectories",
     "trace_distance",
-    "ThermalBathSpec",
     "EffectiveKernels",
     "ThermalOCoefficients",
     "thermal_occupation",

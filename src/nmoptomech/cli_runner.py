@@ -39,17 +39,24 @@ from .moments import MomentState, covariances, integrate_moments
 from .ocoeff import OCoefficientSeries, solve_ocoeff
 from .params import PhysicalParams, LinearizedSystem, linearize, solve_mean_field
 from .stepping import TimeGrid
-from .thermal import effective_kernels, integrate_thermal_master, solve_thermal_ocoeff
+from .thermal import (effective_kernels, frequency_window, integrate_thermal_master,
+                      solve_thermal_ocoeff)
 
 __all__ = ["RunConfig", "parse_config", "run_scenario", "main"]
 
 _ENGINES = ("moments", "fock-master", "trajectories")
 _SCENARIOS = ("fig2", "fig3", "fig4", "fig5", "custom")
 _SWEEPABLE = ("gamma", "decay", "omega_env", "delta", "coupling", "temperature")
-# sign checks of the [bath] keys, applied to the sweep values that replace them
-_BATH_SIGN = {"decay": ("nonnegative", lambda x: x >= 0),
-              "gamma": ("positive", lambda x: x > 0),
-              "temperature": ("nonnegative", lambda x: x >= 0)}
+# sign checks of [system] and [bath] keys (an unset key is not checked),
+# applied to the sweep values that replace them too
+_SIGN = {"omega_m": ("system", "positive"), "coupling": ("system", "nonnegative"),
+         "drive": ("system", "nonnegative"), "kappa": ("system", "nonnegative"),
+         "decay": ("bath", "nonnegative"), "gamma": ("bath", "positive"),
+         "temperature": ("bath", "nonnegative")}
+
+
+def _sign_ok(word, x):
+    return x > 0 if word == "positive" else x >= 0
 
 # (type tag, default); None default means "unset"
 _SCHEMA = {
@@ -318,9 +325,10 @@ def _validate(scenario, v, src, resolved) -> RunConfig:
         raise ConfigError("[grid] dt must be positive")
     if v[("grid", "t_final")] <= v[("grid", "dt")]:
         raise ConfigError("[grid] t_final must exceed dt")
-    for key, (word, ok) in _BATH_SIGN.items():
-        if not ok(v[("bath", key)]):
-            raise ConfigError(f"[bath] {key} must be {word}")
+    for key, (sec, word) in _SIGN.items():
+        x = v[(sec, key)]
+        if x is not None and not _sign_ok(word, x):
+            raise ConfigError(f"[{sec}] {key} must be {word}")
     if v[("bath", "kernel")] == "tabulated" and not v[("bath", "table")]:
         raise ConfigError("[bath] tabulated kernel needs a table path")
     if v[("run", "paths")] < 1:
@@ -387,9 +395,9 @@ def _validate(scenario, v, src, resolved) -> RunConfig:
             raise ConfigError(
                 f"[sweep] {param} is fixed by the raw [system] parameters"
             )
-        if param in _BATH_SIGN:
-            word, ok = _BATH_SIGN[param]
-            bad = [x for x in pts if not ok(x)]
+        if param in _SIGN:
+            word = _SIGN[param][1]
+            bad = [x for x in pts if not _sign_ok(word, x)]
             if bad:
                 raise ConfigError(f"[sweep] {param} values must be {word}; "
                                   f"got {bad[0]:g}")
@@ -408,6 +416,17 @@ def _validate(scenario, v, src, resolved) -> RunConfig:
             )
         if v[("bath", "kernel")] != "ou":
             raise ConfigError("finite temperature needs the ou kernel variant")
+        # the thermal quadrature needs a frequency window at every point
+        bath = {k: [v[("bath", k)]] for k in ("gamma", "omega_env")}
+        if sweep and sweep[0] in bath:
+            bath[sweep[0]] = sweep[1]
+        for g in bath["gamma"]:
+            for w in bath["omega_env"]:
+                try:
+                    frequency_window(g, w)
+                except ValueError as exc:
+                    raise ConfigError(f"[bath] omega_env = {w:g} with gamma = "
+                                      f"{g:g}: {exc}") from None
 
     out = v[("run", "out")] or os.path.join("runs", scenario)
     return RunConfig(

@@ -256,6 +256,12 @@ def _check_rho(rho, ops, t, trace_tol, leak_tol):
         )
 
 
+def _store_nodes(n, store_every):
+    """Indices of the stored nodes of an ``n``-node march: every
+    ``store_every``-th node and both ends (the ends only for 0)."""
+    return np.array(sorted({0, n - 1, *range(0, n, store_every or n)}))
+
+
 def _run_rho(gen_at, rows, grid, rho0, ops, store_every, trace_tol, leak_tol):
     """Shared 4th-order density-matrix march.
 
@@ -272,9 +278,8 @@ def _run_rho(gen_at, rows, grid, rho0, ops, store_every, trace_tol, leak_tol):
         raise ValueError("initial state has wrong dimension")
     if np.abs(rho - rho.conj().T).max() > 1e-12 * max(1.0, np.abs(rho).max()):
         raise ValueError("initial state must be Hermitian")
-    store = sorted({0, n - 1, *range(0, n, store_every if store_every else n)})
-    store_idx = np.array(store)
-    rhos = np.empty((len(store), ops.dim, ops.dim), dtype=complex)
+    store_idx = _store_nodes(n, store_every)
+    rhos = np.empty((len(store_idx), ops.dim, ops.dim), dtype=complex)
     moments = np.empty((n, 14), dtype=complex)
     traces = np.empty(n)
     ptr = 0
@@ -282,7 +287,7 @@ def _run_rho(gen_at, rows, grid, rho0, ops, store_every, trace_tol, leak_tol):
     for k in range(n):
         traces[k] = np.trace(rho).real
         moments[k] = ops.moment_vector(rho)
-        if ptr < len(store) and store_idx[ptr] == k:
+        if ptr < len(store_idx) and store_idx[ptr] == k:
             rhos[ptr] = rho
             ptr += 1
         _check_rho(rho, ops, t[k], trace_tol, leak_tol)
@@ -383,7 +388,11 @@ class StatePath:
         return self.states[-1]
 
 
-def _propagate_states(F, ops, Z, psi0, grid, store_idx, norm_cap=1e6):
+# a trajectory amplitude past this aborts the march (heavy-tailed norm)
+_NORM_CAP = 1e6
+
+
+def _propagate_states(F, ops, Z, psi0, grid, store_idx):
     """March a batch of trajectories; Z has one noise column per path on
     the refined (half-step) grid.
 
@@ -407,18 +416,19 @@ def _propagate_states(F, ops, Z, psi0, grid, store_idx, norm_cap=1e6):
         bands = [(o, c @ w) for o, w in basis] + [(ob, np.outer(wb, z_row))]
         return lambda p: _lmul(bands, p)
 
+    f_next = rhs_at([r[0] for r in nodes], Z[0])
     for k in range(n):
         if ptr < len(store_idx) and store_idx[ptr] == k:
             out[ptr] = psi
             ptr += 1
         if k == n - 1:
             break
-        psi = rk4_step(psi, dt, rhs_at([r[k] for r in nodes], Z[2 * k]),
-                       rhs_at([r[k] for r in mids], Z[2 * k + 1]),
-                       rhs_at([r[k + 1] for r in nodes], Z[2 * k + 2]))
+        f_node, f_next = f_next, rhs_at([r[k + 1] for r in nodes], Z[2 * k + 2])
+        psi = rk4_step(psi, dt, f_node, rhs_at([r[k] for r in mids], Z[2 * k + 1]),
+                       f_next)
         if k % 64 == 0 or k == n - 2:
             worst = np.abs(psi).max()
-            if not np.isfinite(worst) or worst > norm_cap:
+            if not np.isfinite(worst) or worst > _NORM_CAP:
                 raise NumericalFailure(
                     f"trajectory amplitude reached {worst:.2e} at "
                     f"t={grid.dt * (k + 1):.3f}; aborting (heavy-tailed norm)"
@@ -439,9 +449,7 @@ def propagate_trajectory(F: OCoefficientSeries, ops: FockOperators,
         raise ValueError("F series and trajectory must share one grid")
     if not noise.grid.matches(grid.refine()):
         raise ValueError("noise must be sampled on the half-step refinement")
-    n = grid.n_points
-    store = sorted({0, n - 1, *range(0, n, store_every if store_every else n)})
-    store_idx = np.array(store)
+    store_idx = _store_nodes(grid.n_points, store_every)
     out = _propagate_states(F, ops, noise.values[:, None], psi0, grid, store_idx)
     return StatePath(grid=grid, dims=ops.dims, node_indices=store_idx,
                      states=out[:, :, 0])
@@ -455,9 +463,7 @@ def propagate_ensemble(F: OCoefficientSeries, ops: FockOperators,
     Returns a list of StatePath (batching is an implementation detail;
     path i always consumes the stream seeded by (master_seed, i)).
     """
-    n = grid.n_points
-    store = sorted({0, n - 1, *range(0, n, store_every if store_every else n)})
-    store_idx = np.array(store)
+    store_idx = _store_nodes(grid.n_points, store_every)
     fine = grid.refine()
     paths = []
     for lo in range(0, n_paths, batch_size):

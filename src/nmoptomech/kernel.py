@@ -202,14 +202,14 @@ def _cholesky_factor(k, grid):
         ) from exc
 
 
-def sample_noise_batch(k: KernelSpec, grid: TimeGrid, seeds, method="auto"):
+def sample_noise_batch(k: KernelSpec, grid: TimeGrid, seeds):
     """Realizations of z*_t for each seed, as columns of an (n, m) array.
 
     Each path draws from its own counter-based generator, so any batch
-    split yields the same per-path values.  method 'recursion' uses the
-    exact stationary first-order update (exponential kernels only);
-    'cholesky' colors the draws with a covariance factorization (any
-    kernel with pointwise values).  The delta variant draws independent
+    split yields the same per-path values.  The kernel picks the
+    sampler: an exponential kernel takes the exact stationary
+    first-order recursion, a tabulated one colors the draws with a
+    covariance factorization, and the delta variant draws independent
     samples of variance Gamma/dt, the grid representation of
     delta-correlated noise.
     """
@@ -220,30 +220,24 @@ def sample_noise_batch(k: KernelSpec, grid: TimeGrid, seeds, method="auto"):
         if k.weight == 0.0:
             return np.zeros((n, m), dtype=complex)
         return np.sqrt(k.weight / grid.dt) * _standard_draws(grid, seeds)
-    if k.variant == "ou" and k.ou.Gamma == 0.0:
-        return np.zeros((n, m), dtype=complex)
-    if method == "auto":
-        method = "recursion" if k.variant == "ou" else "cholesky"
-    if method == "recursion":
-        if k.variant != "ou":
-            raise ValueError("the recursion sampler needs an exponential kernel")
-        ou = k.ou
-        w = _standard_draws(grid, seeds)
-        z = np.empty((n, m), dtype=complex)
-        z[0] = np.sqrt(ou.alpha0) * w[0]
-        decay = np.exp(-ou.mu * grid.dt)
-        sigma = np.sqrt(ou.alpha0 * (1.0 - np.exp(-2.0 * ou.gamma * grid.dt)))
-        for kk in range(1, n):
-            z[kk] = decay * z[kk - 1] + sigma * w[kk]
-        return z
-    if method == "cholesky":
+    if k.variant == "tabulated":
         return _cholesky_factor(k, grid) @ _standard_draws(grid, seeds)
-    raise ValueError(f"unknown sampling method {method!r}")
+    ou = k.ou
+    if ou.Gamma == 0.0:
+        return np.zeros((n, m), dtype=complex)
+    w = _standard_draws(grid, seeds)
+    z = np.empty((n, m), dtype=complex)
+    z[0] = np.sqrt(ou.alpha0) * w[0]
+    decay = np.exp(-ou.mu * grid.dt)
+    sigma = np.sqrt(ou.alpha0 * (1.0 - np.exp(-2.0 * ou.gamma * grid.dt)))
+    for kk in range(1, n):
+        z[kk] = decay * z[kk - 1] + sigma * w[kk]
+    return z
 
 
-def sample_noise_path(k: KernelSpec, grid: TimeGrid, seed, method="auto") -> NoisePath:
+def sample_noise_path(k: KernelSpec, grid: TimeGrid, seed) -> NoisePath:
     """Draw one realization of z*_t on the grid (see sample_noise_batch)."""
-    values = sample_noise_batch(k, grid, [seed], method=method)[:, 0]
+    values = sample_noise_batch(k, grid, [seed])[:, 0]
     return NoisePath(grid=grid, values=values)
 
 

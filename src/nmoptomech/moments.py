@@ -202,7 +202,7 @@ class MomentTrajectory:
     def covariance(self, k) -> CovarianceMatrix:
         return covariance_from_moments(self.values[k])
 
-    def en_series(self, tol=1e-10, monitor=True):
+    def en_series(self, monitor=True):
         """Logarithmic negativity at every node, shape (n,), or (n, P) for
         a batched march; read out point by point.
 
@@ -216,7 +216,7 @@ class MomentTrajectory:
         en = np.empty((values.shape[0], values.shape[2]))
         worst = []
         for p in range(values.shape[2]):
-            r = symplectic_readout(covariances(values[..., p]), tol)
+            r = symplectic_readout(covariances(values[..., p]))
             if np.any(r.negative):
                 raise NumericalFailure(
                     f"unphysical covariance matrix at node {int(np.argmax(r.negative))} "

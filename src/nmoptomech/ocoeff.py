@@ -18,10 +18,12 @@ where the two-time functions satisfy, at fixed s,
 with boundary rows f1(t,t) = 1, f2(t,t) = f3(t,t) = f4(t,t) = 0,
 f5(t,t,s') = 0 and f5(t,s,t) = f2(t,s).
 
-Two solvers produce the F series: a two-time-grid march valid for any
-kernel with pointwise values (the oracle), and a closed ODE system valid
-for exponential kernels (the fast path).  The delta kernel bypasses
-both: F1 = Gamma/2 identically, every other coefficient zero.
+Two solvers produce the F series, and the kernel picks one
+(:func:`solve_ocoeff`): a closed ODE system for exponential kernels (the
+fast path), and a two-time-grid march for any other kernel (the oracle,
+valid for every kernel with pointwise values).  The grid route takes
+the delta kernel to its exact series: F1 = Gamma/2 identically, every
+other coefficient zero.
 """
 
 from dataclasses import dataclass, replace
@@ -315,38 +317,29 @@ def solve_ou_closed(k, sys, grid: TimeGrid, include_f5=True) -> OCoefficientSeri
     )
 
 
-def solve_ocoeff(k, sys, grid: TimeGrid, include_f5=True,
-                 solver="auto") -> OCoefficientSeries:
-    """Dispatch to the right solver for the kernel variant.
+def solve_ocoeff(k, sys, grid: TimeGrid, include_f5=True) -> OCoefficientSeries:
+    """Coefficient series of the kernel: an exponential kernel takes the
+    closed system, any other the two-time grid march.
 
     Sequences of exponential kernels and systems march together on the
     closed solver (see :func:`solve_ou_closed`).
     """
-    if isinstance(k, (list, tuple)) and solver in ("auto", "closed"):
+    if isinstance(k, (list, tuple)):
         return solve_ou_closed([x.ou for x in k], sys, grid, include_f5=include_f5)
-    if k.variant == "markov-delta":
-        return markov_series(k.weight, grid, include_f5=include_f5)
-    if solver == "auto":
-        solver = "closed" if k.variant == "ou" else "grid"
-    if solver == "closed":
-        if k.variant != "ou":
-            raise ValueError("closed solver needs an exponential kernel")
+    if k.variant == "ou":
         return solve_ou_closed(k.ou, sys, grid, include_f5=include_f5)
-    if solver == "grid":
-        return solve_two_time_grid(k, sys, grid, include_f5=include_f5)
-    raise ValueError(f"unknown solver {solver!r}")
+    return solve_two_time_grid(k, sys, grid, include_f5=include_f5)
 
 
 def consistency_residual(series: OCoefficientSeries, fields: TwoTimeField,
-                         k: KernelSpec, sys: LinearizedSystem,
-                         max_columns=16) -> float:
+                         sys: LinearizedSystem) -> float:
     """Max-norm residual of the coefficient equations at off-grid midpoints.
 
-    Columns of the stored two-time solution (fixed s, running t) are
-    interpolated to panel midpoints with 4th-order stencils; the
-    midpoint derivative is compared against the equation right-hand
-    side.  The delta-kernel series is constant and satisfies its
-    reduced equation identically.
+    About 16 evenly strided columns of the stored two-time solution
+    (fixed s, running t) are interpolated to panel midpoints with
+    4th-order stencils; the midpoint derivative is compared against the
+    equation right-hand side.  The delta-kernel series is constant and
+    satisfies its reduced equation identically.
     """
     if series.provenance == "markov-delta":
         return 0.0
@@ -358,7 +351,7 @@ def consistency_residual(series: OCoefficientSeries, fields: TwoTimeField,
     wm, delta, g = sys.omega_m, sys.Delta, sys.G
     fmid = [midpoint_values(x) for x in
             (series.F1, series.F2, series.F3, series.F4)]
-    stride = max(1, n // max_columns)
+    stride = max(1, n // 16)
     worst = 0.0
     for l in range(0, n - 4, stride):
         cols = np.stack([fields.f1[l:, l], fields.f2[l:, l],

@@ -54,9 +54,9 @@ class TimeGrid:
     def times(self):
         return np.arange(self.n_points) * self.dt
 
-    def refine(self, factor=2):
-        """Grid with the same span and ``factor`` times smaller step."""
-        return TimeGrid(self.dt / factor, self.t_final)
+    def refine(self):
+        """Grid with the same span and half the step."""
+        return TimeGrid(self.dt / 2, self.t_final)
 
     def matches(self, other):
         return (

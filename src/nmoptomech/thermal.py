@@ -38,10 +38,10 @@ from .params import LinearizedSystem
 from .stepping import TimeGrid, march_doubled
 
 __all__ = [
-    "ThermalBathSpec",
     "ThermalOCoefficients",
     "EffectiveKernels",
     "thermal_occupation",
+    "frequency_window",
     "effective_kernels",
     "solve_thermal_ocoeff",
     "integrate_thermal_master",
@@ -50,6 +50,15 @@ __all__ = [
 # boundary rows x_ij(t, t): bath 1 rides the annihilators, bath 2 the creators
 _BC = np.array([[1.0, 0.0, 1.0, 0.0],
                 [0.0, 1.0, 0.0, 1.0]], dtype=complex)
+
+# the fixed quadrature of effective_kernels: window Omega +- 60 gamma, 4001
+# lags up to 12/gamma, Gauss nodes per panel (and for the probe), fits to 5/gamma
+_WINDOW_SPAN = 60.0
+_LAG_SPAN = 12.0
+_LAG_SAMPLES = 4001
+_GAUSS_ORDER = 24
+_PROBE_ORDER = 16
+_FIT_SPAN = 5.0
 
 
 def thermal_occupation(omega, T):
@@ -67,67 +76,43 @@ def thermal_occupation(omega, T):
     return float(out) if out.ndim == 0 else out
 
 
-def _as_kernel_spec(k):
-    if isinstance(k, KernelSpec):
-        return k
-    if isinstance(k, OUKernel):
-        return KernelSpec(variant="ou", ou=k)
-    raise TypeError(f"not a kernel: {k!r}")
-
-
-@dataclass(frozen=True)
-class ThermalBathSpec:
-    """Temperature, bare spectral density, and the two effective kernels."""
-
-    temperature: float
-    base: OUKernel
-    alpha1: KernelSpec
-    alpha2: KernelSpec
-
-    def __post_init__(self):
-        if self.temperature < 0.0:
-            raise ValueError("temperature must be nonnegative")
-        for label, spec in (("alpha1", self.alpha1), ("alpha2", self.alpha2)):
-            v0 = _kernel_at_zero(spec)
-            if v0 is None:
-                continue
-            scale = max(abs(v0), 1.0)
-            if abs(v0.imag) > 1e-9 * scale or v0.real < -1e-12 * scale:
-                raise ValueError(f"{label}(0) must be real and nonnegative")
-
-    @classmethod
-    def zero_temperature(cls, base: OUKernel):
-        return cls(
-            temperature=0.0,
-            base=base,
-            alpha1=KernelSpec(variant="ou", ou=base),
-            alpha2=KernelSpec(variant="ou",
-                              ou=OUKernel(Gamma=0.0, gamma=base.gamma,
-                                          Omega=base.Omega)),
-        )
-
-    @property
-    def kernels(self):
-        return (self.alpha1, self.alpha2)
-
-
-def _kernel_at_zero(spec: KernelSpec):
-    if spec.variant == "markov-delta":
-        return None
-    return complex(eval_kernel(spec, 0.0, 0.0))
-
-
 @dataclass(frozen=True)
 class EffectiveKernels:
-    """Quadrature (or fit) output; unpacks as the (alpha1, alpha2) pair."""
+    """The (alpha1, alpha2) kernel pair of the two effective baths; unpacks
+    as the pair.  Each kernel with pointwise values must be real and
+    nonnegative at zero lag.  ``omega_window`` and ``fit_residuals``
+    record how :func:`effective_kernels` made the pair."""
 
     alpha1: KernelSpec
     alpha2: KernelSpec
     omega_window: tuple = None
     fit_residuals: tuple = None
 
+    def __post_init__(self):
+        for label, spec in (("alpha1", self.alpha1), ("alpha2", self.alpha2)):
+            if spec.variant == "markov-delta":
+                continue
+            v0 = complex(eval_kernel(spec, 0.0, 0.0))
+            scale = max(abs(v0), 1.0)
+            if abs(v0.imag) > 1e-9 * scale or v0.real < -1e-12 * scale:
+                raise ValueError(f"{label}(0) must be real and nonnegative")
+
     def __iter__(self):
         return iter((self.alpha1, self.alpha2))
+
+
+def frequency_window(gamma, Omega):
+    """Positive frequency window (low, high) of the thermal quadrature for
+    a line of width ``gamma`` at ``Omega``: Omega +- 60 gamma, cut below
+    at a small infrared edge.  A line far below zero frequency leaves it
+    empty, which raises ValueError."""
+    span = _WINDOW_SPAN * gamma
+    lo = max(Omega - span, 1e-3 * max(gamma, abs(Omega), 1.0))
+    hi = Omega + span
+    if not 0.0 < lo < hi:
+        raise ValueError(f"frequency window ({lo:g}, {hi:g}) must satisfy "
+                         "0 < low < high")
+    return lo, hi
 
 
 def _frequency_panels(lo, hi, gamma, tau_max):
@@ -170,7 +155,7 @@ def _half_transforms(lags, omega, g1, g2):
     return a1, a2
 
 
-def _fit_exponential(lags, values, t_end, fit_tol, label):
+def _fit_exponential(lags, values, t_end, label):
     """Weighted least squares of log alpha against a single decaying
     exponential; returns the kernel and the max relative misfit."""
     mask = (lags <= t_end) & (np.abs(values) > 0.0)
@@ -188,63 +173,48 @@ def _fit_exponential(lags, values, t_end, fit_tol, label):
         raise NumericalFailure(f"{label} does not decay on the fit window")
     fitted = OUKernel(Gamma=2.0 * amp / mu.real, gamma=mu.real, Omega=mu.imag)
     resid = float(np.abs(fitted.alpha(tau) - v).max() / max(np.abs(values[0]), 1e-300))
-    if fit_tol is not None and resid > fit_tol:
-        raise NumericalFailure(
-            f"single-exponential fit of {label} misses by {resid:.2e} "
-            f"(limit {fit_tol:.0e}); use the tabulated form instead"
-        )
     return fitted, resid
 
 
-def effective_kernels(J: OUKernel, T, lags=None, omega_window=None,
-                      gauss_order=24, fit=False, fit_window=None,
-                      fit_tol=None) -> EffectiveKernels:
+def effective_kernels(J: OUKernel, T, fit=False) -> EffectiveKernels:
     """Emission/absorption kernels of a bath at temperature T.
 
-    Both kernels are computed by panel Gauss quadrature over a positive
-    frequency window and returned tabulated; with ``fit`` they are
-    least-squares-reduced to single exponentials (required by the closed
-    coefficient solver) and the max relative misfits are reported.
-    T = 0 bypasses the quadrature: alpha1 is the bare kernel, alpha2 is
-    identically zero.
+    Both kernels are computed by panel Gauss quadrature over the
+    :func:`frequency_window` of J and returned tabulated; with ``fit``
+    they are least-squares-reduced to single exponentials (required by
+    the closed coefficient solver) and the max relative misfits are
+    reported.  T = 0 bypasses the quadrature: alpha1 is the bare kernel,
+    alpha2 is identically zero.
     """
     if T < 0.0:
         raise ValueError("temperature must be nonnegative")
     if T == 0.0:
-        zt = ThermalBathSpec.zero_temperature(J)
-        return EffectiveKernels(alpha1=zt.alpha1, alpha2=zt.alpha2)
-    if omega_window is None:
-        span = 60.0 * J.gamma
-        lo = max(J.Omega - span, 1e-3 * max(J.gamma, abs(J.Omega), 1.0))
-        omega_window = (lo, J.Omega + span)
-    lo, hi = float(omega_window[0]), float(omega_window[1])
-    if not 0.0 < lo < hi:
-        raise ValueError("frequency window must satisfy 0 < low < high")
-    if lags is None:
-        tau_max = 12.0 / J.gamma
-        lags = np.linspace(0.0, tau_max, 4001)
-    lags = np.asarray(lags, dtype=float)
+        silent = OUKernel(Gamma=0.0, gamma=J.gamma, Omega=J.Omega)
+        return EffectiveKernels(alpha1=KernelSpec(variant="ou", ou=J),
+                                alpha2=KernelSpec(variant="ou", ou=silent))
+    lo, hi = frequency_window(J.gamma, J.Omega)
+    lags = np.linspace(0.0, _LAG_SPAN / J.gamma, _LAG_SAMPLES)
 
     edges = _frequency_panels(lo, hi, J.gamma, lags[-1])
-    omega, wq = _gauss_nodes(edges, gauss_order)
+    omega, wq = _gauss_nodes(edges, _GAUSS_ORDER)
     occ = thermal_occupation(omega, T)
     dens = spectral_density(J, omega)
     a1, a2 = _half_transforms(lags, omega, wq * dens * (occ + 1.0), wq * dens * occ)
 
     # re-quadrature at lower order on the same panels as a convergence probe
-    om_c, wq_c = _gauss_nodes(edges, max(8, gauss_order - 8))
+    om_c, wq_c = _gauss_nodes(edges, _PROBE_ORDER)
     occ_c = thermal_occupation(om_c, T)
     dens_c = spectral_density(J, om_c)
-    probe = lags[:: max(1, len(lags) // 16)]
-    b1, b2 = _half_transforms(probe, om_c, wq_c * dens_c * (occ_c + 1.0),
+    stride = _LAG_SAMPLES // 16
+    b1, b2 = _half_transforms(lags[::stride], om_c, wq_c * dens_c * (occ_c + 1.0),
                               wq_c * dens_c * occ_c)
     scale = max(abs(a1[0]), 1e-300)
-    drift = max(np.abs(a1[:: max(1, len(lags) // 16)] - b1).max(),
-                np.abs(a2[:: max(1, len(lags) // 16)] - b2).max())
+    drift = max(np.abs(a1[::stride] - b1).max(), np.abs(a2[::stride] - b2).max())
     if drift > 1e-8 * scale:
         raise NumericalFailure(
             f"frequency quadrature drifted by {drift/scale:.2e} between "
-            "orders; narrow the window or raise gauss_order"
+            f"{_GAUSS_ORDER} and {_PROBE_ORDER} nodes per panel; the kernels "
+            "of this bath are not resolved"
         )
 
     if not fit:
@@ -253,13 +223,13 @@ def effective_kernels(J: OUKernel, T, lags=None, omega_window=None,
             alpha2=KernelSpec.tabulated(lags, a2),
             omega_window=(lo, hi),
         )
-    t_end = fit_window if fit_window is not None else 5.0 / J.gamma
-    k1, r1 = _fit_exponential(lags, a1, t_end, fit_tol, "alpha1")
+    t_end = _FIT_SPAN / J.gamma
+    k1, r1 = _fit_exponential(lags, a1, t_end, "alpha1")
     if np.abs(a2).max() <= 1e-12 * scale:
         k2 = OUKernel(Gamma=0.0, gamma=J.gamma, Omega=-J.Omega)
         r2 = float(np.abs(a2).max() / scale)
     else:
-        k2, r2 = _fit_exponential(lags, a2, t_end, fit_tol, "alpha2")
+        k2, r2 = _fit_exponential(lags, a2, t_end, "alpha2")
     return EffectiveKernels(
         alpha1=KernelSpec(variant="ou", ou=k1),
         alpha2=KernelSpec(variant="ou", ou=k2),
@@ -310,19 +280,9 @@ def _coupling_matrix(X, wm, delta, g):
     ])
 
 
-def _normalize_pair(kernels):
-    if isinstance(kernels, ThermalBathSpec):
-        pair = kernels.kernels
-    elif isinstance(kernels, EffectiveKernels):
-        pair = (kernels.alpha1, kernels.alpha2)
-    else:
-        pair = tuple(kernels)
-        if len(pair) != 2:
-            raise ValueError("expected the (alpha1, alpha2) kernel pair")
-    return tuple(_as_kernel_spec(k) for k in pair)
-
-
 def _solve_thermal_closed(pair, sys, grid):
+    """Closed march of the kernel averages of exponential kernels; a delta
+    bath holds its constant averages."""
     wm, delta, g = sys.omega_m, sys.Delta, sys.G
     a0 = np.zeros(2, dtype=complex)
     mu = np.zeros(2, dtype=complex)
@@ -335,6 +295,9 @@ def _solve_thermal_closed(pair, sys, grid):
         else:
             a0[i] = k.ou.alpha0
             mu[i] = k.ou.mu
+    if not live.any():
+        return ThermalOCoefficients(grid=grid, X=np.tile(X, (grid.n_points, 1, 1)),
+                                    provenance="markov-delta")
 
     def rhs(x):
         kmat = _coupling_matrix(x, wm, delta, g)
@@ -352,12 +315,9 @@ def _solve_thermal_grid(pair, sys, grid):
     Both baths' rows share the grid march of the single-bath solver
     (:func:`ocoeff._two_time_march`), each with its own boundary rows and
     kernel.  No memory slab is needed because the noise-expansion rows
-    are dropped by design.
+    are dropped by design.  A delta kernel has no pointwise values, so
+    the march rejects it.
     """
-    for k in pair:
-        if k.variant == "markov-delta":
-            raise ValueError("the grid path needs kernels with pointwise "
-                             "values; use the closed solver for delta baths")
     wm, delta, g = sys.omega_m, sys.Delta, sys.G
 
     def row_rhs(rows, x, _):
@@ -368,31 +328,20 @@ def _solve_thermal_grid(pair, sys, grid):
     return ThermalOCoefficients(grid=grid, X=X, provenance="two-time-grid")
 
 
-def solve_thermal_ocoeff(kernels, sys: LinearizedSystem, grid: TimeGrid,
-                         solver="auto") -> ThermalOCoefficients:
-    """Kernel averages X_ij(t) for both effective baths.
+def solve_thermal_ocoeff(kernels, sys: LinearizedSystem,
+                         grid: TimeGrid) -> ThermalOCoefficients:
+    """Kernel averages X_ij(t) for both effective baths of the
+    (alpha1, alpha2) pair ``kernels``.
 
-    Exponential (or delta) kernel pairs close on an 8-component ODE
-    system; tabulated kernels go through the two-time grid march.
+    The pair picks the route: with a tabulated kernel the two-time grid
+    march (whose partner cannot be a delta kernel), otherwise the closed
+    8-component ODE system of exponential (or delta) kernels; a pair of
+    delta kernels has constant averages.
     """
-    pair = _normalize_pair(kernels)
-    closable = all(k.variant in ("ou", "markov-delta") for k in pair)
-    if solver == "auto":
-        solver = "closed" if closable else "grid"
-    if solver == "closed":
-        if not closable:
-            raise ValueError("closed solver needs exponential or delta kernels")
-        if all(k.variant == "markov-delta" for k in pair):
-            n = grid.n_points
-            X = np.zeros((n, 2, 4), dtype=complex)
-            X[:, 0, :] = 0.5 * pair[0].weight * _BC[0]
-            X[:, 1, :] = 0.5 * pair[1].weight * _BC[1]
-            return ThermalOCoefficients(grid=grid, X=X,
-                                        provenance="markov-delta")
-        return _solve_thermal_closed(pair, sys, grid)
-    if solver == "grid":
-        return _solve_thermal_grid(pair, sys, grid)
-    raise ValueError(f"unknown solver {solver!r}")
+    a1, a2 = kernels
+    if "tabulated" in (a1.variant, a2.variant):
+        return _solve_thermal_grid((a1, a2), sys, grid)
+    return _solve_thermal_closed((a1, a2), sys, grid)
 
 
 def _thermal_generator(ops: FockOperators, x):

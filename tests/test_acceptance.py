@@ -30,7 +30,7 @@ from nmoptomech.gaussian_ent import (
 )
 from nmoptomech.kernel import KernelSpec, OUKernel
 from nmoptomech.moments import MOMENT_LABELS, MomentState, integrate_moments
-from nmoptomech.ocoeff import markov_series, solve_ocoeff, solve_ou_closed
+from nmoptomech.ocoeff import markov_series, solve_ou_closed, solve_two_time_grid
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import TimeGrid
 from nmoptomech.thermal import (
@@ -188,9 +188,8 @@ def test_07_closed_and_grid_coefficient_solvers_agree():
     worst = 0.0
     for _, k, delta in cases:
         sysd = LinearizedSystem(omega_m=1.0, Delta=delta, G=0.1)
-        spec = KernelSpec(variant="ou", ou=k)
-        Fc = solve_ocoeff(spec, sysd, grid, solver="closed")
-        Fg = solve_ocoeff(spec, sysd, grid, solver="grid")
+        Fc = solve_ou_closed(k, sysd, grid)
+        Fg = solve_two_time_grid(KernelSpec(variant="ou", ou=k), sysd, grid)
         for name in ("F1", "F2", "F3", "F4", "F5"):
             a, b = getattr(Fc, name), getattr(Fg, name)
             scale = float(np.max(np.abs(a)))

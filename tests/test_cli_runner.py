@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nmoptomech.cli_runner import (_SCENARIOS, _SCHEMA, RunConfig, _onset_time,
-                                   main, parse_config)
-from nmoptomech.errors import ConfigError
+from nmoptomech.cli_runner import (_SCENARIOS, _SCHEMA, RunConfig, _custom_point,
+                                   _onset_time, main, parse_config)
+from nmoptomech.errors import ConfigError, NumericalFailure
 
 MINIMAL = """\
 [system]
@@ -315,27 +315,40 @@ def test_exit_code_two_on_config_error(tmp_path, capsys):
 
 
 _SYSTEM = "[system]\ndelta = 1.0\ncoupling = 0.1\n"
+_RAW = "[system]\nomega_c = 10.0\ng = 0.01\nomega_drive = 9.0\n"
+_THERMAL = "[run]\nengine = fock-master\n[bath]\ntemperature = 0.5\n"
 
 
-@pytest.mark.parametrize("text, key", [
-    ("[system]\ndelta = nan\ncoupling = 0.1\n", "[system] delta: cannot read"),
-    ("[system]\ndelta = 1.0\ncoupling = inf\n", "[system] coupling: cannot read"),
-    (_SYSTEM + "[grid]\ndt = nan\n", "[grid] dt: cannot read"),
-    (_SYSTEM + "[grid]\nt_final = nan\n", "[grid] t_final: cannot read"),
-    (_SYSTEM + "[bath]\ngamma = -inf\n", "[bath] gamma: cannot read"),
+@pytest.mark.parametrize("text, key, flags", [
+    ("[system]\ndelta = nan\ncoupling = 0.1\n", "[system] delta: cannot read", ()),
+    ("[system]\ndelta = 1.0\ncoupling = inf\n", "[system] coupling: cannot read", ()),
+    (_SYSTEM + "[grid]\ndt = nan\n", "[grid] dt: cannot read", ()),
+    (_SYSTEM + "[grid]\nt_final = nan\n", "[grid] t_final: cannot read", ()),
+    (_SYSTEM + "[bath]\ngamma = -inf\n", "[bath] gamma: cannot read", ()),
     (_SYSTEM + "[sweep]\nparameter = gamma\nstart = 0.5\nstop = 1\nstep = nan\n",
-     "[sweep] step: cannot read"),
-    (_SYSTEM + "[sweep]\nparameter = gamma\nvalues = 0.5, inf\n", "[sweep] values"),
+     "[sweep] step: cannot read", ()),
+    (_SYSTEM + "[sweep]\nparameter = gamma\nvalues = 0.5, inf\n", "[sweep] values", ()),
     (_SYSTEM + "[sweep]\nparameter = gamma\nstart = 0.5\nstop = 1e9\nstep = 1e-9\n",
-     "[sweep] start/stop/step"),
-    (_SYSTEM + "[run]\nengine = trajectories\nseed = -1\n", "[run] seed"),
-    (_SYSTEM + "[run]\nstore_every = -5\n", "[run] store_every"),
+     "[sweep] start/stop/step", ()),
+    (_SYSTEM + "[run]\nengine = trajectories\nseed = -1\n", "[run] seed", ()),
+    (_SYSTEM + "[run]\nstore_every = -5\n", "[run] store_every", ()),
+    ("[system]\ndelta = 1.0\ncoupling = -0.1\n", "[system] coupling must be", ()),
+    (_SYSTEM, "[system] coupling must be", ("--coupling", "-0.1")),
+    (_SYSTEM + "[sweep]\nparameter = coupling\nvalues = 0.1, -0.1\n",
+     "[sweep] coupling values", ()),
+    (_SYSTEM + "omega_m = -1.0\n", "[system] omega_m must be", ()),
+    (_RAW + "drive = 1.0\nkappa = -1.0\n", "[system] kappa must be", ()),
+    (_RAW + "drive = -1.0\nkappa = 1.0\n", "[system] drive must be", ()),
+    (_SYSTEM + _THERMAL + "omega_env = -100\ngamma = 1\n", "[bath] omega_env = -100",
+     ()),
+    (_SYSTEM + _THERMAL + "[sweep]\nparameter = omega_env\nvalues = 0.0, -100\n",
+     "[bath] omega_env = -100", ()),
 ])
-def test_exit_code_two_on_out_of_range_numbers(tmp_path, capsys, text, key):
+def test_exit_code_two_on_out_of_range_numbers(tmp_path, capsys, text, key, flags):
     p = tmp_path / "c.cfg"
     p.write_text(text)
     rc = main(["run", "--scenario", "custom", "--config", str(p),
-               "--out", str(tmp_path / "o")])
+               "--out", str(tmp_path / "o"), *flags])
     assert rc == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -357,8 +370,9 @@ _SECTIONS = st.sampled_from(sorted(_SCHEMA) + ["DEFAULT", "sweeps", "Run", ""])
 @st.composite
 def _config_text(draw):
     sections = {}
-    if draw(st.booleans()):  # a valid base, so fuzzed keys reach validation
-        sections = {"system": {"delta": "1.0", "coupling": "0.1"}}
+    if draw(st.booleans()):  # a complete base, so fuzzed keys reach validation
+        coupling = draw(st.floats(-1.0, 4.0).map(repr))  # a fifth of them negative
+        sections = {"system": {"delta": "1.0", "coupling": coupling}}
     for sec in draw(st.lists(_SECTIONS, max_size=5, unique=True)):
         keys = sorted(_SCHEMA.get(sec, {})) + ["bogus", "Gamma", "t final"]
         for key in draw(st.lists(st.sampled_from(keys), max_size=6, unique=True)):
@@ -384,6 +398,16 @@ def test_fuzzed_config_raises_only_config_error(text, scenario):
         return
     assert isinstance(cfg, RunConfig)
     assert math.isfinite(cfg.dt) and math.isfinite(cfg.t_final)
+    # a config that parses builds its system and kernel at every sweep
+    # point, or fails as a config error or a numerical failure
+    param, pts = cfg.sweep or (None, [None])
+    try:
+        cfg.system()
+        cfg.bath_kernel()
+        for x in pts:
+            _custom_point(cfg, **({param: x} if param else {}))
+    except (ConfigError, NumericalFailure):
+        pass
 
 
 def test_exit_code_three_on_numerical_failure(tmp_path, capsys):

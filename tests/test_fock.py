@@ -372,6 +372,24 @@ def test_ensemble_mean_is_bitwise_independent_of_batch_width():
         assert np.array_equal(runs[0].trace_se, other.trace_se)
 
 
+def test_single_trajectory_equals_its_ensemble_path():
+    # path j of an ensemble consumes the stream seeded by (master seed, j),
+    # whatever batch it falls in, so one trajectory on that stream is path j
+    grid = TimeGrid(dt=0.05, t_final=1.0)
+    dims = (3, 4)
+    ops = build_operators(dims, SYS)
+    k = KernelSpec.from_ou(2.0, 0.6, 0.0)
+    F = solve_ou_closed(k.ou, SYS, grid)
+    psi0 = basis_state(dims, 1, 0)
+    paths = propagate_ensemble(F, ops, k, psi0, grid, 40, 5, batch_size=16,
+                               store_every=4)
+    for j in (0, 15, 16, 39):
+        noise = sample_noise_path(k, grid.refine(), path_seed(5, j))
+        one = propagate_trajectory(F, ops, noise, psi0, grid, store_every=4)
+        assert np.array_equal(one.node_indices, paths[j].node_indices)
+        assert np.array_equal(one.states, paths[j].states)
+
+
 def test_ensemble_mean_matches_outer_product_mean():
     grid = TimeGrid(dt=0.05, t_final=1.0)
     dims = (3, 4)

@@ -114,8 +114,7 @@ def test_consistency_residual_small():
     grid = TimeGrid(dt=0.01, t_final=3.0)
     F = solve_two_time_grid(KernelSpec(variant="ou", ou=OU), SYS, grid,
                             store_fields=True)
-    assert consistency_residual(F, F.fields, KernelSpec(variant="ou", ou=OU),
-                                SYS) < 1e-5
+    assert consistency_residual(F, F.fields, SYS) < 1e-5
 
 
 def test_dispatcher_routes_by_variant():

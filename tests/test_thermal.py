@@ -12,8 +12,10 @@ from nmoptomech.ocoeff import solve_ou_closed
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import TimeGrid, rk4_step, stage_values
 from nmoptomech.thermal import (
+    _solve_thermal_closed,
+    _solve_thermal_grid,
     _thermal_generator,
-    ThermalBathSpec,
+    EffectiveKernels,
     ThermalOCoefficients,
     effective_kernels,
     integrate_thermal_master,
@@ -38,20 +40,12 @@ def test_occupation_values():
         thermal_occupation(1.0, -0.5)
 
 
-def test_zero_temperature_spec():
-    base = OUKernel(Gamma=2.0, gamma=0.6, Omega=1.0)
-    spec = ThermalBathSpec.zero_temperature(base)
-    a1, a2 = spec.kernels
+def test_effective_kernels_zero_t_bypass():
+    base = OUKernel(Gamma=1.5, gamma=0.9, Omega=0.4)
+    a1, a2 = effective_kernels(base, 0.0)
     assert a1.ou == base
     assert a2.ou.Gamma == 0.0
     assert eval_kernel(a2, 1.3, 0.2) == 0.0
-
-
-def test_effective_kernels_zero_t_bypass():
-    base = OUKernel(Gamma=1.5, gamma=0.9, Omega=0.4)
-    ek = effective_kernels(base, 0.0)
-    assert ek.alpha1.ou == base
-    assert ek.alpha2.ou.Gamma == 0.0
     with pytest.raises(ValueError):
         effective_kernels(base, -1.0)
 
@@ -105,20 +99,20 @@ def test_exponential_fit_recovers_detuned_bath():
     assert a2.Gamma * a2.gamma / 2 < 0.02
 
 
-def test_thermal_spec_rejects_unphysical_zero_lag():
+def test_kernel_pair_rejects_unphysical_zero_lag():
     lags = np.linspace(0.0, 5.0, 64)
-    vals = -np.exp(-lags) + 0j
-    bad = KernelSpec.tabulated(lags, vals)
-    with pytest.raises(ValueError):
-        ThermalBathSpec(temperature=1.0,
-                        base=OUKernel(Gamma=1.0, gamma=1.0, Omega=0.0),
-                        alpha1=bad, alpha2=bad)
+    good = KernelSpec.tabulated(lags, np.exp(-lags) + 0j)
+    bad = KernelSpec.tabulated(lags, -np.exp(-lags) + 0j)
+    with pytest.raises(ValueError, match=r"alpha2\(0\) must be real and nonnegative"):
+        EffectiveKernels(alpha1=good, alpha2=bad)
+    with pytest.raises(ValueError, match=r"alpha1\(0\) must be real"):
+        EffectiveKernels(alpha1=KernelSpec.tabulated(lags, 1j * np.exp(-lags)),
+                         alpha2=good)
 
 
 def test_zero_temperature_coefficients_have_silent_second_bath():
     grid = TimeGrid(dt=0.01, t_final=4.0)
-    pair = ThermalBathSpec.zero_temperature(
-        OUKernel(Gamma=1.0, gamma=0.8, Omega=0.0)).kernels
+    pair = effective_kernels(OUKernel(Gamma=1.0, gamma=0.8, Omega=0.0), 0.0)
     X = solve_thermal_ocoeff(pair, SYS, grid)
     assert np.max(np.abs(X.X2)) == 0.0
     assert np.max(np.abs(X.X1)) > 0.01
@@ -128,13 +122,10 @@ def test_closed_stiffness_guard_raises_and_refining_clears_it():
     # a strongly coupled bath (Gamma=20): at dt=0.01 the full step and the
     # two half steps part by more than the guard allows; the advised
     # refinement of dt then marches through
-    pair = ThermalBathSpec.zero_temperature(
-        OUKernel(Gamma=20.0, gamma=1.0, Omega=0.0)).kernels
+    pair = effective_kernels(OUKernel(Gamma=20.0, gamma=1.0, Omega=0.0), 0.0)
     with pytest.raises(NumericalFailure, match="closed thermal system is stiff"):
-        solve_thermal_ocoeff(pair, SYS, TimeGrid(dt=0.01, t_final=1.0),
-                             solver="closed")
-    X = solve_thermal_ocoeff(pair, SYS, TimeGrid(dt=0.002, t_final=1.0),
-                             solver="closed")
+        solve_thermal_ocoeff(pair, SYS, TimeGrid(dt=0.01, t_final=1.0))
+    X = solve_thermal_ocoeff(pair, SYS, TimeGrid(dt=0.002, t_final=1.0))
     assert np.all(np.isfinite(X.X))
 
 
@@ -153,18 +144,19 @@ def test_markov_pair_short_circuits_to_constants():
 def test_closed_and_grid_solvers_agree():
     grid = TimeGrid(dt=0.01, t_final=5.0)
     pair = (KernelSpec.from_ou(1.2, 0.8, 0.0), KernelSpec.from_ou(0.5, 1.1, 0.3))
-    Xc = solve_thermal_ocoeff(pair, SYS, grid, solver="closed")
-    Xg = solve_thermal_ocoeff(pair, SYS, grid, solver="grid")
+    Xc = _solve_thermal_closed(pair, SYS, grid)
+    Xg = _solve_thermal_grid(pair, SYS, grid)
     assert Xc.provenance == "closed-exponential"
     assert Xg.provenance == "two-time-grid"
     assert np.max(np.abs(Xc.X - Xg.X)) < 5e-4
 
 
-def test_grid_solver_required_for_tabulated():
+def test_thermal_solver_follows_the_kernel_pair():
     grid = TimeGrid(dt=0.02, t_final=1.0)
     ek = effective_kernels(OUKernel(Gamma=2.0, gamma=0.6, Omega=1.0), 0.8)
-    with pytest.raises(ValueError):
-        solve_thermal_ocoeff(tuple(ek), SYS, grid, solver="closed")
+    assert solve_thermal_ocoeff(ek, SYS, grid).provenance == "two-time-grid"
+    pair = (KernelSpec.from_ou(1.2, 0.8, 0.0), KernelSpec.markov(0.3))
+    assert solve_thermal_ocoeff(pair, SYS, grid).provenance == "closed-exponential"
 
 
 def test_thermal_master_preserves_trace_and_hermiticity():
