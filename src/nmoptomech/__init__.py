@@ -19,10 +19,9 @@ from .params import (
 )
 from .kernel import (
     OUKernel,
+    DeltaKernel,
     TabulatedKernel,
-    KernelSpec,
     NoisePath,
-    eval_kernel,
     spectral_density,
     sample_noise_path,
     sample_noise_batch,
@@ -42,9 +41,7 @@ from .ocoeff import (
 from .moments import (
     MomentState,
     MomentTrajectory,
-    CovarianceMatrix,
     MOMENT_LABELS,
-    covariance_from_moments,
     integrate_moments,
 )
 from .gaussian_ent import (
@@ -92,10 +89,9 @@ __all__ = [
     "solve_mean_field",
     "linearize",
     "OUKernel",
+    "DeltaKernel",
     "TabulatedKernel",
-    "KernelSpec",
     "NoisePath",
-    "eval_kernel",
     "spectral_density",
     "sample_noise_path",
     "sample_noise_batch",
@@ -111,9 +107,7 @@ __all__ = [
     "consistency_residual",
     "MomentState",
     "MomentTrajectory",
-    "CovarianceMatrix",
     "MOMENT_LABELS",
-    "covariance_from_moments",
     "integrate_moments",
     "EntanglementResult",
     "log_negativity",

@@ -12,6 +12,7 @@ dependencies.
 import argparse
 import configparser
 import difflib
+import functools
 import json
 import math
 import os
@@ -34,7 +35,7 @@ from .fock import (
 )
 # log_negativity is not called here; the benchmark tracer wraps this name
 from .gaussian_ent import log_negativity, symplectic_readout  # noqa: F401
-from .kernel import KernelSpec, OUKernel, eval_kernel, read_kernel_table
+from .kernel import DeltaKernel, OUKernel, TabulatedKernel, read_kernel_table
 from .moments import MomentState, covariances, integrate_moments
 from .ocoeff import OCoefficientSeries, solve_ocoeff
 from .params import PhysicalParams, LinearizedSystem, linearize, solve_mean_field
@@ -47,6 +48,9 @@ __all__ = ["RunConfig", "parse_config", "run_scenario", "main"]
 _ENGINES = ("moments", "fock-master", "trajectories")
 _SCENARIOS = ("fig2", "fig3", "fig4", "fig5", "custom")
 _SWEEPABLE = ("gamma", "decay", "omega_env", "delta", "coupling", "temperature")
+# the [bath] keys each kernel reads; a sweep over another one would change nothing
+_KERNEL_KEYS = {"ou": ("gamma", "omega_env", "decay"), "markov": ("decay",),
+                "tabulated": ()}
 # sign checks of [system] and [bath] keys (an unset key is not checked),
 # applied to the sweep values that replace them too
 _SIGN = {"omega_m": ("system", "positive"), "coupling": ("system", "nonnegative"),
@@ -199,15 +203,20 @@ class RunConfig:
         c = self.coupling if coupling is None else coupling
         return LinearizedSystem(omega_m=self.omega_m, Delta=d, G=c)
 
-    def bath_kernel(self, gamma=None, omega_env=None, decay=None) -> KernelSpec:
+    @functools.cached_property
+    def table_kernel(self) -> TabulatedKernel:
+        """The kernel of the ``table`` file, read once on first use."""
+        return read_kernel_table(self.table)
+
+    def bath_kernel(self, gamma=None, omega_env=None, decay=None):
         g = self.gamma if gamma is None else gamma
         w = self.omega_env if omega_env is None else omega_env
         d = self.decay if decay is None else decay
         if self.kernel_variant == "markov":
-            return KernelSpec.markov(d)
+            return DeltaKernel(d)
         if self.kernel_variant == "tabulated":
-            return read_kernel_table(self.table)
-        return KernelSpec.from_ou(d, g, w)
+            return self.table_kernel
+        return OUKernel(Gamma=d, gamma=g, Omega=w)
 
 
 def _line_of(text, section, key):
@@ -329,8 +338,12 @@ def _validate(scenario, v, src, resolved) -> RunConfig:
         x = v[(sec, key)]
         if x is not None and not _sign_ok(word, x):
             raise ConfigError(f"[{sec}] {key} must be {word}")
-    if v[("bath", "kernel")] == "tabulated" and not v[("bath", "table")]:
+    kernel = v[("bath", "kernel")]
+    if kernel == "tabulated" and not v[("bath", "table")]:
         raise ConfigError("[bath] tabulated kernel needs a table path")
+    if scenario != "custom" and kernel != "ou":
+        raise ConfigError("figure presets scan the memory rate or the environment "
+                          "frequency of the ou kernel; they need kernel = ou")
     if v[("run", "paths")] < 1:
         raise ConfigError("[run] paths must be at least 1")
     for key in ("seed", "store_every"):
@@ -391,6 +404,8 @@ def _validate(scenario, v, src, resolved) -> RunConfig:
             pts = tuple(np.round(np.arange(start, stop + 0.5 * step, step), 12))
         if not pts:
             raise ConfigError("[sweep] grid is empty")
+        if param in _KERNEL_KEYS["ou"] and param not in _KERNEL_KEYS[kernel]:
+            raise ConfigError(f"[sweep] {param} does not enter the {kernel} kernel")
         if physical is not None and param in ("delta", "coupling"):
             raise ConfigError(
                 f"[sweep] {param} is fixed by the raw [system] parameters"
@@ -414,8 +429,8 @@ def _validate(scenario, v, src, resolved) -> RunConfig:
             raise ConfigError(
                 "finite temperature runs through the fock-master engine only"
             )
-        if v[("bath", "kernel")] != "ou":
-            raise ConfigError("finite temperature needs the ou kernel variant")
+        if kernel != "ou":
+            raise ConfigError("finite temperature needs the ou kernel")
         # the thermal quadrature needs a frequency window at every point
         bath = {k: [v[("bath", k)]] for k in ("gamma", "omega_env")}
         if sweep and sweep[0] in bath:
@@ -435,7 +450,7 @@ def _validate(scenario, v, src, resolved) -> RunConfig:
         delta=v[("system", "delta")],
         coupling=v[("system", "coupling")],
         physical=physical,
-        kernel_variant=v[("bath", "kernel")],
+        kernel_variant=kernel,
         decay=v[("bath", "decay")],
         gamma=v[("bath", "gamma")],
         omega_env=v[("bath", "omega_env")],
@@ -505,10 +520,10 @@ def _scan(cfg: RunConfig, grid, points):
     is reported once.  Other engines and a single point go point by point.
     """
     if cfg.engine != "moments" or len(points) == 1:
-        return [_run_thermal_point(cfg, s, grid, k.ou, T) if T > 0
+        return [_run_thermal_point(cfg, s, grid, k, T) if T > 0
                 else _run_point(cfg, s, k, grid) for s, k, T in points]
     systems = [s for s, _, _ in points]
-    ou = [i for i, (_, k, _) in enumerate(points) if k.variant == "ou"]
+    ou = [i for i, (_, k, _) in enumerate(points) if isinstance(k, OUKernel)]
     if ou:
         batch = solve_ocoeff([points[i][1] for i in ou], [systems[i] for i in ou],
                              grid, include_f5=cfg.include_f5)
@@ -527,8 +542,8 @@ def _run_thermal_point(cfg: RunConfig, sys, grid, base: OUKernel, temperature):
     eff = effective_kernels(base, temperature, fit=True)
     # weight each kernel's relative misfit by its zero-lag strength so a
     # poor fit of a negligible absorption kernel stays quiet
-    w1 = abs(eval_kernel(eff.alpha1, 0.0, 0.0))
-    w2 = abs(eval_kernel(eff.alpha2, 0.0, 0.0))
+    w1 = abs(eff.alpha1.alpha(0.0))
+    w2 = abs(eff.alpha2.alpha(0.0))
     misfit = max(eff.fit_residuals[0] * w1,
                  eff.fit_residuals[1] * w2) / max(w1 + w2, 1e-300)
     if misfit > 0.05:
@@ -770,7 +785,7 @@ def _scenario_fig3(cfg, outdir, manifest):
     sys_ = cfg.system()
     gammas = [cfg.gamma] if _user_set(cfg.gamma_source) else list(_FIG3_GAMMAS)
     jobs = gammas + [None]
-    points = [(sys_, KernelSpec.markov(cfg.decay) if gamma is None
+    points = [(sys_, DeltaKernel(cfg.decay) if gamma is None
                else cfg.bath_kernel(gamma=gamma), 0.0) for gamma in jobs]
     results = [res for _, res in _scan(cfg, grid, points)]
     times = results[0].times
@@ -962,6 +977,7 @@ def run_scenario(cfg: RunConfig) -> dict:
 
     Returns the manifest that was written to the output directory."""
     outdir = Path(cfg.out)
+    cfg.bath_kernel()  # a bad kernel table is a config error before any output
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "scenario": cfg.scenario,

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalFailure, TruncationError
-from .kernel import KernelSpec, path_seed, sample_noise_batch, NoisePath
+from .kernel import path_seed, sample_noise_batch, NoisePath
 from .moments import MomentState, MomentTrajectory
 from .ocoeff import OCoefficientSeries
 from .params import LinearizedSystem
@@ -456,7 +456,7 @@ def propagate_trajectory(F: OCoefficientSeries, ops: FockOperators,
 
 
 def propagate_ensemble(F: OCoefficientSeries, ops: FockOperators,
-                       k: KernelSpec, psi0, grid: TimeGrid, n_paths,
+                       k, psi0, grid: TimeGrid, n_paths,
                        master_seed, batch_size=512, store_every=0):
     """Propagate ``n_paths`` trajectories with per-path counter-based seeds.
 

@@ -5,10 +5,15 @@ The exponential kernel
     alpha(t, s) = (Gamma gamma / 2) exp(-(gamma + i Omega)|t - s|),  conj for t < s
 
 pairs with the Lorentzian spectral density J(w) = (Gamma gamma^2 / 2 pi)
-/ ((w - Omega)^2 + gamma^2).  A delta-correlated variant represents the
-memoryless limit: its weight Gamma enters boundary integrals with the
-half-weight convention int_0^t delta(t,s) f(s) ds = f(t)/2.  Arbitrary
-kernels are supported through tabulated lag samples.
+/ ((w - Omega)^2 + gamma^2).  The delta kernel alpha(t, s) = Gamma
+delta(t - s) is its memoryless limit: its weight Gamma enters boundary
+integrals with the half-weight convention int_0^t delta(t,s) f(s) ds =
+f(t)/2.  Arbitrary kernels are supported through tabulated lag samples.
+
+Each kernel is its own type (:class:`OUKernel`, :class:`DeltaKernel`,
+:class:`TabulatedKernel`) with the pointwise value ``alpha(tau)`` at lag
+tau = t - s; the delta kernel has none.  The solvers and samplers pick
+their route by the kernel's type.
 
 Noise paths carry the conjugated process z*_t with statistics
 M[z*_t] = 0, M[z*_t z*_s] = 0 and M[z*_t conj(z*_s)] = alpha(t, s).
@@ -23,10 +28,9 @@ from .stepping import TimeGrid
 
 __all__ = [
     "OUKernel",
+    "DeltaKernel",
     "TabulatedKernel",
-    "KernelSpec",
     "NoisePath",
-    "eval_kernel",
     "spectral_density",
     "sample_noise_path",
     "sample_noise_batch",
@@ -71,6 +75,20 @@ class OUKernel:
 
 
 @dataclass(frozen=True)
+class DeltaKernel:
+    """Memoryless kernel alpha(t, s) = Gamma delta(t - s) of weight Gamma."""
+
+    Gamma: float
+
+    def __post_init__(self):
+        if self.Gamma < 0:
+            raise ValueError("Gamma must be nonnegative")
+
+    def alpha(self, tau):
+        raise ValueError("the delta kernel has no pointwise value")
+
+
+@dataclass(frozen=True)
 class TabulatedKernel:
     """Kernel given by samples on a uniform nonnegative lag grid.
 
@@ -106,60 +124,11 @@ class TabulatedKernel:
 
 
 @dataclass(frozen=True)
-class KernelSpec:
-    """Dispatch wrapper over the kernel variants.
-
-    variant : 'ou', 'markov-delta' or 'tabulated'
-    weight  : delta-kernel weight Gamma (markov-delta only)
-    """
-
-    variant: str
-    ou: OUKernel = None
-    weight: float = 0.0
-    table: TabulatedKernel = None
-
-    def __post_init__(self):
-        if self.variant not in ("ou", "markov-delta", "tabulated"):
-            raise ConfigError(f"unknown kernel variant {self.variant!r}")
-        if self.variant == "ou" and self.ou is None:
-            raise ConfigError("ou variant requires an OUKernel")
-        if self.variant == "tabulated" and self.table is None:
-            raise ConfigError("tabulated variant requires a table")
-        if self.variant == "markov-delta" and self.weight < 0:
-            raise ConfigError("delta weight must be nonnegative")
-
-    @classmethod
-    def from_ou(cls, Gamma, gamma, Omega=0.0):
-        return cls(variant="ou", ou=OUKernel(Gamma=Gamma, gamma=gamma, Omega=Omega))
-
-    @classmethod
-    def markov(cls, Gamma):
-        return cls(variant="markov-delta", weight=Gamma)
-
-    @classmethod
-    def tabulated(cls, lags, values):
-        return cls(variant="tabulated", table=TabulatedKernel(lags=lags, values=values))
-
-
-@dataclass(frozen=True)
 class NoisePath:
     """One realization of z*_t on a uniform grid."""
 
     grid: TimeGrid
     values: np.ndarray
-
-
-def eval_kernel(k: KernelSpec, t, s):
-    """Pointwise kernel value alpha(t, s).
-
-    The delta variant has no pointwise value and is rejected.
-    """
-    if k.variant == "markov-delta":
-        raise ValueError("the delta kernel has no pointwise value")
-    tau = np.asarray(t, dtype=float) - np.asarray(s, dtype=float)
-    if k.variant == "ou":
-        return k.ou.alpha(tau)
-    return k.table.alpha(tau)
 
 
 def spectral_density(k: OUKernel, omega):
@@ -192,7 +161,7 @@ def _standard_draws(grid, seeds):
 
 def _cholesky_factor(k, grid):
     t = grid.times()
-    cov = np.asarray(eval_kernel(k, t[:, None], t[None, :]), dtype=complex)
+    cov = np.asarray(k.alpha(t[:, None] - t[None, :]), dtype=complex)
     jitter = 1e-14 * np.trace(cov).real / len(t)
     try:
         return np.linalg.cholesky(cov + jitter * np.eye(len(t)))
@@ -202,40 +171,37 @@ def _cholesky_factor(k, grid):
         ) from exc
 
 
-def sample_noise_batch(k: KernelSpec, grid: TimeGrid, seeds):
+def sample_noise_batch(k, grid: TimeGrid, seeds):
     """Realizations of z*_t for each seed, as columns of an (n, m) array.
 
     Each path draws from its own counter-based generator, so any batch
     split yields the same per-path values.  The kernel picks the
     sampler: an exponential kernel takes the exact stationary
     first-order recursion, a tabulated one colors the draws with a
-    covariance factorization, and the delta variant draws independent
+    covariance factorization, and the delta kernel draws independent
     samples of variance Gamma/dt, the grid representation of
     delta-correlated noise.
     """
     if not isinstance(grid, TimeGrid):
         raise TypeError("grid must be a TimeGrid")
     n, m = grid.n_points, len(seeds)
-    if k.variant == "markov-delta":
-        if k.weight == 0.0:
-            return np.zeros((n, m), dtype=complex)
-        return np.sqrt(k.weight / grid.dt) * _standard_draws(grid, seeds)
-    if k.variant == "tabulated":
+    if isinstance(k, TabulatedKernel):
         return _cholesky_factor(k, grid) @ _standard_draws(grid, seeds)
-    ou = k.ou
-    if ou.Gamma == 0.0:
+    if k.Gamma == 0.0:
         return np.zeros((n, m), dtype=complex)
+    if isinstance(k, DeltaKernel):
+        return np.sqrt(k.Gamma / grid.dt) * _standard_draws(grid, seeds)
     w = _standard_draws(grid, seeds)
     z = np.empty((n, m), dtype=complex)
-    z[0] = np.sqrt(ou.alpha0) * w[0]
-    decay = np.exp(-ou.mu * grid.dt)
-    sigma = np.sqrt(ou.alpha0 * (1.0 - np.exp(-2.0 * ou.gamma * grid.dt)))
+    z[0] = np.sqrt(k.alpha0) * w[0]
+    decay = np.exp(-k.mu * grid.dt)
+    sigma = np.sqrt(k.alpha0 * (1.0 - np.exp(-2.0 * k.gamma * grid.dt)))
     for kk in range(1, n):
         z[kk] = decay * z[kk - 1] + sigma * w[kk]
     return z
 
 
-def sample_noise_path(k: KernelSpec, grid: TimeGrid, seed) -> NoisePath:
+def sample_noise_path(k, grid: TimeGrid, seed) -> NoisePath:
     """Draw one realization of z*_t on the grid (see sample_noise_batch)."""
     values = sample_noise_batch(k, grid, [seed])[:, 0]
     return NoisePath(grid=grid, values=values)
@@ -249,18 +215,22 @@ def write_kernel_table(path, lags, values):
     np.savetxt(path, data, header="lag re_alpha im_alpha")
 
 
-def read_kernel_table(path) -> KernelSpec:
+def read_kernel_table(path) -> TabulatedKernel:
     """Read a kernel table: CSV with the header ``lag,re,im``, or the
-    whitespace-separated text written by :func:`write_kernel_table`."""
+    whitespace-separated text written by :func:`write_kernel_table`.
+
+    A file that cannot be read, or a table that :class:`TabulatedKernel`
+    rejects, is a ConfigError naming the file.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [x for x in fh if x.strip() and not x.lstrip().startswith("#")]
         sep = "," if lines and "," in lines[0] else None
         if lines and lines[0].split(sep)[0].strip().lower() == "lag":
             lines = lines[1:]
-        data = np.loadtxt(lines, delimiter=sep)
+        data = np.loadtxt(lines, delimiter=sep, ndmin=2)
+        if data.shape[1] != 3:
+            raise ValueError("need the columns lag, re, im")
+        return TabulatedKernel(lags=data[:, 0], values=data[:, 1] + 1j * data[:, 2])
     except Exception as exc:
-        raise ConfigError(f"cannot read kernel table {path}: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != 3:
-        raise ConfigError("kernel table must have columns lag, re, im")
-    return KernelSpec.tabulated(data[:, 0], data[:, 1] + 1j * data[:, 2])
+        raise ConfigError(f"kernel table {path}: {exc}") from exc

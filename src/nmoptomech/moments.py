@@ -29,10 +29,8 @@ __all__ = [
     "DIP_TOL",
     "MOMENT_LABELS",
     "MomentState",
-    "CovarianceMatrix",
     "MomentTrajectory",
     "integrate_moments",
-    "covariance_from_moments",
     "covariances",
 ]
 
@@ -95,36 +93,12 @@ class MomentState:
         return float(r)
 
 
-@dataclass(frozen=True)
-class CovarianceMatrix:
-    """Real symmetric 4x4 covariance in the basis (q1, p1, q2, p2)."""
-
-    V: np.ndarray
-
-    def __post_init__(self):
-        V = np.asarray(self.V, dtype=float)
-        if V.shape != (4, 4):
-            raise ValueError("covariance matrix must be 4x4")
-        object.__setattr__(self, "V", V)
-
-    @property
-    def A(self):
-        return self.V[0:2, 0:2]
-
-    @property
-    def B(self):
-        return self.V[2:4, 2:4]
-
-    @property
-    def C(self):
-        return self.V[0:2, 2:4]
-
-
 def covariances(v):
     """Covariance matrices, shape (..., 4, 4), of moment vector(s).
 
     ``v`` has the moment axis last, so both a single (14,) vector and a
-    trajectory (n, 14) array work.
+    trajectory (n, 14) array work.  Uses the commutators <a^dag a> =
+    <a a^dag> - 1 and likewise for b, so the vacuum gives the identity.
     """
     a, ad, b, bd, aa, aad, ab, abd, adad, adb, adbd, bb, bbd, bdbd = np.moveaxis(v, -1, 0)
     q1, p1 = a + ad, -1j * (a - ad)
@@ -141,19 +115,6 @@ def covariances(v):
     v24 = (-(ab - abd - adb + adbd) - p1 * p2).real
     return np.stack([v11, v12, v13, v14, v12, v22, v23, v24,
                      v13, v23, v33, v34, v14, v24, v34, v44], axis=-1).reshape(np.shape(a) + (4, 4))
-
-
-def covariance_from_moments(m) -> CovarianceMatrix:
-    """Covariance matrix of the state with the given moments.
-
-    Uses the commutators <a^dag a> = <a a^dag> - 1 and likewise for b, so
-    the vacuum gives the identity.  Accepts a MomentState or a plain
-    14-vector.
-    """
-    v = m.vector if isinstance(m, MomentState) else np.asarray(m, dtype=complex)
-    if v.shape != (14,):
-        raise ValueError("moment vector must have 14 components")
-    return CovarianceMatrix(V=covariances(v))
 
 
 def _moment_rhs(m, f1, f2, f3, f4, f1c, f2c, f3c, f4c, wm, delta, g):
@@ -199,8 +160,9 @@ class MomentTrajectory:
     def state(self, k) -> MomentState:
         return MomentState.from_vector(self.values[k])
 
-    def covariance(self, k) -> CovarianceMatrix:
-        return covariance_from_moments(self.values[k])
+    def covariance(self, k):
+        """Covariance matrix (4, 4) of the state at node k."""
+        return covariances(self.values[k])
 
     def en_series(self, monitor=True):
         """Logarithmic negativity at every node, shape (n,), or (n, P) for
@@ -234,7 +196,7 @@ class MomentTrajectory:
         return en if batch else en[:, 0]
 
     def en_at(self, k):
-        return log_negativity(self.covariance(k).V).En
+        return log_negativity(self.covariance(k)).En
 
 
 @functools.cache

@@ -18,12 +18,12 @@ where the two-time functions satisfy, at fixed s,
 with boundary rows f1(t,t) = 1, f2(t,t) = f3(t,t) = f4(t,t) = 0,
 f5(t,t,s') = 0 and f5(t,s,t) = f2(t,s).
 
-Two solvers produce the F series, and the kernel picks one
-(:func:`solve_ocoeff`): a closed ODE system for exponential kernels (the
-fast path), and a two-time-grid march for any other kernel (the oracle,
-valid for every kernel with pointwise values).  The grid route takes
-the delta kernel to its exact series: F1 = Gamma/2 identically, every
-other coefficient zero.
+Two solvers produce the F series, and the kernel's type picks one
+(:func:`solve_ocoeff`): an :class:`OUKernel` takes the closed ODE system
+(the fast path), any other kernel the two-time-grid march (the oracle,
+valid for every kernel with pointwise values).  The grid route takes a
+:class:`DeltaKernel` to its exact series: F1 = Gamma/2 identically,
+every other coefficient zero.
 """
 
 from dataclasses import dataclass, replace
@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalFailure
-from .kernel import KernelSpec, OUKernel, eval_kernel
+from .kernel import DeltaKernel, OUKernel
 from .params import LinearizedSystem
 from .stepping import (
     TimeGrid,
@@ -180,9 +180,8 @@ def _two_time_march(row_rhs, bc, kernels, grid, with_slab=False,
             f"{_SLAB_BUDGET/1e9:.1f} GB budget; coarsen the grid or drop f5"
         )
     t = grid.times()
-    lag = [np.asarray(eval_kernel(k, t, 0.0), dtype=complex) for k in kernels]
-    half = [np.asarray(eval_kernel(k, t + 0.5 * dt, 0.0), dtype=complex)
-            for k in kernels]
+    lag = [np.asarray(k.alpha(t), dtype=complex) for k in kernels]
+    half = [np.asarray(k.alpha(t + 0.5 * dt), dtype=complex) for k in kernels]
     bw2 = np.array([0.25 * dt * a[0] * b for a, b in zip(lag, bc)])
     bw4 = np.array([0.5 * dt * a[0] * b for a, b in zip(lag, bc)])
     wgt = (dt / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
@@ -246,7 +245,7 @@ def _two_time_march(row_rhs, bc, kernels, grid, with_slab=False,
     return X, F5, (*rows_hist.reshape(4 * nb, n, n), f5p_hist, S) if store_fields else None
 
 
-def solve_two_time_grid(k: KernelSpec, sys: LinearizedSystem, grid: TimeGrid,
+def solve_two_time_grid(k, sys: LinearizedSystem, grid: TimeGrid,
                         include_f5=True, store_fields=False) -> OCoefficientSeries:
     """March the two-time system and quadrature the F series.
 
@@ -255,8 +254,8 @@ def solve_two_time_grid(k: KernelSpec, sys: LinearizedSystem, grid: TimeGrid,
     off, the f5 slab.  The delta kernel short-circuits to the exact
     constant series.
     """
-    if k.variant == "markov-delta":
-        return markov_series(k.weight, grid, include_f5=include_f5)
+    if isinstance(k, DeltaKernel):
+        return markov_series(k.Gamma, grid, include_f5=include_f5)
     wm, delta, g = sys.omega_m, sys.Delta, sys.G
     X, F5, stored = _two_time_march(
         lambda y, x, v: _row_rhs(y[0], x[0], v, wm, delta, g)[None],
@@ -324,10 +323,8 @@ def solve_ocoeff(k, sys, grid: TimeGrid, include_f5=True) -> OCoefficientSeries:
     Sequences of exponential kernels and systems march together on the
     closed solver (see :func:`solve_ou_closed`).
     """
-    if isinstance(k, (list, tuple)):
-        return solve_ou_closed([x.ou for x in k], sys, grid, include_f5=include_f5)
-    if k.variant == "ou":
-        return solve_ou_closed(k.ou, sys, grid, include_f5=include_f5)
+    if isinstance(k, (list, tuple, OUKernel)):
+        return solve_ou_closed(k, sys, grid, include_f5=include_f5)
     return solve_two_time_grid(k, sys, grid, include_f5=include_f5)
 
 

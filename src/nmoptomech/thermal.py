@@ -32,7 +32,7 @@ import numpy as np
 from .errors import NumericalFailure
 from .fock import (FockOperators, RhoTrajectory, _band_generator, _run_rho,
                    _weighted)
-from .kernel import KernelSpec, OUKernel, eval_kernel, spectral_density
+from .kernel import DeltaKernel, OUKernel, TabulatedKernel, spectral_density
 from .ocoeff import _two_time_march
 from .params import LinearizedSystem
 from .stepping import TimeGrid, march_doubled
@@ -83,16 +83,16 @@ class EffectiveKernels:
     nonnegative at zero lag.  ``omega_window`` and ``fit_residuals``
     record how :func:`effective_kernels` made the pair."""
 
-    alpha1: KernelSpec
-    alpha2: KernelSpec
+    alpha1: OUKernel | DeltaKernel | TabulatedKernel
+    alpha2: OUKernel | DeltaKernel | TabulatedKernel
     omega_window: tuple = None
     fit_residuals: tuple = None
 
     def __post_init__(self):
-        for label, spec in (("alpha1", self.alpha1), ("alpha2", self.alpha2)):
-            if spec.variant == "markov-delta":
+        for label, k in (("alpha1", self.alpha1), ("alpha2", self.alpha2)):
+            if isinstance(k, DeltaKernel):
                 continue
-            v0 = complex(eval_kernel(spec, 0.0, 0.0))
+            v0 = complex(k.alpha(0.0))
             scale = max(abs(v0), 1.0)
             if abs(v0.imag) > 1e-9 * scale or v0.real < -1e-12 * scale:
                 raise ValueError(f"{label}(0) must be real and nonnegative")
@@ -190,8 +190,7 @@ def effective_kernels(J: OUKernel, T, fit=False) -> EffectiveKernels:
         raise ValueError("temperature must be nonnegative")
     if T == 0.0:
         silent = OUKernel(Gamma=0.0, gamma=J.gamma, Omega=J.Omega)
-        return EffectiveKernels(alpha1=KernelSpec(variant="ou", ou=J),
-                                alpha2=KernelSpec(variant="ou", ou=silent))
+        return EffectiveKernels(alpha1=J, alpha2=silent)
     lo, hi = frequency_window(J.gamma, J.Omega)
     lags = np.linspace(0.0, _LAG_SPAN / J.gamma, _LAG_SAMPLES)
 
@@ -219,8 +218,8 @@ def effective_kernels(J: OUKernel, T, fit=False) -> EffectiveKernels:
 
     if not fit:
         return EffectiveKernels(
-            alpha1=KernelSpec.tabulated(lags, a1),
-            alpha2=KernelSpec.tabulated(lags, a2),
+            alpha1=TabulatedKernel(lags, a1),
+            alpha2=TabulatedKernel(lags, a2),
             omega_window=(lo, hi),
         )
     t_end = _FIT_SPAN / J.gamma
@@ -231,8 +230,8 @@ def effective_kernels(J: OUKernel, T, fit=False) -> EffectiveKernels:
     else:
         k2, r2 = _fit_exponential(lags, a2, t_end, "alpha2")
     return EffectiveKernels(
-        alpha1=KernelSpec(variant="ou", ou=k1),
-        alpha2=KernelSpec(variant="ou", ou=k2),
+        alpha1=k1,
+        alpha2=k2,
         omega_window=(lo, hi),
         fit_residuals=(r1, r2),
     )
@@ -289,12 +288,12 @@ def _solve_thermal_closed(pair, sys, grid):
     live = np.ones(2)
     X = np.zeros((2, 4), dtype=complex)
     for i, k in enumerate(pair):
-        if k.variant == "markov-delta":
-            X[i] = 0.5 * k.weight * _BC[i]
+        if isinstance(k, DeltaKernel):
+            X[i] = 0.5 * k.Gamma * _BC[i]
             live[i] = 0.0
         else:
-            a0[i] = k.ou.alpha0
-            mu[i] = k.ou.mu
+            a0[i] = k.alpha0
+            mu[i] = k.mu
     if not live.any():
         return ThermalOCoefficients(grid=grid, X=np.tile(X, (grid.n_points, 1, 1)),
                                     provenance="markov-delta")
@@ -339,7 +338,7 @@ def solve_thermal_ocoeff(kernels, sys: LinearizedSystem,
     delta kernels has constant averages.
     """
     a1, a2 = kernels
-    if "tabulated" in (a1.variant, a2.variant):
+    if isinstance(a1, TabulatedKernel) or isinstance(a2, TabulatedKernel):
         return _solve_thermal_grid((a1, a2), sys, grid)
     return _solve_thermal_closed((a1, a2), sys, grid)
 

@@ -28,7 +28,7 @@ from nmoptomech.gaussian_ent import (
     random_physical_covariance,
     two_mode_squeezed_covariance,
 )
-from nmoptomech.kernel import KernelSpec, OUKernel
+from nmoptomech.kernel import DeltaKernel, OUKernel
 from nmoptomech.moments import MOMENT_LABELS, MomentState, integrate_moments
 from nmoptomech.ocoeff import markov_series, solve_ou_closed, solve_two_time_grid
 from nmoptomech.params import LinearizedSystem
@@ -189,7 +189,7 @@ def test_07_closed_and_grid_coefficient_solvers_agree():
     for _, k, delta in cases:
         sysd = LinearizedSystem(omega_m=1.0, Delta=delta, G=0.1)
         Fc = solve_ou_closed(k, sysd, grid)
-        Fg = solve_two_time_grid(KernelSpec(variant="ou", ou=k), sysd, grid)
+        Fg = solve_two_time_grid(k, sysd, grid)
         for name in ("F1", "F2", "F3", "F4", "F5"):
             a, b = getattr(Fc, name), getattr(Fg, name)
             scale = float(np.max(np.abs(a)))
@@ -208,8 +208,8 @@ def test_08_trajectory_average_converges_to_master():
     grid = TimeGrid(dt=0.02, t_final=10.0)
     dims = (8, 8)
     ops = build_operators(dims, BASE)
-    k = KernelSpec.from_ou(2.0, 0.6, 0.0)
-    F = solve_ou_closed(k.ou, BASE, grid)
+    k = OUKernel(2.0, 0.6, 0.0)
+    F = solve_ou_closed(k, BASE, grid)
     psi0 = basis_state(dims)
     pool = propagate_ensemble(F, ops, k, psi0, grid, 4000, 20260816)
     ref = integrate_master(F, ops, projector(psi0), grid).final
@@ -253,7 +253,7 @@ def test_10_thermal_sector_reductions():
     # channel reproduces the single-bath evolution
     base = OUKernel(Gamma=2.0, gamma=0.6, Omega=0.0)
     ek = effective_kernels(base, 0.0)
-    alpha2_zero = ek.alpha2.ou.Gamma == 0.0
+    alpha2_zero = ek.alpha2.Gamma == 0.0
     sys0 = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.0)
     grid = TimeGrid(dt=0.01, t_final=8.0)
     F = solve_ou_closed(base, sys0, grid, include_f5=False)
@@ -272,7 +272,7 @@ def test_10_thermal_sector_reductions():
     # memoryless finite temperature: phonon number relaxes to the
     # occupation of the mirror frequency
     nbar = thermal_occupation(1.0, 1.0)
-    pair = (KernelSpec.markov(0.4 * (nbar + 1)), KernelSpec.markov(0.4 * nbar))
+    pair = (DeltaKernel(0.4 * (nbar + 1)), DeltaKernel(0.4 * nbar))
     grid2 = TimeGrid(dt=0.01, t_final=30.0)
     Xm = solve_thermal_ocoeff(pair, sys0, grid2)
     dims2 = (10, 10)

@@ -354,6 +354,44 @@ def test_exit_code_two_on_out_of_range_numbers(tmp_path, capsys, text, key, flag
     assert not (tmp_path / "o").exists()
 
 
+_MARKOV = "kernel = markov\n"
+_TABULATED = "kernel = tabulated\ntable = {table}\n"
+_TABLE = "lag,re,im\n0,1,0\n0.5,0.5,0\n1.0,0.25,0\n"
+
+
+@pytest.mark.parametrize("scenario, bath, table, key", [
+    pytest.param("custom", _TABULATED, "lag,re,im\n0.5,1,0\n1.0,0.5,0\n1.5,0.25,0\n",
+                 "kernel table {table}: lag grid must start at 0", id="lags-from-0.5"),
+    pytest.param("custom", _TABULATED, "lag,re,im\n0,1,0\n0.3,0.5,0\n0.9,0.25,0\n",
+                 "kernel table {table}: lag grid must be uniform", id="non-uniform-lags"),
+    pytest.param("custom", _TABULATED, "lag,re,im\n0,1,0\n",
+                 "kernel table {table}: need at least two lag samples", id="one-row"),
+    pytest.param("custom", _MARKOV + "[sweep]\nparameter = gamma\nvalues = 0.3, 3.0\n",
+                 _TABLE, "[sweep] gamma does not enter the markov kernel",
+                 id="gamma-sweep-markov"),
+    pytest.param("custom", _MARKOV + "[sweep]\nparameter = omega_env\nvalues = 0.0, 1.0\n",
+                 _TABLE, "[sweep] omega_env does not enter the markov kernel",
+                 id="omega_env-sweep-markov"),
+    pytest.param("custom", _TABULATED + "[sweep]\nparameter = decay\nvalues = 1.0, 2.0\n",
+                 _TABLE, "[sweep] decay does not enter the tabulated kernel",
+                 id="decay-sweep-tabulated"),
+    *[pytest.param(fig, bath, _TABLE, "need kernel = ou", id=f"{fig}-{bath.split()[2]}")
+      for fig in ("fig2", "fig3", "fig4", "fig5") for bath in (_MARKOV, _TABULATED)],
+])
+def test_exit_code_two_on_kernel_config_error(tmp_path, capsys, scenario, bath,
+                                              table, key):
+    # a bad kernel table, or a parameter the kernel does not have
+    path = tmp_path / "k.csv"
+    path.write_text(table)
+    p = tmp_path / "c.cfg"
+    p.write_text(_SYSTEM + "[bath]\n" + bath.format(table=path))
+    rc = main(["run", "--scenario", scenario, "--config", str(p),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert key.format(table=path) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 _NUMBERS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.integers(-10**6, 10**6).map(str),

@@ -20,7 +20,6 @@ from nmoptomech.fock import (
     trace_distance,
 )
 from nmoptomech.kernel import (
-    KernelSpec,
     NoisePath,
     OUKernel,
     path_seed,
@@ -136,8 +135,8 @@ def test_zero_noise_trajectory_is_schroedinger():
     dims = (5, 5)
     sysb = LinearizedSystem(omega_m=1.0, Delta=0.6, G=0.3)
     ops = build_operators(dims, sysb)
-    silent = KernelSpec.from_ou(0.0, 0.5, 0.0)
-    F = solve_ou_closed(silent.ou, sysb, grid)
+    silent = OUKernel(0.0, 0.5, 0.0)
+    F = solve_ou_closed(silent, sysb, grid)
     psi0 = (basis_state(dims, 0, 0) + basis_state(dims, 1, 1)) / np.sqrt(2)
     noise = sample_noise_path(silent, grid.refine(), path_seed(3, 0))
     path = propagate_trajectory(F, ops, noise, psi0, grid)
@@ -161,8 +160,8 @@ def test_trajectory_norm_cap_fires_at_its_threshold():
     grid = TimeGrid(dt=0.05, t_final=0.15)
     dims = (3, 3)
     ops = build_operators(dims, SYS)
-    k = KernelSpec.from_ou(2.0, 0.6, 0.0)
-    F = solve_ou_closed(k.ou, SYS, grid)
+    k = OUKernel(2.0, 0.6, 0.0)
+    F = solve_ou_closed(k, SYS, grid)
     noise = sample_noise_path(k, grid.refine(), path_seed(7, 0))
     psi0 = basis_state(dims, 1, 0)
     unit = propagate_trajectory(F, ops, noise, psi0, grid, store_every=1)
@@ -177,8 +176,8 @@ def test_ensemble_mean_approaches_master():
     grid = TimeGrid(dt=0.02, t_final=4.0)
     dims = (6, 6)
     ops = build_operators(dims, SYS)
-    k = KernelSpec.from_ou(2.0, 0.6, 0.0)
-    F = solve_ou_closed(k.ou, SYS, grid)
+    k = OUKernel(2.0, 0.6, 0.0)
+    F = solve_ou_closed(k, SYS, grid)
     psi0 = basis_state(dims)
     paths = propagate_ensemble(F, ops, k, psi0, grid, 600, 4242, store_every=50)
     avg = average_trajectories(paths)
@@ -194,8 +193,8 @@ def test_ensemble_is_deterministic_for_fixed_seed():
     grid = TimeGrid(dt=0.05, t_final=1.0)
     dims = (4, 4)
     ops = build_operators(dims, SYS)
-    k = KernelSpec.from_ou(1.0, 0.8, 0.0)
-    F = solve_ou_closed(k.ou, SYS, grid)
+    k = OUKernel(1.0, 0.8, 0.0)
+    F = solve_ou_closed(k, SYS, grid)
     psi0 = basis_state(dims)
     a = average_trajectories(
         propagate_ensemble(F, ops, k, psi0, grid, 64, 99, batch_size=64))
@@ -334,8 +333,8 @@ def dense_trajectory_rhs(ops, fv, z):
 def test_band_drift_march_matches_dense_drift_march(dims):
     grid = TimeGrid(dt=0.02, t_final=0.4)
     ops = build_operators(dims, SYS)
-    k = KernelSpec.from_ou(2.0, 0.6, 0.0)
-    F = solve_ou_closed(k.ou, SYS, grid)
+    k = OUKernel(2.0, 0.6, 0.0)
+    F = solve_ou_closed(k, SYS, grid)
     noise = sample_noise_path(k, grid.refine(), path_seed(11, sum(dims)))
     psi0 = (basis_state(dims) + basis_state(dims, 1, 1)) / np.sqrt(2)
     path = propagate_trajectory(F, ops, noise, psi0, grid)
@@ -359,8 +358,8 @@ def test_ensemble_mean_is_bitwise_independent_of_batch_width():
     grid = TimeGrid(dt=0.05, t_final=1.0)
     dims = (4, 4)
     ops = build_operators(dims, SYS)
-    k = KernelSpec.from_ou(1.0, 0.8, 0.0)
-    F = solve_ou_closed(k.ou, SYS, grid)
+    k = OUKernel(1.0, 0.8, 0.0)
+    F = solve_ou_closed(k, SYS, grid)
     psi0 = basis_state(dims)
     m = 96
     runs = [average_trajectories(propagate_ensemble(
@@ -378,8 +377,8 @@ def test_single_trajectory_equals_its_ensemble_path():
     grid = TimeGrid(dt=0.05, t_final=1.0)
     dims = (3, 4)
     ops = build_operators(dims, SYS)
-    k = KernelSpec.from_ou(2.0, 0.6, 0.0)
-    F = solve_ou_closed(k.ou, SYS, grid)
+    k = OUKernel(2.0, 0.6, 0.0)
+    F = solve_ou_closed(k, SYS, grid)
     psi0 = basis_state(dims, 1, 0)
     paths = propagate_ensemble(F, ops, k, psi0, grid, 40, 5, batch_size=16,
                                store_every=4)
@@ -394,8 +393,8 @@ def test_ensemble_mean_matches_outer_product_mean():
     grid = TimeGrid(dt=0.05, t_final=1.0)
     dims = (3, 4)
     ops = build_operators(dims, SYS)
-    k = KernelSpec.from_ou(2.0, 0.6, 0.0)
-    F = solve_ou_closed(k.ou, SYS, grid)
+    k = OUKernel(2.0, 0.6, 0.0)
+    F = solve_ou_closed(k, SYS, grid)
     paths = propagate_ensemble(F, ops, k, basis_state(dims, 1, 0), grid, 50,
                                5, batch_size=16, store_every=4)
     avg = average_trajectories(paths)

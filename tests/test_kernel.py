@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from nmoptomech.kernel import (
-    KernelSpec,
+    DeltaKernel,
     NoisePath,
     OUKernel,
     TabulatedKernel,
-    eval_kernel,
     path_seed,
     read_kernel_table,
     sample_noise_batch,
@@ -34,6 +33,8 @@ def test_ou_validation():
         OUKernel(Gamma=-1.0, gamma=0.5, Omega=0.0)
     with pytest.raises(ValueError):
         OUKernel(Gamma=1.0, gamma=0.0, Omega=0.0)
+    with pytest.raises(ValueError):
+        DeltaKernel(Gamma=-1.0)
 
 
 def test_spectral_density_lorentzian():
@@ -51,18 +52,18 @@ def test_spectral_density_lorentzian():
 
 
 def test_markov_kernel_eval_raises():
-    k = KernelSpec.markov(2.0)
-    assert k.weight == 2.0
-    with pytest.raises(ValueError):
-        eval_kernel(k, 1.0, 0.5)
+    k = DeltaKernel(2.0)
+    assert k.Gamma == 2.0
+    with pytest.raises(ValueError, match="no pointwise value"):
+        k.alpha(0.5)
 
 
 def test_tabulated_kernel_interpolates():
     base = OUKernel(Gamma=1.5, gamma=0.8, Omega=0.3)
     lags = np.linspace(0.0, 10.0, 2001)
-    spec = KernelSpec.tabulated(lags, base.alpha(lags))
+    spec = TabulatedKernel(lags, base.alpha(lags))
     for tau in (0.33, 2.71, -1.2):
-        assert eval_kernel(spec, tau, 0.0) == pytest.approx(
+        assert spec.alpha(tau) == pytest.approx(
             base.alpha(tau), abs=1e-6)
 
 
@@ -80,15 +81,15 @@ def test_kernel_table_roundtrip(tmp_path):
     path = tmp_path / "kernel.csv"
     write_kernel_table(path, lags, base.alpha(lags))
     spec = read_kernel_table(path)
-    assert spec.variant == "tabulated"
-    assert np.allclose(spec.table.values, base.alpha(lags), atol=1e-12)
+    assert isinstance(spec, TabulatedKernel)
+    assert np.allclose(spec.values, base.alpha(lags), atol=1e-12)
     # the CSV layout documented in the README reads to the same kernel
     csv_path = tmp_path / "kernel_doc.csv"
     rows = [f"{x:.17g},{v.real:.17g},{v.imag:.17g}"
             for x, v in zip(lags, base.alpha(lags))]
     csv_path.write_text("lag,re,im\n" + "\n".join(rows) + "\n")
     doc = read_kernel_table(csv_path)
-    assert np.array_equal(doc.table.values, spec.table.values)
+    assert np.array_equal(doc.values, spec.values)
 
 
 def test_path_seed_is_stable_and_distinct():
@@ -99,7 +100,7 @@ def test_path_seed_is_stable_and_distinct():
 
 
 def test_noise_reproducible_and_batch_consistent():
-    k = KernelSpec.from_ou(2.0, 0.6, 0.3)
+    k = OUKernel(2.0, 0.6, 0.3)
     grid = TimeGrid(dt=0.05, t_final=2.0)
     seeds = [path_seed(99, i) for i in range(5)]
     zb = sample_noise_batch(k, grid, seeds)
@@ -113,14 +114,14 @@ def test_noise_reproducible_and_batch_consistent():
 
 def test_ou_noise_covariance_matches_kernel():
     # ensemble moments against the kernel: M[z z*] = alpha, M[z z] = 0
-    k = KernelSpec.from_ou(2.0, 0.8, 0.4)
+    k = OUKernel(2.0, 0.8, 0.4)
     grid = TimeGrid(dt=0.1, t_final=3.0)
     n_paths = 60000
     z = sample_noise_batch(k, grid, [path_seed(2024, i) for i in range(n_paths)])
     t = grid.times()
     cols = [0, 10, 25]
     est = np.einsum("ip,jp->ij", z[cols], z.conj()) / n_paths
-    exact = np.array([[eval_kernel(k, t[i], s) for s in t] for i in cols])
+    exact = np.array([[k.alpha(t[i] - s) for s in t] for i in cols])
     assert np.max(np.abs(est - exact)) < 0.03
     pseudo = np.einsum("ip,jp->ij", z[cols], z) / n_paths
     assert np.max(np.abs(pseudo)) < 0.03
@@ -129,19 +130,19 @@ def test_ou_noise_covariance_matches_kernel():
 def test_recursion_and_cholesky_agree_in_law():
     # the exponential kernel takes the recursion; the same kernel tabulated
     # on the grid's lags takes the Cholesky factorization
-    k = KernelSpec.from_ou(1.5, 0.7, 0.0)
+    k = OUKernel(1.5, 0.7, 0.0)
     grid = TimeGrid(dt=0.1, t_final=2.0)
     lags = grid.times()
     seeds = [path_seed(7, i) for i in range(40000)]
     zr = sample_noise_batch(k, grid, seeds)
-    zc = sample_noise_batch(KernelSpec.tabulated(lags, k.ou.alpha(lags)), grid, seeds)
+    zc = sample_noise_batch(TabulatedKernel(lags, k.alpha(lags)), grid, seeds)
     cr = np.einsum("ip,jp->ij", zr, zr.conj()) / len(seeds)
     cc = np.einsum("ip,jp->ij", zc, zc.conj()) / len(seeds)
     assert np.max(np.abs(cr - cc)) < 0.05
 
 
 def test_markov_noise_white_scaling():
-    k = KernelSpec.markov(2.0)
+    k = DeltaKernel(2.0)
     grid = TimeGrid(dt=0.02, t_final=1.0)
     z = sample_noise_batch(k, grid, [path_seed(5, i) for i in range(40000)])
     var = np.mean(np.abs(z) ** 2, axis=1)
@@ -150,7 +151,7 @@ def test_markov_noise_white_scaling():
 
 
 def test_zero_strength_kernel_is_silent():
-    k = KernelSpec.from_ou(0.0, 0.5, 0.0)
+    k = OUKernel(0.0, 0.5, 0.0)
     grid = TimeGrid(dt=0.1, t_final=1.0)
     z = sample_noise_batch(k, grid, [path_seed(1, 0)])
     assert np.all(z == 0)

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from nmoptomech.errors import NumericalFailure
-from nmoptomech.kernel import KernelSpec, OUKernel
+from nmoptomech.kernel import DeltaKernel, OUKernel, TabulatedKernel
 from nmoptomech.ocoeff import (
     _SLAB_BUDGET,
     consistency_residual,
@@ -84,7 +84,7 @@ def test_decoupled_cavity_terms_stay_zero():
 def test_grid_solver_matches_closed_route():
     grid = TimeGrid(dt=0.01, t_final=6.0)
     Fc = solve_ou_closed(OU, SYS, grid)
-    Fg = solve_two_time_grid(KernelSpec(variant="ou", ou=OU), SYS, grid)
+    Fg = solve_two_time_grid(OU, SYS, grid)
     for a, b in ((Fc.F1, Fg.F1), (Fc.F2, Fg.F2), (Fc.F3, Fg.F3),
                  (Fc.F4, Fg.F4), (Fc.F5, Fg.F5)):
         scale = max(np.max(np.abs(a)), 1e-12)
@@ -94,7 +94,7 @@ def test_grid_solver_matches_closed_route():
 def test_grid_solver_handles_tabulated_kernel():
     grid = TimeGrid(dt=0.01, t_final=4.0)
     lags = np.linspace(0.0, 4.0, 4001)
-    spec = KernelSpec.tabulated(lags, OU.alpha(lags))
+    spec = TabulatedKernel(lags, OU.alpha(lags))
     Fg = solve_two_time_grid(spec, SYS, grid)
     Fc = solve_ou_closed(OU, SYS, grid)
     assert np.max(np.abs(Fg.F1 - Fc.F1)) < 2e-3
@@ -102,7 +102,7 @@ def test_grid_solver_handles_tabulated_kernel():
 
 def test_two_time_field_boundary_conditions():
     grid = TimeGrid(dt=0.02, t_final=3.0)
-    F = solve_two_time_grid(KernelSpec(variant="ou", ou=OU), SYS, grid,
+    F = solve_two_time_grid(OU, SYS, grid,
                             store_fields=True)
     res = F.fields.boundary_residual()
     assert res < 1e-12
@@ -112,19 +112,19 @@ def test_consistency_residual_small():
     # trapezoid re-quadrature of the stored field reproduces the series;
     # the check itself is lower order than the solver, hence the bound
     grid = TimeGrid(dt=0.01, t_final=3.0)
-    F = solve_two_time_grid(KernelSpec(variant="ou", ou=OU), SYS, grid,
+    F = solve_two_time_grid(OU, SYS, grid,
                             store_fields=True)
     assert consistency_residual(F, F.fields, SYS) < 1e-5
 
 
 def test_dispatcher_routes_by_variant():
     grid = TimeGrid(dt=0.01, t_final=2.0)
-    assert solve_ocoeff(KernelSpec(variant="ou", ou=OU), SYS, grid).provenance \
+    assert solve_ocoeff(OU, SYS, grid).provenance \
         == "closed-ou"
-    assert solve_ocoeff(KernelSpec.markov(1.0), SYS, grid).provenance \
+    assert solve_ocoeff(DeltaKernel(1.0), SYS, grid).provenance \
         == "markov-delta"
     lags = np.linspace(0.0, 2.0, 501)
-    tab = KernelSpec.tabulated(lags, OU.alpha(lags))
+    tab = TabulatedKernel(lags, OU.alpha(lags))
     assert solve_ocoeff(tab, SYS, grid).provenance == "two-time-grid"
 
 
@@ -161,7 +161,7 @@ def test_two_time_storage_guard_raises_before_allocating(store_fields, include_f
     try:
         with pytest.raises(NumericalFailure, match=f"two-time storage would need "
                            f"{16 * arrays * n * n / 1e9:.1f} GB"):
-            solve_two_time_grid(KernelSpec(variant="ou", ou=OU), SYS, grid,
+            solve_two_time_grid(OU, SYS, grid,
                                 include_f5=include_f5, store_fields=store_fields)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

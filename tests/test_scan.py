@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmoptomech.cli_runner import _scan, main, parse_config
-from nmoptomech.kernel import KernelSpec, OUKernel
+from nmoptomech.kernel import DeltaKernel, OUKernel
 from nmoptomech.moments import MomentState, integrate_moments
 from nmoptomech.ocoeff import solve_ocoeff, solve_ou_closed
 from nmoptomech.params import LinearizedSystem
@@ -51,8 +51,7 @@ def test_environment_frequency_scan_matches_per_point():
                for w in np.round(np.arange(0.0, 2.0001, 0.25), 10)]
     systems = [LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)] * len(kernels)
     got = _batch(kernels, systems, GRID)
-    _assert_agrees(got, [(KernelSpec(variant="ou", ou=k), s)
-                         for k, s in zip(kernels, systems)], GRID)
+    _assert_agrees(got, list(zip(kernels, systems)), GRID)
 
 
 def test_detuning_scan_matches_per_point():
@@ -61,8 +60,7 @@ def test_detuning_scan_matches_per_point():
                for d in np.round(np.arange(1.0, 3.0001, 0.25), 10)]
     kernels = [OUKernel(Gamma=4.0, gamma=1.5)] * len(systems)
     got = _batch(kernels, systems, GRID)
-    _assert_agrees(got, [(KernelSpec(variant="ou", ou=k), s)
-                         for k, s in zip(kernels, systems)], GRID)
+    _assert_agrees(got, list(zip(kernels, systems)), GRID)
 
 
 def test_memory_rate_scan_with_markov_point_matches_per_point():
@@ -71,7 +69,7 @@ def test_memory_rate_scan_with_markov_point_matches_per_point():
     cfg = parse_config("[grid]\nt_final = 10.0\n", scenario="fig3")
     s = cfg.system()
     kernels = [cfg.bath_kernel(gamma=g) for g in (0.3, 0.6, 1.2)]
-    kernels.append(KernelSpec.markov(cfg.decay))
+    kernels.append(DeltaKernel(cfg.decay))
     points = [(s, k, 0.0) for k in kernels]
     with pytest.warns(RuntimeWarning, match="dip at 1 of 4 scan points"):
         got = [(F, res.moments, res.en) for F, res in _scan(cfg, GRID, points)]

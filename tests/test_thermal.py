@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from nmoptomech.errors import NumericalFailure, TruncationError
 from nmoptomech.fock import basis_state, build_operators, integrate_master, projector
-from nmoptomech.kernel import KernelSpec, OUKernel, eval_kernel
+from nmoptomech.kernel import DeltaKernel, OUKernel, TabulatedKernel
 from nmoptomech.ocoeff import solve_ou_closed
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import TimeGrid, rk4_step, stage_values
@@ -43,9 +43,9 @@ def test_occupation_values():
 def test_effective_kernels_zero_t_bypass():
     base = OUKernel(Gamma=1.5, gamma=0.9, Omega=0.4)
     a1, a2 = effective_kernels(base, 0.0)
-    assert a1.ou == base
-    assert a2.ou.Gamma == 0.0
-    assert eval_kernel(a2, 1.3, 0.2) == 0.0
+    assert a1 == base
+    assert a2.Gamma == 0.0
+    assert a2.alpha(1.3 - 0.2) == 0.0
     with pytest.raises(ValueError):
         effective_kernels(base, -1.0)
 
@@ -54,7 +54,7 @@ def test_effective_kernels_match_quadrature_oracle():
     base = OUKernel(Gamma=2.0, gamma=0.6, Omega=1.0)
     T = 0.8
     ek = effective_kernels(base, T)
-    assert ek.alpha1.variant == "tabulated"
+    assert isinstance(ek.alpha1, TabulatedKernel)
     lo, hi = ek.omega_window
 
     def dens(w):
@@ -72,15 +72,15 @@ def test_effective_kernels_match_quadrature_oracle():
                  * np.cos(w * tau), lo, hi, limit=400)[0]
             + 1j * quad(lambda w: dens(w) * thermal_occupation(w, T)
                         * np.sin(w * tau), lo, hi, limit=400)[0])
-        assert abs(eval_kernel(ek.alpha1, tau, 0.0) - want1) < 1e-10
-        assert abs(eval_kernel(ek.alpha2, tau, 0.0) - want2) < 1e-10
+        assert abs(ek.alpha1.alpha(tau) - want1) < 1e-10
+        assert abs(ek.alpha2.alpha(tau) - want2) < 1e-10
 
 
 def test_effective_kernels_hermitian():
     ek = effective_kernels(OUKernel(Gamma=2.0, gamma=0.6, Omega=1.0), 0.8)
-    for spec in ek:
-        v = eval_kernel(spec, 0.3, 0.7)
-        assert abs(v - np.conj(eval_kernel(spec, 0.7, 0.3))) == 0.0
+    for k in ek:
+        v = k.alpha(0.3 - 0.7)
+        assert abs(v - np.conj(k.alpha(0.7 - 0.3))) == 0.0
 
 
 def test_exponential_fit_recovers_detuned_bath():
@@ -88,25 +88,25 @@ def test_exponential_fit_recovers_detuned_bath():
     # kernel and the single-exponential reduction must find it
     base = OUKernel(Gamma=2.0, gamma=0.6, Omega=8.0)
     ek = effective_kernels(base, 1.0, fit=True)
-    assert ek.alpha1.variant == "ou"
+    assert isinstance(ek.alpha1, OUKernel)
     assert ek.fit_residuals[0] < 0.05
-    f = ek.alpha1.ou
+    f = ek.alpha1
     assert f.Gamma == pytest.approx(2.0, rel=0.05)
     assert f.gamma == pytest.approx(0.6, rel=0.05)
     assert f.Omega == pytest.approx(8.0, rel=1e-3)
     # absorption kernel weight stays at the occupation scale
-    a2 = ek.alpha2.ou
+    a2 = ek.alpha2
     assert a2.Gamma * a2.gamma / 2 < 0.02
 
 
 def test_kernel_pair_rejects_unphysical_zero_lag():
     lags = np.linspace(0.0, 5.0, 64)
-    good = KernelSpec.tabulated(lags, np.exp(-lags) + 0j)
-    bad = KernelSpec.tabulated(lags, -np.exp(-lags) + 0j)
+    good = TabulatedKernel(lags, np.exp(-lags) + 0j)
+    bad = TabulatedKernel(lags, -np.exp(-lags) + 0j)
     with pytest.raises(ValueError, match=r"alpha2\(0\) must be real and nonnegative"):
         EffectiveKernels(alpha1=good, alpha2=bad)
     with pytest.raises(ValueError, match=r"alpha1\(0\) must be real"):
-        EffectiveKernels(alpha1=KernelSpec.tabulated(lags, 1j * np.exp(-lags)),
+        EffectiveKernels(alpha1=TabulatedKernel(lags, 1j * np.exp(-lags)),
                          alpha2=good)
 
 
@@ -132,7 +132,7 @@ def test_closed_stiffness_guard_raises_and_refining_clears_it():
 def test_markov_pair_short_circuits_to_constants():
     grid = TimeGrid(dt=0.01, t_final=2.0)
     nbar = thermal_occupation(1.0, 1.0)
-    pair = (KernelSpec.markov(0.4 * (nbar + 1)), KernelSpec.markov(0.4 * nbar))
+    pair = (DeltaKernel(0.4 * (nbar + 1)), DeltaKernel(0.4 * nbar))
     X = solve_thermal_ocoeff(pair, SYS, grid)
     assert X.provenance == "markov-delta"
     assert np.max(np.abs(X.X - X.X[0])) == 0.0
@@ -143,7 +143,7 @@ def test_markov_pair_short_circuits_to_constants():
 
 def test_closed_and_grid_solvers_agree():
     grid = TimeGrid(dt=0.01, t_final=5.0)
-    pair = (KernelSpec.from_ou(1.2, 0.8, 0.0), KernelSpec.from_ou(0.5, 1.1, 0.3))
+    pair = (OUKernel(1.2, 0.8, 0.0), OUKernel(0.5, 1.1, 0.3))
     Xc = _solve_thermal_closed(pair, SYS, grid)
     Xg = _solve_thermal_grid(pair, SYS, grid)
     assert Xc.provenance == "closed-exponential"
@@ -155,13 +155,13 @@ def test_thermal_solver_follows_the_kernel_pair():
     grid = TimeGrid(dt=0.02, t_final=1.0)
     ek = effective_kernels(OUKernel(Gamma=2.0, gamma=0.6, Omega=1.0), 0.8)
     assert solve_thermal_ocoeff(ek, SYS, grid).provenance == "two-time-grid"
-    pair = (KernelSpec.from_ou(1.2, 0.8, 0.0), KernelSpec.markov(0.3))
+    pair = (OUKernel(1.2, 0.8, 0.0), DeltaKernel(0.3))
     assert solve_thermal_ocoeff(pair, SYS, grid).provenance == "closed-exponential"
 
 
 def test_thermal_master_preserves_trace_and_hermiticity():
     grid = TimeGrid(dt=0.01, t_final=4.0)
-    pair = (KernelSpec.from_ou(0.8, 1.0, 0.0), KernelSpec.from_ou(0.3, 1.2, 0.5))
+    pair = (OUKernel(0.8, 1.0, 0.0), OUKernel(0.3, 1.2, 0.5))
     X = solve_thermal_ocoeff(pair, SYS, grid)
     dims = (6, 6)
     ops = build_operators(dims, SYS)
@@ -228,7 +228,7 @@ def test_band_thermal_generator_matches_dense_formula(dims):
 
 
 def _two_bath_coefficients(grid):
-    pair = (KernelSpec.from_ou(0.8, 1.0, 0.0), KernelSpec.from_ou(0.3, 1.2, 0.5))
+    pair = (OUKernel(0.8, 1.0, 0.0), OUKernel(0.3, 1.2, 0.5))
     return solve_thermal_ocoeff(pair, SYS, grid)
 
 
