@@ -39,10 +39,11 @@ from .ocoeff import (
     consistency_residual,
 )
 from .moments import (
-    MomentState,
     MomentTrajectory,
     MOMENT_LABELS,
+    coherent,
     integrate_moments,
+    vacuum,
 )
 from .gaussian_ent import (
     EntanglementResult,
@@ -105,10 +106,11 @@ __all__ = [
     "solve_two_time_grid",
     "solve_ocoeff",
     "consistency_residual",
-    "MomentState",
     "MomentTrajectory",
     "MOMENT_LABELS",
+    "coherent",
     "integrate_moments",
+    "vacuum",
     "EntanglementResult",
     "log_negativity",
     "min_symplectic_eigenvalue",

@@ -36,7 +36,7 @@ from .fock import (
 # log_negativity is not called here; the benchmark tracer wraps this name
 from .gaussian_ent import log_negativity, symplectic_readout  # noqa: F401
 from .kernel import DeltaKernel, OUKernel, TabulatedKernel, read_kernel_table
-from .moments import MomentState, covariances, integrate_moments
+from .moments import covariances, integrate_moments, vacuum
 from .ocoeff import OCoefficientSeries, solve_ocoeff
 from .params import PhysicalParams, LinearizedSystem, linearize, solve_mean_field
 from .stepping import TimeGrid
@@ -45,7 +45,6 @@ from .thermal import (effective_kernels, frequency_window, integrate_thermal_mas
 
 __all__ = ["RunConfig", "parse_config", "run_scenario", "main"]
 
-_ENGINES = ("moments", "fock-master", "trajectories")
 _SCENARIOS = ("fig2", "fig3", "fig4", "fig5", "custom")
 _SWEEPABLE = ("gamma", "decay", "omega_env", "delta", "coupling", "temperature")
 # the [bath] keys each kernel reads; a sweep over another one would change nothing
@@ -87,7 +86,7 @@ _SCHEMA = {
         "t_final": ("float", "30.0"),
     },
     "run": {
-        "engine": ("choice:" + ",".join(_ENGINES), "moments"),
+        "engine": ("choice:moments,fock-master,trajectories", "moments"),
         "paths": ("int", "2000"),
         "dims": ("dims", "10,10"),
         "seed": ("int", "12345"),
@@ -442,6 +441,11 @@ def _validate(scenario, v, src, resolved) -> RunConfig:
                 except ValueError as exc:
                     raise ConfigError(f"[bath] omega_env = {w:g} with gamma = "
                                       f"{g:g}: {exc}") from None
+    # a key the kernel does not read would change no output; presets and
+    # defaults set the ou keys for every kernel, so only user values count
+    for key in _KERNEL_KEYS["ou"]:
+        if key not in _KERNEL_KEYS[kernel] and _user_set(src[("bath", key)]):
+            raise ConfigError(f"[bath] {key} does not enter the {kernel} kernel")
 
     out = v[("run", "out")] or os.path.join("runs", scenario)
     return RunConfig(
@@ -486,10 +490,10 @@ def _engine_traj(F, kspec, sys, grid, dims, n_paths, seed, store_every) -> Engin
     ops = build_operators(dims, sys)
     psi0 = basis_state(dims)
     se = store_every if store_every > 0 else max(1, int(round(0.1 / grid.dt)))
-    paths = propagate_ensemble(F, ops, kspec, psi0, grid, n_paths, seed,
-                               store_every=se)
-    avg = average_trajectories(paths)
-    rows = np.stack([moments_from_rho(r, ops).vector for r in avg.rhos])
+    ensemble = propagate_ensemble(F, ops, kspec, psi0, grid, n_paths, seed,
+                                  store_every=se)
+    avg = average_trajectories(ensemble)
+    rows = np.stack([moments_from_rho(r, ops) for r in avg.rhos])
     # sampling noise can push the estimated covariance slightly outside
     # the physical cone, hence the loose tolerance and nan fallback
     return EngineResult(times=grid.times()[avg.node_indices],
@@ -501,7 +505,7 @@ def _run_point(cfg: RunConfig, sys, kspec, grid):
     """One deterministic run: coefficient series plus engine output."""
     F = solve_ocoeff(kspec, sys, grid, include_f5=cfg.include_f5)
     if cfg.engine == "moments":
-        traj = integrate_moments(F, sys, MomentState.vacuum(), grid)
+        traj = integrate_moments(F, sys, vacuum(), grid)
         return F, EngineResult(grid.times(), traj.en_series(), traj.values)
     if cfg.engine == "fock-master":
         ops = build_operators(cfg.dims, sys)
@@ -519,6 +523,8 @@ def _scan(cfg: RunConfig, grid, points):
     solve), then all of them in one moment march, and a physicality dip
     is reported once.  Other engines and a single point go point by point.
     """
+    # a single point stays off the batched closed march on purpose: as a
+    # batch of one it takes about twice as long (see solve_ou_closed)
     if cfg.engine != "moments" or len(points) == 1:
         return [_run_thermal_point(cfg, s, grid, k, T) if T > 0
                 else _run_point(cfg, s, k, grid) for s, k, T in points]
@@ -532,7 +538,7 @@ def _scan(cfg: RunConfig, grid, points):
               for i, (s, k, _) in enumerate(points)]
     if len(ou) < len(points):
         batch = OCoefficientSeries.batch(series)
-    traj = integrate_moments(batch, systems, MomentState.vacuum(), grid)
+    traj = integrate_moments(batch, systems, vacuum(), grid)
     en = traj.en_series()
     return [(F, EngineResult(times=grid.times(), en=en[:, p], moments=traj.values[..., p]))
             for p, F in enumerate(series)]
@@ -1011,27 +1017,18 @@ def _build_parser():
     run = sub.add_parser("run", help="execute a scenario from a config file")
     run.add_argument("--scenario", required=True, choices=_SCENARIOS)
     run.add_argument("--config", required=True, help="path to config file")
-    run.add_argument("--out")
-    run.add_argument("--seed", type=int)
-    run.add_argument("--engine", choices=_ENGINES)
-    run.add_argument("--dt", type=float)
-    run.add_argument("--tfinal", type=float)
-    run.add_argument("--gamma", type=float)
-    run.add_argument("--omega-env", dest="omega_env", type=float)
-    run.add_argument("--delta", type=float)
-    run.add_argument("--coupling", type=float)
-    run.add_argument("--decay", type=float)
-    run.add_argument("--format")
+    # value flags stay text: parse_config types and checks them as file values
+    for flag, (sec, key) in _FLAG_MAP.items():
+        kind = _SCHEMA[sec][key][0]
+        metavar = "{%s}" % kind.split(":", 1)[1] if kind.startswith("choice:") else None
+        run.add_argument("--" + flag.replace("_", "-"), dest=flag, metavar=metavar)
     return parser
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    overrides = {}
-    for flag in _FLAG_MAP:
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[flag] = value
+    overrides = {flag: getattr(args, flag) for flag in _FLAG_MAP
+                 if getattr(args, flag) is not None}
     try:
         try:
             text = Path(args.config).read_text(encoding="utf-8")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NumericalFailure, TruncationError
 from .kernel import path_seed, sample_noise_batch, NoisePath
-from .moments import MomentState, MomentTrajectory
+from .moments import MomentTrajectory
 from .ocoeff import OCoefficientSeries
 from .params import LinearizedSystem
 from .stepping import TimeGrid, rk4_step, stage_values
@@ -198,16 +198,17 @@ def projector(psi):
     return np.outer(psi, psi.conj())
 
 
-def moments_from_rho(rho, ops: FockOperators, normalize=True) -> MomentState:
-    """The 14 means by trace contraction; divides by tr rho by default so
-    ensemble-averaged (not exactly normalized) states give estimators."""
+def moments_from_rho(rho, ops: FockOperators, normalize=True):
+    """The (14,) moment vector by trace contraction; divides by tr rho by
+    default so ensemble-averaged (not exactly normalized) states give
+    estimators."""
     vals = ops.moment_vector(np.asarray(rho))
     if normalize:
         tr = np.trace(rho)
         if abs(tr) < 1e-12:
             raise ValueError("state has (near) zero trace")
         vals = vals / tr
-    return MomentState.from_vector(vals)
+    return vals
 
 
 @dataclass(frozen=True)
@@ -234,11 +235,8 @@ class RhoTrajectory:
             raise KeyError(f"node {node} was not stored")
         return self.rhos[pos]
 
-    def moment_trajectory(self) -> MomentTrajectory:
-        return MomentTrajectory(grid=self.grid, values=self.moments)
-
     def en_series(self, **kw):
-        return self.moment_trajectory().en_series(**kw)
+        return MomentTrajectory(grid=self.grid, values=self.moments).en_series(**kw)
 
 
 def _check_rho(rho, ops, t, trace_tol, leak_tol):
@@ -376,7 +374,9 @@ def integrate_lindblad(ops: FockOperators, Gamma, rho0, grid: TimeGrid,
 
 @dataclass(frozen=True)
 class StatePath:
-    """Stored (possibly unnormalized) state vectors of one trajectory."""
+    """Stored (possibly unnormalized) state vectors at ``node_indices``:
+    shape (nodes, d) for one trajectory, (paths, nodes, d) for an
+    ensemble."""
 
     grid: TimeGrid
     dims: tuple
@@ -385,16 +385,17 @@ class StatePath:
 
     @property
     def final(self):
-        return self.states[-1]
+        return self.states[..., -1, :]
 
 
 # a trajectory amplitude past this aborts the march (heavy-tailed norm)
 _NORM_CAP = 1e6
 
 
-def _propagate_states(F, ops, Z, psi0, grid, store_idx):
-    """March a batch of trajectories; Z has one noise column per path on
-    the refined (half-step) grid.
+def _propagate_states(F, ops, Z, psi0, grid, store_idx, out):
+    """March a batch of trajectories from ``psi0`` and write the states at
+    ``store_idx`` into ``out``, shape (paths, nodes, d); Z has one noise
+    column per path on the refined (half-step) grid.
 
     A stage applies the drift's band list (``FockOperators._drift_basis``
     weighted by F1..F4) and the b band times each path's noise, so every
@@ -405,10 +406,8 @@ def _propagate_states(F, ops, Z, psi0, grid, store_idx):
     basis = ops._drift_basis
     ob, wb = ops.bands["b"]
     nodes, mids = stage_values((F.F1, F.F2, F.F3, F.F4))
-    psi = np.array(psi0, dtype=complex)
-    if psi.ndim == 1:
-        psi = psi[:, None]
-    out = np.empty((len(store_idx), psi.shape[0], psi.shape[1]), dtype=complex)
+    # the march runs on (d, paths): a band product scales whole rows
+    psi = np.repeat(np.asarray(psi0, dtype=complex)[:, None], Z.shape[1], axis=1)
     ptr = 0
 
     def rhs_at(fv, z_row):
@@ -419,7 +418,7 @@ def _propagate_states(F, ops, Z, psi0, grid, store_idx):
     f_next = rhs_at([r[0] for r in nodes], Z[0])
     for k in range(n):
         if ptr < len(store_idx) and store_idx[ptr] == k:
-            out[ptr] = psi
+            out[:, ptr] = psi.T
             ptr += 1
         if k == n - 1:
             break
@@ -433,7 +432,6 @@ def _propagate_states(F, ops, Z, psi0, grid, store_idx):
                     f"trajectory amplitude reached {worst:.2e} at "
                     f"t={grid.dt * (k + 1):.3f}; aborting (heavy-tailed norm)"
                 )
-    return out
 
 
 def propagate_trajectory(F: OCoefficientSeries, ops: FockOperators,
@@ -450,32 +448,31 @@ def propagate_trajectory(F: OCoefficientSeries, ops: FockOperators,
     if not noise.grid.matches(grid.refine()):
         raise ValueError("noise must be sampled on the half-step refinement")
     store_idx = _store_nodes(grid.n_points, store_every)
-    out = _propagate_states(F, ops, noise.values[:, None], psi0, grid, store_idx)
+    out = np.empty((1, len(store_idx), ops.dim), dtype=complex)
+    _propagate_states(F, ops, noise.values[:, None], psi0, grid, store_idx, out)
     return StatePath(grid=grid, dims=ops.dims, node_indices=store_idx,
-                     states=out[:, :, 0])
+                     states=out[0])
 
 
 def propagate_ensemble(F: OCoefficientSeries, ops: FockOperators,
                        k, psi0, grid: TimeGrid, n_paths,
-                       master_seed, batch_size=512, store_every=0):
+                       master_seed, batch_size=512, store_every=0) -> StatePath:
     """Propagate ``n_paths`` trajectories with per-path counter-based seeds.
 
-    Returns a list of StatePath (batching is an implementation detail;
-    path i always consumes the stream seeded by (master_seed, i)).
+    Returns one StatePath whose states have shape (paths, nodes, d)
+    (batching is an implementation detail; path i always consumes the
+    stream seeded by (master_seed, i)).
     """
     store_idx = _store_nodes(grid.n_points, store_every)
     fine = grid.refine()
-    paths = []
+    # paths first: a batch touches only its own slice of the array
+    states = np.empty((n_paths, len(store_idx), ops.dim), dtype=complex)
     for lo in range(0, n_paths, batch_size):
         hi = min(lo + batch_size, n_paths)
         seeds = [path_seed(master_seed, i) for i in range(lo, hi)]
         Z = sample_noise_batch(k, fine, seeds)
-        out = _propagate_states(F, ops, Z, np.tile(np.asarray(psi0, dtype=complex)[:, None], (1, hi - lo)), grid, store_idx)
-        for j in range(hi - lo):
-            paths.append(StatePath(grid=grid, dims=ops.dims,
-                                   node_indices=store_idx,
-                                   states=out[:, :, j]))
-    return paths
+        _propagate_states(F, ops, Z, psi0, grid, store_idx, states[lo:hi])
+    return StatePath(grid=grid, dims=ops.dims, node_indices=store_idx, states=states)
 
 
 @dataclass(frozen=True)
@@ -489,32 +486,28 @@ class AveragedEnsemble:
     trace_se: np.ndarray
 
 
-def average_trajectories(paths) -> AveragedEnsemble:
-    """Mean of |psi><psi| over the ensemble, one matrix product per node.
+def average_trajectories(ensemble: StatePath) -> AveragedEnsemble:
+    """Mean of |psi><psi| over an ensemble (see :func:`propagate_ensemble`),
+    one matrix product per stored node.
 
-    All paths must share their stored nodes.  The standard error of the
-    projector trace (|psi|^2) is reported per node.
+    The standard error of the projector trace (|psi|^2) is reported per
+    node.
     """
-    if not paths:
-        raise ValueError("need at least one trajectory")
-    idx = paths[0].node_indices
-    for p in paths[1:]:
-        if not np.array_equal(p.node_indices, idx):
-            raise ValueError("trajectories store different nodes")
-    m = len(paths)
-    n_nodes = len(idx)
-    dim = paths[0].states.shape[1]
+    states = ensemble.states
+    if states.ndim != 3 or not len(states):
+        raise ValueError("need an ensemble of at least one trajectory")
+    m, n_nodes, dim = states.shape
     rhos = np.empty((n_nodes, dim, dim), dtype=complex)
     tr_mean = np.empty(n_nodes)
     tr_se = np.empty(n_nodes)
     for j in range(n_nodes):
-        block = np.stack([p.states[j] for p in paths])
+        block = states[:, j]
         norms = np.einsum("pi,pi->p", block, block.conj()).real
         rhos[j] = block.T @ block.conj() / m
         tr_mean[j] = norms.mean()
         tr_se[j] = norms.std(ddof=1) / np.sqrt(m) if m > 1 else 0.0
-    return AveragedEnsemble(grid=paths[0].grid, node_indices=idx, rhos=rhos,
-                            trace_mean=tr_mean, trace_se=tr_se)
+    return AveragedEnsemble(grid=ensemble.grid, node_indices=ensemble.node_indices,
+                            rhos=rhos, trace_mean=tr_mean, trace_se=tr_se)
 
 
 def trace_distance(r1, r2):

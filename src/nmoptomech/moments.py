@@ -6,6 +6,9 @@ the ten independent second moments in the orderings
 
     a, ad, b, bd, aa, aad, ab, abd, adad, adb, adbd, bb, bbd, bdbd.
 
+A moment state is the (14,) complex vector of these means; a stack of
+states keeps the moment axis last.
+
 Conjugation pairs (ad = conj a, adad = conj aa, adbd = conj ab,
 adb = conj abd, bdbd = conj bb, aad and bbd real) are preserved by the
 flow and monitored, not enforced.
@@ -28,8 +31,10 @@ from .stepping import TimeGrid, midpoint_at, rk4_step
 __all__ = [
     "DIP_TOL",
     "MOMENT_LABELS",
-    "MomentState",
     "MomentTrajectory",
+    "coherent",
+    "vacuum",
+    "conjugation_residual",
     "integrate_moments",
     "covariances",
 ]
@@ -45,52 +50,27 @@ MOMENT_LABELS = (
 )
 
 
-@dataclass(frozen=True)
-class MomentState:
-    """First and second moments as two complex arrays (4 and 10 entries)."""
+def coherent(alpha=0j, beta=0j):
+    """Moment vector (14,) of the product coherent state |alpha> x |beta>."""
+    a, b = complex(alpha), complex(beta)
+    ac, bc = a.conjugate(), b.conjugate()
+    return np.array([a, ac, b, bc,
+                     a * a, a * ac + 1.0, a * b, a * bc,
+                     ac * ac, ac * b, ac * bc,
+                     b * b, b * bc + 1.0, bc * bc])
 
-    first: np.ndarray
-    second: np.ndarray
 
-    def __post_init__(self):
-        first = np.asarray(self.first, dtype=complex)
-        second = np.asarray(self.second, dtype=complex)
-        if first.shape != (4,) or second.shape != (10,):
-            raise ValueError("need 4 first and 10 second moments")
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
+def vacuum():
+    """Moment vector (14,) of the two-mode vacuum."""
+    return coherent(0j, 0j)
 
-    @classmethod
-    def from_vector(cls, v):
-        v = np.asarray(v, dtype=complex)
-        return cls(first=v[:4], second=v[4:])
 
-    @classmethod
-    def coherent(cls, alpha=0j, beta=0j):
-        """Product coherent state |alpha> x |beta>; vacuum for (0, 0)."""
-        a, b = complex(alpha), complex(beta)
-        ac, bc = a.conjugate(), b.conjugate()
-        first = [a, ac, b, bc]
-        second = [a * a, a * ac + 1.0, a * b, a * bc,
-                  ac * ac, ac * b, ac * bc,
-                  b * b, b * bc + 1.0, bc * bc]
-        return cls(first=np.array(first), second=np.array(second))
-
-    @classmethod
-    def vacuum(cls):
-        return cls.coherent(0j, 0j)
-
-    @property
-    def vector(self):
-        return np.concatenate([self.first, self.second])
-
-    def conjugation_residual(self):
-        """Max deviation from the Hermiticity pairing of the 14 means."""
-        v = self.vector
-        pairs = [(1, 0), (3, 2), (8, 4), (10, 6), (9, 7), (13, 11)]
-        r = max(abs(v[i] - v[j].conjugate()) for i, j in pairs)
-        r = max(r, abs(v[5].imag), abs(v[12].imag))
-        return float(r)
+def conjugation_residual(v):
+    """Max deviation from the Hermiticity pairing of the 14 means; one
+    value per vector of a stack (..., 14)."""
+    v = np.asarray(v)
+    r = np.abs(v[..., [1, 3, 8, 10, 9, 13]] - v[..., [0, 2, 4, 6, 7, 11]].conj())
+    return np.maximum(r.max(axis=-1), np.abs(v[..., [5, 12]].imag).max(axis=-1))
 
 
 def covariances(v):
@@ -157,9 +137,6 @@ class MomentTrajectory:
         """Trajectory of point ``p`` of a batched march, as a view."""
         return MomentTrajectory(grid=self.grid, values=self.values[..., p])
 
-    def state(self, k) -> MomentState:
-        return MomentState.from_vector(self.values[k])
-
     def covariance(self, k):
         """Covariance matrix (4, 4) of the state at node k."""
         return covariances(self.values[k])
@@ -216,9 +193,10 @@ def _affine_basis():
     return basis
 
 
-def integrate_moments(F: OCoefficientSeries, sys, init: MomentState,
+def integrate_moments(F: OCoefficientSeries, sys, init,
                       grid: TimeGrid) -> MomentTrajectory:
-    """Integrate the 14 mean-value equations with the shared 4th-order step.
+    """Integrate the 14 mean-value equations with the shared 4th-order step
+    from the (14,) moment vector ``init`` (e.g. :func:`vacuum`).
 
     The F series must live on the same grid; its half-node values come
     from the 4th-order midpoint stencil (exact for the constant
@@ -231,7 +209,10 @@ def integrate_moments(F: OCoefficientSeries, sys, init: MomentState,
     """
     if not grid.matches(F.grid):
         raise ValueError("F series and moment integration must share one grid")
-    if init.conjugation_residual() > 1e-9:
+    init = np.asarray(init, dtype=complex)
+    if init.shape != (14,):
+        raise ValueError(f"need a (14,) initial moment vector, got shape {init.shape}")
+    if conjugation_residual(init) > 1e-9:
         raise ValueError("initial moments break the conjugation pairing")
     n = grid.n_points
     batch = F.F1.ndim == 2
@@ -253,7 +234,7 @@ def integrate_moments(F: OCoefficientSeries, sys, init: MomentState,
     # the state marches as (P, 14); midpoints step by step, so no stage
     # arrays are stored for every point
     vals = np.empty((n, 14, len(systems)), dtype=complex)
-    y = np.tile(init.vector, (len(systems), 1))
+    y = np.tile(init, (len(systems), 1))
     vals[0] = y.T
     f_next = rhs([r[0] for r in rows])
     for k in range(n - 1):
@@ -262,11 +243,9 @@ def integrate_moments(F: OCoefficientSeries, sys, init: MomentState,
         vals[k + 1] = y.T
     if not np.all(np.isfinite(vals)):
         raise NumericalFailure("moment integration blew up; refine the grid")
-    for last in y:  # one row per point
-        drift = MomentState.from_vector(last).conjugation_residual()
-        scale = max(1.0, float(np.abs(last).max()))
-        if drift > 1e-6 * scale:
-            raise NumericalFailure(
-                f"conjugation pairing drifted by {drift:.2e}; integration unstable"
-            )
+    drift = conjugation_residual(y)  # one row per point
+    bad = drift > 1e-6 * np.maximum(1.0, np.abs(y).max(axis=1))
+    if np.any(bad):
+        raise NumericalFailure(f"conjugation pairing drifted by {drift[bad].max():.2e}; "
+                               "integration unstable")
     return MomentTrajectory(grid=grid, values=vals if batch else vals[..., 0])

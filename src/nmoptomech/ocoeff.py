@@ -303,6 +303,10 @@ def solve_ou_closed(k, sys, grid: TimeGrid, include_f5=True) -> OCoefficientSeri
     if not all(isinstance(q, OUKernel) for q, _ in pairs):
         raise TypeError("closed path needs an exponential kernel")
     consts = [(complex(q.alpha0), q.mu, s.omega_m, s.Delta, s.G) for q, s in pairs]
+    # one point marches on numpy scalars, not as a batch of one: one-element
+    # array ufuncs cost more than scalar arithmetic (3,000 steps at dt 0.01,
+    # median of 6 alternating runs on a shared 2-core Xeon: 0.35 s scalar,
+    # 0.75 s as a batch of one)
     a0, mu, wm, delta, g = (np.array(c) for c in zip(*consts)) if batch else consts[0]
     rates = (a0, 1j * wm - mu, -1j * wm - mu, -1j * delta - mu, 1j * delta - mu,
              1j * g, 2.0 * mu)

@@ -102,10 +102,9 @@ def _apply_mid_stencil(values, interior, left, right):
     out = np.empty(out_shape, dtype=v.dtype)
     out[0] = np.tensordot(left, v[0:4], axes=(0, 0))
     out[-1] = np.tensordot(right, v[n - 4 : n], axes=(0, 0))
-    if n > 2:
-        # windows v[k-1..k+2] for midpoints k = 1..n-3
-        stacked = np.stack([v[0 : n - 3], v[1 : n - 2], v[2 : n - 1], v[3:n]])
-        out[1:-1] = np.tensordot(interior, stacked, axes=(0, 0))
+    # windows v[k-1..k+2] for midpoints k = 1..n-3
+    stacked = np.stack([v[0 : n - 3], v[1 : n - 2], v[2 : n - 1], v[3:n]])
+    out[1:-1] = np.tensordot(interior, stacked, axes=(0, 0))
     return out
 
 

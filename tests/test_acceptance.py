@@ -7,6 +7,7 @@ make a verdict easier.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from nmoptomech.gaussian_ent import (
     two_mode_squeezed_covariance,
 )
 from nmoptomech.kernel import DeltaKernel, OUKernel
-from nmoptomech.moments import MOMENT_LABELS, MomentState, integrate_moments
+from nmoptomech.moments import MOMENT_LABELS, integrate_moments, vacuum
 from nmoptomech.ocoeff import markov_series, solve_ou_closed, solve_two_time_grid
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import TimeGrid
@@ -106,7 +107,7 @@ def test_03_optimal_detuning_locations():
         systems = [LinearizedSystem(omega_m=1.0, Delta=float(d), G=0.1) for d in deltas]
         kernels = [OUKernel(Gamma=4.0, gamma=gamma, Omega=0.0)] * len(deltas)
         F = solve_ou_closed(kernels, systems, grid)
-        traj = integrate_moments(F, systems, MomentState.vacuum(), grid)
+        traj = integrate_moments(F, systems, vacuum(), grid)
         peaks = [float(np.nanmax(traj.point(p).en_series(monitor=False)))
                  for p in range(len(deltas))]
         got[gamma] = float(deltas[int(np.argmax(peaks))])
@@ -124,10 +125,10 @@ def test_04_memory_time_ordering():
     onsets, finals = [], []
     for g in gammas:
         F = solve_ou_closed(OUKernel(Gamma=2.0, gamma=g, Omega=0.0), BASE, grid)
-        en = integrate_moments(F, BASE, MomentState.vacuum(), grid).en_series()
+        en = integrate_moments(F, BASE, vacuum(), grid).en_series()
         onsets.append(onset_time(grid.times(), en))
         finals.append(float(en[-1]))
-    en_markov = integrate_moments(markov_series(2.0, grid), BASE, MomentState.vacuum(), grid).en_series()
+    en_markov = integrate_moments(markov_series(2.0, grid), BASE, vacuum(), grid).en_series()
     markov_final = float(en_markov[-1])
     ok = (onsets[0] < onsets[1] < onsets[2]
           and finals[0] > finals[1] > finals[2]
@@ -147,7 +148,7 @@ def test_05_entanglement_vs_environment_frequency_trend():
     for w in omegas:
         k = OUKernel(Gamma=0.4, gamma=1.0, Omega=float(w))
         F = solve_ou_closed(k, BASE, grid)
-        en20.append(float(integrate_moments(F, BASE, MomentState.vacuum(), grid).en_series()[-1]))
+        en20.append(float(integrate_moments(F, BASE, vacuum(), grid).en_series()[-1]))
     en20 = np.array(en20)
     ok = bool(np.all(np.diff(en20) >= -1e-9))
     lows = ", ".join(f"{w:g}:{e:.3f}" for w, e in zip(omegas[::5], en20[::5]))
@@ -160,7 +161,7 @@ def test_05_entanglement_vs_environment_frequency_trend():
 def test_06_moment_engine_vs_number_basis_master():
     grid = TimeGrid(dt=0.01, t_final=15.0)
     F = solve_ou_closed(OUKernel(Gamma=2.0, gamma=0.6, Omega=0.0), BASE, grid)
-    mt = integrate_moments(F, BASE, MomentState.vacuum(), grid)
+    mt = integrate_moments(F, BASE, vacuum(), grid)
     dims = (8, 8)
     ops = build_operators(dims, BASE)
     # the leak guard is lifted to let the run reach t=15 at these dims;
@@ -214,14 +215,15 @@ def test_08_trajectory_average_converges_to_master():
     pool = propagate_ensemble(F, ops, k, psi0, grid, 4000, 20260816)
     ref = integrate_master(F, ops, projector(psi0), grid).final
 
-    def dist(paths):
-        return trace_distance(average_trajectories(paths).rhos[-1], ref)
+    def dist(states):
+        sub = replace(pool, states=states)
+        return trace_distance(average_trajectories(sub).rhos[-1], ref)
 
     sizes = (250, 1000, 4000)
-    means = [np.mean([dist(pool[i * m:(i + 1) * m])
+    means = [np.mean([dist(pool.states[i * m:(i + 1) * m])
                       for i in range(4000 // m)]) for m in sizes]
     slope = np.polyfit(np.log(sizes), np.log(means), 1)[0]
-    d2000 = dist(pool[:2000])
+    d2000 = dist(pool.states[:2000])
     elapsed = time.perf_counter() - t0
     ok = d2000 < 5e-2 and 0.4 <= -slope <= 0.6
     assert verdict(

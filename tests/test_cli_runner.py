@@ -312,6 +312,14 @@ def test_exit_code_two_on_config_error(tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "config error:" in capsys.readouterr().err
+    # a flag value is read like a file value
+    p.write_text(MINIMAL)
+    rc = main(["run", "--scenario", "custom", "--config", str(p),
+               "--out", str(tmp_path / "o"), "--dt", "abc"])
+    assert rc == 2
+    assert ("config error: [grid] dt: cannot read 'abc' as a finite number"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
 
 
 _SYSTEM = "[system]\ndelta = 1.0\ncoupling = 0.1\n"
@@ -357,36 +365,48 @@ def test_exit_code_two_on_out_of_range_numbers(tmp_path, capsys, text, key, flag
 _MARKOV = "kernel = markov\n"
 _TABULATED = "kernel = tabulated\ntable = {table}\n"
 _TABLE = "lag,re,im\n0,1,0\n0.5,0.5,0\n1.0,0.25,0\n"
+_SHORT = "[grid]\nt_final = 0.5\n"
 
 
-@pytest.mark.parametrize("scenario, bath, table, key", [
+@pytest.mark.parametrize("scenario, bath, table, key, flags", [
     pytest.param("custom", _TABULATED, "lag,re,im\n0.5,1,0\n1.0,0.5,0\n1.5,0.25,0\n",
-                 "kernel table {table}: lag grid must start at 0", id="lags-from-0.5"),
+                 "kernel table {table}: lag grid must start at 0", (), id="lags-from-0.5"),
     pytest.param("custom", _TABULATED, "lag,re,im\n0,1,0\n0.3,0.5,0\n0.9,0.25,0\n",
-                 "kernel table {table}: lag grid must be uniform", id="non-uniform-lags"),
+                 "kernel table {table}: lag grid must be uniform", (), id="non-uniform-lags"),
     pytest.param("custom", _TABULATED, "lag,re,im\n0,1,0\n",
-                 "kernel table {table}: need at least two lag samples", id="one-row"),
+                 "kernel table {table}: need at least two lag samples", (), id="one-row"),
     pytest.param("custom", _MARKOV + "[sweep]\nparameter = gamma\nvalues = 0.3, 3.0\n",
-                 _TABLE, "[sweep] gamma does not enter the markov kernel",
+                 _TABLE, "[sweep] gamma does not enter the markov kernel", (),
                  id="gamma-sweep-markov"),
     pytest.param("custom", _MARKOV + "[sweep]\nparameter = omega_env\nvalues = 0.0, 1.0\n",
-                 _TABLE, "[sweep] omega_env does not enter the markov kernel",
+                 _TABLE, "[sweep] omega_env does not enter the markov kernel", (),
                  id="omega_env-sweep-markov"),
     pytest.param("custom", _TABULATED + "[sweep]\nparameter = decay\nvalues = 1.0, 2.0\n",
-                 _TABLE, "[sweep] decay does not enter the tabulated kernel",
+                 _TABLE, "[sweep] decay does not enter the tabulated kernel", (),
                  id="decay-sweep-tabulated"),
-    *[pytest.param(fig, bath, _TABLE, "need kernel = ou", id=f"{fig}-{bath.split()[2]}")
+    *[pytest.param(fig, bath, _TABLE, "need kernel = ou", (), id=f"{fig}-{bath.split()[2]}")
       for fig in ("fig2", "fig3", "fig4", "fig5") for bath in (_MARKOV, _TABULATED)],
+    # a user-set [bath] key that the kernel does not read (a short grid, so
+    # that a run which ignores the key ends quickly and fails the test)
+    pytest.param("custom", _MARKOV + _SHORT, _TABLE,
+                 "[bath] gamma does not enter the markov kernel", ("--gamma", "3.0"),
+                 id="gamma-flag-markov"),
+    pytest.param("custom", _TABULATED + "omega_env = 1.0\n" + _SHORT, _TABLE,
+                 "[bath] omega_env does not enter the tabulated kernel", (),
+                 id="omega_env-tabulated"),
+    pytest.param("custom", _TABULATED + "decay = 1.0\n" + _SHORT, _TABLE,
+                 "[bath] decay does not enter the tabulated kernel", (),
+                 id="decay-tabulated"),
 ])
 def test_exit_code_two_on_kernel_config_error(tmp_path, capsys, scenario, bath,
-                                              table, key):
+                                              table, key, flags):
     # a bad kernel table, or a parameter the kernel does not have
     path = tmp_path / "k.csv"
     path.write_text(table)
     p = tmp_path / "c.cfg"
     p.write_text(_SYSTEM + "[bath]\n" + bath.format(table=path))
     rc = main(["run", "--scenario", scenario, "--config", str(p),
-               "--out", str(tmp_path / "o")])
+               "--out", str(tmp_path / "o"), *flags])
     assert rc == 2
     assert key.format(table=path) in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

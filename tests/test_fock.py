@@ -61,7 +61,7 @@ def test_basis_state_and_moments():
     psi = basis_state((4, 4), na=1, nb=2)
     rho = projector(psi)
     ops = build_operators((4, 4))
-    m = moments_from_rho(rho, ops).vector
+    m = moments_from_rho(rho, ops)
     lab = MOMENT_LABELS.index
     assert m[lab("aad")] == pytest.approx(2.0)
     assert m[lab("bbd")] == pytest.approx(3.0)
@@ -256,7 +256,7 @@ def test_band_moment_readout_matches_trace_contraction(dims):
     d = ops.dim
     rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     want = np.einsum("mij,ji->m", ops.moment_matrices, rho)
-    got = moments_from_rho(rho, ops, normalize=False).vector
+    got = moments_from_rho(rho, ops, normalize=False)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.linalg.norm(rho)
 
 
@@ -385,8 +385,21 @@ def test_single_trajectory_equals_its_ensemble_path():
     for j in (0, 15, 16, 39):
         noise = sample_noise_path(k, grid.refine(), path_seed(5, j))
         one = propagate_trajectory(F, ops, noise, psi0, grid, store_every=4)
-        assert np.array_equal(one.node_indices, paths[j].node_indices)
-        assert np.array_equal(one.states, paths[j].states)
+        assert np.array_equal(one.node_indices, paths.node_indices)
+        assert np.array_equal(one.states, paths.states[j])
+        assert np.array_equal(one.final, paths.final[j])
+
+
+def test_empty_ensemble_has_no_mean():
+    grid = TimeGrid(dt=0.05, t_final=1.0)
+    dims = (3, 4)
+    ops = build_operators(dims, SYS)
+    k = OUKernel(2.0, 0.6, 0.0)
+    F = solve_ou_closed(k, SYS, grid)
+    empty = propagate_ensemble(F, ops, k, basis_state(dims), grid, 0, 5)
+    assert empty.states.shape == (0, 2, ops.dim)
+    with pytest.raises(ValueError, match="at least one trajectory"):
+        average_trajectories(empty)
 
 
 def test_ensemble_mean_matches_outer_product_mean():
@@ -399,11 +412,11 @@ def test_ensemble_mean_matches_outer_product_mean():
                                5, batch_size=16, store_every=4)
     avg = average_trajectories(paths)
     for j in range(len(avg.node_indices)):
-        block = np.stack([p.states[j] for p in paths])
+        block = paths.states[:, j]
         want = np.einsum("pi,pj->pij", block, block.conj()).mean(axis=0)
         rho = avg.rhos[j]
         assert np.max(np.abs(rho - want)) <= 1e-14 * np.linalg.norm(want)
         norms = np.linalg.norm(block, axis=1) ** 2
         assert avg.trace_mean[j] == pytest.approx(norms.mean(), rel=1e-14)
         assert avg.trace_se[j] == pytest.approx(
-            norms.std(ddof=1) / np.sqrt(len(paths)), rel=1e-12)
+            norms.std(ddof=1) / np.sqrt(len(paths.states)), rel=1e-12)

@@ -14,12 +14,14 @@ from nmoptomech.kernel import OUKernel
 from nmoptomech.moments import (
     DIP_TOL,
     MOMENT_LABELS,
-    MomentState,
     MomentTrajectory,
     _affine_basis,
     _moment_rhs,
+    coherent,
+    conjugation_residual,
     covariances,
     integrate_moments,
+    vacuum,
 )
 from nmoptomech.ocoeff import OCoefficientSeries, markov_series, solve_ou_closed
 from nmoptomech.params import LinearizedSystem
@@ -27,27 +29,25 @@ from nmoptomech.stepping import TimeGrid
 
 
 def test_vacuum_moments():
-    m = MomentState.vacuum()
-    v = m.vector
+    v = vacuum()
     assert v[MOMENT_LABELS.index("aad")] == 1.0
     assert v[MOMENT_LABELS.index("bbd")] == 1.0
     assert np.count_nonzero(v) == 2
-    assert m.conjugation_residual() == 0.0
+    assert conjugation_residual(v) == 0.0
 
 
 def test_coherent_moments_factorize():
-    m = MomentState.coherent(0.3 + 0.4j, -0.2j)
-    v = m.vector
+    v = coherent(0.3 + 0.4j, -0.2j)
     lab = MOMENT_LABELS.index
     assert v[lab("a")] == pytest.approx(0.3 + 0.4j)
     assert v[lab("ab")] == pytest.approx((0.3 + 0.4j) * (-0.2j))
     assert v[lab("aad")] == pytest.approx(abs(0.3 + 0.4j) ** 2 + 1.0)
     assert v[lab("adb")] == pytest.approx((0.3 - 0.4j) * (-0.2j))
-    assert m.conjugation_residual() < 1e-15
+    assert conjugation_residual(v) < 1e-15
 
 
 def test_vacuum_covariance_is_identity():
-    V = covariances(MomentState.vacuum().vector)
+    V = covariances(vacuum())
     assert np.allclose(V, np.eye(4), atol=1e-14)
 
 
@@ -82,7 +82,7 @@ def test_free_evolution_preserves_vacuum():
     sys_ = LinearizedSystem(omega_m=1.0, Delta=0.8, G=0.0)
     k = OUKernel(Gamma=0.0, gamma=0.5, Omega=0.0)
     F = solve_ou_closed(k, sys_, grid)
-    traj = integrate_moments(F, sys_, MomentState.vacuum(), grid)
+    traj = integrate_moments(F, sys_, vacuum(), grid)
     assert np.max(np.abs(traj.values - traj.values[0])) < 1e-12
     assert np.max(traj.en_series()) == 0.0
 
@@ -94,7 +94,7 @@ def test_markov_damping_of_coherent_amplitude():
     Gamma = 0.8
     F = markov_series(Gamma, grid)
     beta = 0.7 - 0.2j
-    traj = integrate_moments(F, sys_, MomentState.coherent(0.0, beta), grid)
+    traj = integrate_moments(F, sys_, coherent(0.0, beta), grid)
     t = grid.times()
     got = traj.values[:, MOMENT_LABELS.index("b")]
     want = beta * np.exp((-1j * sys_.omega_m - Gamma / 2) * t)
@@ -107,28 +107,62 @@ def test_markov_phonon_decay():
     sys_ = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.0)
     Gamma = 0.5
     F = markov_series(Gamma, grid)
-    init = MomentState.vacuum().vector.copy()
+    init = vacuum()
     init[MOMENT_LABELS.index("bbd")] = 1.0 + 0.8
-    traj = integrate_moments(F, sys_, MomentState.from_vector(init), grid)
+    traj = integrate_moments(F, sys_, init, grid)
     n = traj.values[:, MOMENT_LABELS.index("bbd")].real - 1.0
     want = 0.8 * np.exp(-Gamma * grid.times())
     assert np.max(np.abs(n - want)) < 1e-9
+
+
+def test_conjugation_residual_of_a_stack_is_row_by_row():
+    pairs = [(1, 0), (3, 2), (8, 4), (10, 6), (9, 7), (13, 11)]
+
+    def one(v):
+        r = max(abs(v[i] - v[j].conjugate()) for i, j in pairs)
+        return max(r, abs(v[5].imag), abs(v[12].imag))
+
+    rng = np.random.default_rng(14)
+    stack = rng.standard_normal((6, 14)) + 1j * rng.standard_normal((6, 14))
+    stack[0] = coherent(0.3j, 0.1)
+    stack[1] = coherent(0.3j, 0.1)
+    stack[1, MOMENT_LABELS.index("bbd")] += 0.25j  # <b^dag b> not real
+    got = conjugation_residual(stack)
+    assert got.shape == (6,)
+    assert got[0] == 0.0
+    assert got[1] == 0.25
+    assert np.array_equal(got, [conjugation_residual(v) for v in stack])
+    # numpy's array hypot may round the last bit apart from Python's abs
+    assert np.allclose(got, [one(v) for v in stack], rtol=4 * np.finfo(float).eps, atol=0)
+
+
+def test_initial_moment_vector_is_checked():
+    grid = TimeGrid(dt=0.01, t_final=1.0)
+    sys_ = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)
+    F = markov_series(0.5, grid)
+    for bad in (vacuum()[:13], vacuum()[None], np.concatenate([vacuum(), [0.0]])):
+        with pytest.raises(ValueError, match=r"need a \(14,\) initial moment vector"):
+            integrate_moments(F, sys_, bad, grid)
+    unpaired = vacuum()
+    unpaired[MOMENT_LABELS.index("a")] = 0.1  # <a> != conj <a^dag>
+    with pytest.raises(ValueError, match="conjugation pairing"):
+        integrate_moments(F, sys_, unpaired, grid)
 
 
 def test_conjugation_structure_preserved():
     grid = TimeGrid(dt=0.01, t_final=8.0)
     sys_ = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)
     F = solve_ou_closed(OUKernel(Gamma=2.0, gamma=0.6, Omega=0.0), sys_, grid)
-    traj = integrate_moments(F, sys_, MomentState.vacuum(), grid)
+    traj = integrate_moments(F, sys_, vacuum(), grid)
     for idx in (0, grid.n_points // 2, grid.n_points - 1):
-        assert traj.state(idx).conjugation_residual() < 1e-10
+        assert conjugation_residual(traj.values[idx]) < 1e-10
 
 
 def test_en_series_matches_pointwise():
     grid = TimeGrid(dt=0.01, t_final=6.0)
     sys_ = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)
     F = solve_ou_closed(OUKernel(Gamma=2.0, gamma=0.6, Omega=0.0), sys_, grid)
-    traj = integrate_moments(F, sys_, MomentState.vacuum(), grid)
+    traj = integrate_moments(F, sys_, vacuum(), grid)
     en = traj.en_series()
     for idx in (0, 150, 599):
         assert en[idx] == pytest.approx(traj.en_at(idx), abs=1e-12)
@@ -184,7 +218,7 @@ def test_single_point_march_is_a_batch_of_one():
     grid = TimeGrid(dt=0.01, t_final=5.0)
     sys_ = LinearizedSystem(omega_m=1.0, Delta=1.3, G=0.1)
     F = solve_ou_closed(OUKernel(Gamma=2.0, gamma=0.6, Omega=0.2), sys_, grid)
-    init = MomentState.coherent(0.2 - 0.1j, 0.3j)
+    init = coherent(0.2 - 0.1j, 0.3j)
     one = integrate_moments(F, sys_, init, grid)
     batch = integrate_moments(OCoefficientSeries.batch([F]), [sys_], init, grid)
     assert batch.values.shape == one.values.shape + (1,)
@@ -196,9 +230,9 @@ def test_trajectory_readout_is_nan_where_log_negativity_raises():
     grid = TimeGrid(dt=0.01, t_final=6.0)
     sys_ = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)
     F = solve_ou_closed(OUKernel(Gamma=2.0, gamma=0.6, Omega=0.0), sys_, grid)
-    rows = integrate_moments(F, sys_, MomentState.vacuum(), grid).values[::40].copy()
+    rows = integrate_moments(F, sys_, vacuum(), grid).values[::40].copy()
     bad = 5
-    rows[bad] = MomentState.vacuum().vector
+    rows[bad] = vacuum()
     rows[bad, MOMENT_LABELS.index("aad")] = 0.5  # cavity block A = 0: det V = 0
     en = symplectic_readout(covariances(rows), tol=1e-6).en
     assert np.isnan(en[bad])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from nmoptomech.cli_runner import _scan, main, parse_config
 from nmoptomech.kernel import DeltaKernel, OUKernel
-from nmoptomech.moments import MomentState, integrate_moments
+from nmoptomech.moments import integrate_moments, vacuum
 from nmoptomech.ocoeff import solve_ocoeff, solve_ou_closed
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import TimeGrid
@@ -20,7 +20,7 @@ from nmoptomech.stepping import TimeGrid
 # vectorizing changes rounding; the batched path must stay this close
 TOL = 1e-12
 GRID = TimeGrid(dt=0.01, t_final=10.0)
-VAC = MomentState.vacuum()
+VAC = vacuum()
 
 
 def _coefficients(F):
