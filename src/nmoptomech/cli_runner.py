@@ -123,6 +123,7 @@ _PRESETS = {
 }
 
 _FIG2_LARGE_GAMMA = 50.0
+_FIG2_RATIO_T = 15.0
 _FIG3_GAMMAS = (0.3, 0.6, 1.2)
 _FIG4_OMEGAS = tuple(np.round(np.arange(0.0, 2.0001, 0.1), 10))
 _FIG4_SLICE_T = 20.0
@@ -163,7 +164,8 @@ _FLAG_MAP = {
 class RunConfig:
     """Fully resolved run description.
 
-    ``resolved`` keeps (section, key, value-as-text, source) for every
+    Each ``[bath]``, ``[grid]`` and ``[run]`` key is the field of the same
+    name.  ``resolved`` keeps (section, key, value-as-text, source) for every
     effective entry so the echo file can show provenance.
     """
 
@@ -172,7 +174,7 @@ class RunConfig:
     delta: float
     coupling: float
     physical: PhysicalParams
-    kernel_variant: str
+    kernel: str
     decay: float
     gamma: float
     omega_env: float
@@ -185,7 +187,7 @@ class RunConfig:
     dims: tuple
     seed: int
     out: str
-    formats: tuple
+    format: tuple
     include_f5: bool
     store_every: int
     sweep: tuple = None
@@ -211,9 +213,9 @@ class RunConfig:
         g = self.gamma if gamma is None else gamma
         w = self.omega_env if omega_env is None else omega_env
         d = self.decay if decay is None else decay
-        if self.kernel_variant == "markov":
+        if self.kernel == "markov":
             return DeltaKernel(d)
-        if self.kernel_variant == "tabulated":
+        if self.kernel == "tabulated":
             return self.table_kernel
         return OUKernel(Gamma=d, gamma=g, Omega=w)
 
@@ -329,10 +331,15 @@ def parse_config(text, scenario="custom", overrides=None) -> RunConfig:
 
 
 def _validate(scenario, v, src, resolved) -> RunConfig:
-    if v[("grid", "dt")] <= 0:
+    dt, t_final = v[("grid", "dt")], v[("grid", "t_final")]
+    if dt <= 0:
         raise ConfigError("[grid] dt must be positive")
-    if v[("grid", "t_final")] <= v[("grid", "dt")]:
+    if t_final <= dt:
         raise ConfigError("[grid] t_final must exceed dt")
+    # fig2 reads F5/F1 at the node nearest t = 15 (rounded as TimeGrid rounds)
+    if scenario == "fig2" and np.rint(_FIG2_RATIO_T / dt) > np.rint(t_final / dt):
+        raise ConfigError(f"time {_FIG2_RATIO_T:g} is outside the grid "
+                          f"(t_final={np.rint(t_final / dt) * dt:g})")
     for key, (sec, word) in _SIGN.items():
         x = v[(sec, key)]
         if x is not None and not _sign_ok(word, x):
@@ -447,33 +454,12 @@ def _validate(scenario, v, src, resolved) -> RunConfig:
         if key not in _KERNEL_KEYS[kernel] and _user_set(src[("bath", key)]):
             raise ConfigError(f"[bath] {key} does not enter the {kernel} kernel")
 
-    out = v[("run", "out")] or os.path.join("runs", scenario)
-    return RunConfig(
-        scenario=scenario,
-        omega_m=v[("system", "omega_m")],
-        delta=v[("system", "delta")],
-        coupling=v[("system", "coupling")],
-        physical=physical,
-        kernel_variant=kernel,
-        decay=v[("bath", "decay")],
-        gamma=v[("bath", "gamma")],
-        omega_env=v[("bath", "omega_env")],
-        table=v[("bath", "table")],
-        temperature=v[("bath", "temperature")],
-        dt=v[("grid", "dt")],
-        t_final=v[("grid", "t_final")],
-        engine=v[("run", "engine")],
-        paths=v[("run", "paths")],
-        dims=v[("run", "dims")],
-        seed=v[("run", "seed")],
-        out=out,
-        formats=v[("run", "format")],
-        include_f5=v[("run", "include_f5")],
-        store_every=v[("run", "store_every")],
-        sweep=sweep,
-        resolved=resolved,
-        gamma_source=src[("bath", "gamma")],
-    )
+    fields = {key: v[(sec, key)] for sec in ("bath", "grid", "run") for key in _SCHEMA[sec]}
+    fields["out"] = fields["out"] or os.path.join("runs", scenario)
+    return RunConfig(scenario=scenario, omega_m=v[("system", "omega_m")],
+                     delta=v[("system", "delta")], coupling=v[("system", "coupling")],
+                     physical=physical, sweep=sweep, resolved=resolved,
+                     gamma_source=src[("bath", "gamma")], **fields)
 
 
 # ---------------------------------------------------------------- engines
@@ -486,33 +472,52 @@ class EngineResult:
     moments: np.ndarray
 
 
-def _engine_traj(F, kspec, sys, grid, dims, n_paths, seed, store_every) -> EngineResult:
-    ops = build_operators(dims, sys)
-    psi0 = basis_state(dims)
-    se = store_every if store_every > 0 else max(1, int(round(0.1 / grid.dt)))
-    ensemble = propagate_ensemble(F, ops, kspec, psi0, grid, n_paths, seed,
-                                  store_every=se)
+def _warn_misfit(eff):
+    """Warn when the single-exponential thermal kernels fit their bath poorly."""
+    # weight each kernel's relative misfit by its zero-lag strength so a
+    # poor fit of a negligible absorption kernel stays quiet
+    w1 = abs(eff.alpha1.alpha(0.0))
+    w2 = abs(eff.alpha2.alpha(0.0))
+    misfit = max(eff.fit_residuals[0] * w1,
+                 eff.fit_residuals[1] * w2) / max(w1 + w2, 1e-300)
+    if misfit > 0.05:
+        warnings.warn(
+            f"single-exponential reduction of the thermal kernels misfits "
+            f"by {misfit:.1%}; results are approximate for this bath",
+            RuntimeWarning, stacklevel=3)
+
+
+def _run_point(cfg: RunConfig, grid, sys, kernel, temperature):
+    """(coefficients, EngineResult) of one point on the configured engine.
+
+    Above zero temperature the coefficients come from the fitted thermal
+    kernel pair and the fock-master engine runs the two-bath equation.
+    """
+    if temperature > 0:
+        eff = effective_kernels(kernel, temperature, fit=True)
+        _warn_misfit(eff)
+        F = solve_thermal_ocoeff(eff, sys, grid)
+    else:
+        F = solve_ocoeff(kernel, sys, grid, include_f5=cfg.include_f5)
+    if cfg.engine == "moments":
+        traj = integrate_moments(F, sys, vacuum(), grid)
+        return F, EngineResult(grid.times(), traj.en_series(), traj.values)
+    ops = build_operators(cfg.dims, sys)
+    if cfg.engine == "fock-master":
+        rho0 = projector(basis_state(cfg.dims))
+        traj = (integrate_thermal_master(F, ops, rho0, grid) if temperature > 0
+                else integrate_master(F, ops, rho0, grid))
+        return F, EngineResult(grid.times(), traj.en_series(), traj.moments)
+    se = cfg.store_every or max(1, int(round(0.1 / grid.dt)))
+    ensemble = propagate_ensemble(F, ops, kernel, basis_state(cfg.dims), grid,
+                                  cfg.paths, cfg.seed, store_every=se)
     avg = average_trajectories(ensemble)
     rows = np.stack([moments_from_rho(r, ops) for r in avg.rhos])
     # sampling noise can push the estimated covariance slightly outside
     # the physical cone, hence the loose tolerance and nan fallback
-    return EngineResult(times=grid.times()[avg.node_indices],
-                        en=symplectic_readout(covariances(rows), tol=1e-6).en,
-                        moments=rows)
-
-
-def _run_point(cfg: RunConfig, sys, kspec, grid):
-    """One deterministic run: coefficient series plus engine output."""
-    F = solve_ocoeff(kspec, sys, grid, include_f5=cfg.include_f5)
-    if cfg.engine == "moments":
-        traj = integrate_moments(F, sys, vacuum(), grid)
-        return F, EngineResult(grid.times(), traj.en_series(), traj.values)
-    if cfg.engine == "fock-master":
-        ops = build_operators(cfg.dims, sys)
-        traj = integrate_master(F, ops, projector(basis_state(cfg.dims)), grid)
-        return F, EngineResult(grid.times(), traj.en_series(), traj.moments)
-    return F, _engine_traj(F, kspec, sys, grid, cfg.dims, cfg.paths,
-                           cfg.seed, cfg.store_every)
+    return F, EngineResult(times=grid.times()[avg.node_indices],
+                           en=symplectic_readout(covariances(rows), tol=1e-6).en,
+                           moments=rows)
 
 
 def _scan(cfg: RunConfig, grid, points):
@@ -526,8 +531,7 @@ def _scan(cfg: RunConfig, grid, points):
     # a single point stays off the batched closed march on purpose: as a
     # batch of one it takes about twice as long (see solve_ou_closed)
     if cfg.engine != "moments" or len(points) == 1:
-        return [_run_thermal_point(cfg, s, grid, k, T) if T > 0
-                else _run_point(cfg, s, k, grid) for s, k, T in points]
+        return [_run_point(cfg, grid, *point) for point in points]
     systems = [s for s, _, _ in points]
     ou = [i for i, (_, k, _) in enumerate(points) if isinstance(k, OUKernel)]
     if ou:
@@ -542,27 +546,6 @@ def _scan(cfg: RunConfig, grid, points):
     en = traj.en_series()
     return [(F, EngineResult(times=grid.times(), en=en[:, p], moments=traj.values[..., p]))
             for p, F in enumerate(series)]
-
-
-def _run_thermal_point(cfg: RunConfig, sys, grid, base: OUKernel, temperature):
-    eff = effective_kernels(base, temperature, fit=True)
-    # weight each kernel's relative misfit by its zero-lag strength so a
-    # poor fit of a negligible absorption kernel stays quiet
-    w1 = abs(eff.alpha1.alpha(0.0))
-    w2 = abs(eff.alpha2.alpha(0.0))
-    misfit = max(eff.fit_residuals[0] * w1,
-                 eff.fit_residuals[1] * w2) / max(w1 + w2, 1e-300)
-    if misfit > 0.05:
-        warnings.warn(
-            f"single-exponential reduction of the thermal kernels misfits "
-            f"by {misfit:.1%}; results are approximate for this bath",
-            RuntimeWarning, stacklevel=2)
-    X = solve_thermal_ocoeff(eff, sys, grid)
-    ops = build_operators(cfg.dims, sys)
-    traj = integrate_thermal_master(X, ops, projector(basis_state(cfg.dims)), grid)
-    res = EngineResult(times=grid.times(), en=traj.en_series(),
-                       moments=traj.moments)
-    return X, res
 
 
 # ----------------------------------------------------------------- output
@@ -718,36 +701,27 @@ def _write_svg_heat(path: Path, xvals, yvals, Z, title, xlabel, ylabel):
     path.write_text("\n".join(parts), encoding="utf-8")
 
 
-def _coefficient_csv(path: Path, F):
-    names = ["t"]
-    cols = [F.grid.times()]
-    rows = [("f1", F.F1), ("f2", F.F2), ("f3", F.F3), ("f4", F.F4)]
-    if F.F5 is not None:
-        rows.append(("f5", F.F5))
-    for label, series in rows:
-        names += [f"{label}_re", f"{label}_im"]
-        cols += [series.real, series.imag]
-    _write_csv(path, names, cols)
+def _coefficient_rows(coefficients):
+    """(label, complex series) of each coefficient, F1..F5 or X11..X24."""
+    if isinstance(coefficients, OCoefficientSeries):
+        F = coefficients
+        return [(f"f{j}", s) for j, s in enumerate((F.F1, F.F2, F.F3, F.F4, F.F5), start=1)
+                if s is not None]
+    return [(f"x{i}{j}", coefficients.series(i, j)) for i in (1, 2) for j in range(1, 5)]
 
 
-def _thermal_csv(path: Path, X):
-    names = ["t"]
-    cols = [X.grid.times()]
-    for i in (1, 2):
-        for j in range(1, 5):
-            s = X.series(i, j)
-            names += [f"x{i}{j}_re", f"x{i}{j}_im"]
-            cols += [s.real, s.imag]
-    _write_csv(path, names, cols)
+def _write_series(path: Path, times, rows):
+    """CSV of t, then <label>_re and <label>_im of each (label, series) row."""
+    names = ["t"] + [f"{label}_{part}" for label, _ in rows for part in ("re", "im")]
+    _write_csv(path, names, [times] + [c for _, s in rows for c in (s.real, s.imag)])
 
 
-def _node_at(grid: TimeGrid, t_star):
-    k = int(round(t_star / grid.dt))
-    if not 0 <= k < grid.n_points:
-        raise ConfigError(
-            f"time {t_star:g} is outside the grid (t_final={grid.t_final:g})"
-        )
-    return k
+def _write_en_grid(path: Path, labels, results):
+    """CSV of t, then en_<label> of each scan result; returns (times, En columns)."""
+    times = results[0].times
+    en = [r.en for r in results]
+    _write_csv(path, ["t"] + [f"en_{label}" for label in labels], [times] + en)
+    return times, en
 
 
 # -------------------------------------------------------------- scenarios
@@ -758,19 +732,19 @@ def _scenario_fig2(cfg, outdir, manifest):
     sys_ = cfg.system()
     files = []
     ratios = {}
-    k15 = _node_at(grid, 15.0)
+    k15 = int(round(_FIG2_RATIO_T / grid.dt))  # on the grid: see _validate
     for gamma in (cfg.gamma, _FIG2_LARGE_GAMMA):
         kspec = cfg.bath_kernel(gamma=gamma)
         F = solve_ocoeff(kspec, sys_, grid, include_f5=True)
+        rows = _coefficient_rows(F)
         name = f"fig2_gamma{_num_tag(gamma)}.csv"
-        _coefficient_csv(outdir / name, F)
+        _write_series(outdir / name, grid.times(), rows)
         files.append(name)
         denom = abs(F.F1[k15])
         ratios[f"{gamma:g}"] = float(abs(F.F5[k15]) / denom) if denom else float("nan")
-        if "svg" in cfg.formats:
+        if "svg" in cfg.format:
             sname = name.replace(".csv", ".svg")
-            series = [(f"|F{j}|", np.abs(s)) for j, s in
-                      enumerate((F.F1, F.F2, F.F3, F.F4, F.F5), start=1)]
+            series = [(f"|{label.upper()}|", np.abs(s)) for label, s in rows]
             _write_svg_lines(outdir / sname, grid.times(), series,
                              f"coefficient magnitudes, memory rate {gamma:g}",
                              "t", "|F_j|")
@@ -793,24 +767,15 @@ def _scenario_fig3(cfg, outdir, manifest):
     jobs = gammas + [None]
     points = [(sys_, DeltaKernel(cfg.decay) if gamma is None
                else cfg.bath_kernel(gamma=gamma), 0.0) for gamma in jobs]
-    results = [res for _, res in _scan(cfg, grid, points)]
-    times = results[0].times
-    names = ["t"]
-    cols = [times]
-    series = []
-    onsets = {}
-    final = {}
-    for gamma, res in zip(jobs, results):
-        label = "markov" if gamma is None else f"gamma{_num_tag(gamma)}"
-        names.append(f"en_{label}")
-        cols.append(res.en)
-        series.append((label, res.en))
-        onsets[label] = _onset_time(times, res.en)
-        final[label] = float(res.en[-1])
+    labels = ["markov" if gamma is None else f"gamma{_num_tag(gamma)}" for gamma in jobs]
     name = "fig3_en.csv"
-    _write_csv(outdir / name, names, cols)
+    times, en = _write_en_grid(outdir / name, labels,
+                               [res for _, res in _scan(cfg, grid, points)])
+    series = list(zip(labels, en))
+    onsets = {label: _onset_time(times, e) for label, e in series}
+    final = {label: float(e[-1]) for label, e in series}
     files = [name]
-    if "svg" in cfg.formats:
+    if "svg" in cfg.format:
         _write_svg_lines(outdir / "fig3_en.svg", times, series,
                          "entanglement growth by bath memory", "t", "En")
         files.append("fig3_en.svg")
@@ -830,22 +795,18 @@ def _scenario_fig4(cfg, outdir, manifest):
     sys_ = cfg.system()
     omegas = list(_FIG4_OMEGAS)
     points = [(sys_, cfg.bath_kernel(omega_env=omega), 0.0) for omega in omegas]
-    results = [res for _, res in _scan(cfg, grid, points)]
-    times = results[0].times
-    names = ["t"] + [f"en_omega{_num_tag(w)}" for w in omegas]
-    cols = [times] + [r.en for r in results]
     name = "fig4_en_grid.csv"
-    _write_csv(outdir / name, names, cols)
+    times, en = _write_en_grid(outdir / name, [f"omega{_num_tag(w)}" for w in omegas],
+                               [res for _, res in _scan(cfg, grid, points)])
     files = [name]
 
     kslice = int(np.argmin(np.abs(times - _FIG4_SLICE_T)))
-    slice_en = np.array([r.en[kslice] for r in results])
+    slice_en = np.array([e[kslice] for e in en])
     _write_csv(outdir / "fig4_slice_t20.csv", ["omega_env", "en_at_t20"],
                [np.asarray(omegas), slice_en])
     files.append("fig4_slice_t20.csv")
-    if "svg" in cfg.formats:
-        Z = np.stack([r.en for r in results], axis=1)
-        _write_svg_heat(outdir / "fig4_en_heat.svg", omegas, times, Z,
+    if "svg" in cfg.format:
+        _write_svg_heat(outdir / "fig4_en_heat.svg", omegas, times, np.stack(en, axis=1),
                         "entanglement vs environment frequency",
                         "environment frequency", "t")
         _write_svg_lines(outdir / "fig4_slice_t20.svg", np.asarray(omegas),
@@ -858,6 +819,12 @@ def _scenario_fig4(cfg, outdir, manifest):
     manifest["assumptions"].append(
         "environment-frequency range [0, 2] and decay 0.4 are scenario defaults"
     )
+    t_slice = float(times[kslice])
+    if abs(t_slice - _FIG4_SLICE_T) > grid.dt / 2:
+        manifest["assumptions"].append(
+            f"the grid ends before t = {_FIG4_SLICE_T:g}: the slice and en_at_t20 "
+            f"hold En at its last node, t = {t_slice:g}"
+        )
     return files
 
 
@@ -872,23 +839,20 @@ def _scenario_fig5(cfg, outdir, manifest):
               for kspec in kernels for delta in deltas]
     scan = [res for _, res in _scan(cfg, grid, points)]
     for i, gamma in enumerate(gammas):
-        results = scan[i * len(deltas):(i + 1) * len(deltas)]
-        times = results[0].times
         tag = f"gamma{_num_tag(gamma)}"
         name = f"fig5_en_grid_{tag}.csv"
-        _write_csv(outdir / name,
-                   ["t"] + [f"en_delta{_num_tag(d)}" for d in deltas],
-                   [times] + [r.en for r in results])
+        times, en = _write_en_grid(outdir / name, [f"delta{_num_tag(d)}" for d in deltas],
+                                   scan[i * len(deltas):(i + 1) * len(deltas)])
         files.append(name)
-        best = np.array([float(np.nanmax(r.en)) for r in results])
+        best = np.array([float(np.nanmax(e)) for e in en])
         _write_csv(outdir / f"fig5_max_{tag}.csv", ["delta", "en_max"],
                    [np.asarray(deltas), best])
         files.append(f"fig5_max_{tag}.csv")
         argmax[f"{gamma:g}"] = float(deltas[int(np.argmax(best))])
-        if "svg" in cfg.formats:
-            Z = np.stack([r.en for r in results], axis=1)
+        if "svg" in cfg.format:
             _write_svg_heat(outdir / f"fig5_en_heat_{tag}.svg", deltas, times,
-                            Z, f"entanglement vs detuning, memory rate {gamma:g}",
+                            np.stack(en, axis=1),
+                            f"entanglement vs detuning, memory rate {gamma:g}",
                             "detuning", "t")
             _write_svg_lines(outdir / f"fig5_max_{tag}.svg", np.asarray(deltas),
                              [(f"memory rate {gamma:g}", best)],
@@ -908,20 +872,17 @@ def _custom_point(cfg, delta=None, coupling=None, gamma=None, omega_env=None,
 
 
 def _write_custom(cfg, outdir, manifest, coefficients, res):
-    files = []
-    if isinstance(coefficients, OCoefficientSeries):
-        _coefficient_csv(outdir / "coefficients.csv", coefficients)
-        files.append("coefficients.csv")
-    else:
-        _thermal_csv(outdir / "thermal_coefficients.csv", coefficients)
-        files.append("thermal_coefficients.csv")
+    name = ("coefficients.csv" if isinstance(coefficients, OCoefficientSeries)
+            else "thermal_coefficients.csv")
+    _write_series(outdir / name, coefficients.grid.times(), _coefficient_rows(coefficients))
+    files = [name]
     n_cav = res.moments[:, 5].real - 1.0
     n_mec = res.moments[:, 12].real - 1.0
     _write_csv(outdir / "timeseries.csv",
                ["t", "en", "n_cavity", "n_mirror"],
                [res.times, res.en, n_cav, n_mec])
     files.append("timeseries.csv")
-    if "svg" in cfg.formats:
+    if "svg" in cfg.format:
         _write_svg_lines(outdir / "timeseries.svg", res.times,
                          [("En", res.en), ("n_cavity", n_cav),
                           ("n_mirror", n_mec)],

@@ -531,3 +531,76 @@ seed = 7
     rows = (out / "timeseries.csv").read_text().strip().splitlines()
     assert rows[0].startswith("t,en")
     assert len(rows) > 3
+
+
+def test_fig2_grid_must_reach_the_ratio_time(tmp_path, capsys):
+    # the F5/F1 ratio is read at t = 15: a shorter grid is a config error
+    # before any output, as the other config errors are
+    p = tmp_path / "c.cfg"
+    p.write_text("")
+    rc = main(["run", "--scenario", "fig2", "--config", str(p),
+               "--out", str(tmp_path / "o"), "--tfinal", "10"])
+    assert rc == 2
+    assert ("config error: time 15 is outside the grid (t_final=10)"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("t_final, slice_t", [("3", 3.0), ("20", None)])
+def test_fig4_manifest_names_a_slice_before_t20(tmp_path, t_final, slice_t):
+    p = tmp_path / "c.cfg"
+    p.write_text("")
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "fig4", "--config", str(p), "--out", str(out),
+                 "--tfinal", t_final, "--dt", "0.1"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    notes = [a for a in manifest["assumptions"] if "slice" in a]
+    if slice_t is None:  # the grid reaches t = 20
+        assert notes == []
+        return
+    assert notes == [f"the grid ends before t = 20: the slice and en_at_t20 hold En "
+                     f"at its last node, t = {slice_t:g}"]
+    # the slice holds the last row of the grid, omega by omega
+    last = [float(x) for x in (out / "fig4_en_grid.csv").read_text().split()[-1].split(",")]
+    assert last[0] == slice_t
+    at_slice = sorted(manifest["metrics"]["en_at_t20"].items(), key=lambda kv: float(kv[0]))
+    assert [en for _, en in at_slice] == last[1:]
+
+
+def _header(path):
+    return path.read_text().split("\n", 1)[0]
+
+
+def _f_header(n):
+    return "t," + ",".join(f"f{j}_{part}" for j in range(1, n + 1) for part in ("re", "im"))
+
+
+@pytest.mark.parametrize("extra, name, header", [
+    ("", "coefficients.csv", _f_header(5)),
+    ("[run]\ninclude_f5 = false\n", "coefficients.csv", _f_header(4)),
+    ("temperature = 0.1\n[run]\nengine = fock-master\ndims = 3,3\n",
+     "thermal_coefficients.csv",
+     "t," + ",".join(f"x{i}{j}_{part}" for i in (1, 2) for j in range(1, 5)
+                     for part in ("re", "im"))),
+], ids=["f5", "no-f5", "thermal"])
+def test_coefficient_table_headers(tmp_path, extra, name, header):
+    p = tmp_path / "c.cfg"
+    p.write_text(MINIMAL + extra)
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "custom", "--config", str(p), "--out", str(out),
+                 "--tfinal", "0.2"]) == 0
+    assert _header(out / name) == header
+    assert json.loads((out / "manifest.json").read_text())["outputs"][0] == name
+
+
+def test_scan_table_headers(tmp_path):
+    p = tmp_path / "c.cfg"
+    p.write_text("")
+    for scenario in ("fig3", "fig5"):
+        assert main(["run", "--scenario", scenario, "--config", str(p),
+                     "--out", str(tmp_path / scenario), "--tfinal", "0.2"]) == 0
+    assert (_header(tmp_path / "fig3" / "fig3_en.csv")
+            == "t,en_gamma0p3,en_gamma0p6,en_gamma1p2,en_markov")
+    deltas = [f"{1 + k / 20:g}".replace(".", "p") for k in range(41)]  # 1, 1p05, ..., 3
+    assert (_header(tmp_path / "fig5" / "fig5_en_grid_gamma1p5.csv")
+            == "t," + ",".join(f"en_delta{d}" for d in deltas))
