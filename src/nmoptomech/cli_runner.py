@@ -336,6 +336,8 @@ def _validate(scenario, v, src, resolved) -> RunConfig:
         raise ConfigError("[grid] dt must be positive")
     if t_final <= dt:
         raise ConfigError("[grid] t_final must exceed dt")
+    if not t_final / dt <= np.iinfo(np.intp).max:
+        raise ConfigError(f"[grid] t_final / dt = {t_final / dt:g}: too many grid nodes")
     # fig2 reads F5/F1 at the node nearest t = 15 (rounded as TimeGrid rounds)
     if scenario == "fig2" and np.rint(_FIG2_RATIO_T / dt) > np.rint(t_final / dt):
         raise ConfigError(f"time {_FIG2_RATIO_T:g} is outside the grid "
@@ -488,7 +490,7 @@ def _warn_misfit(eff):
 
 
 def _run_point(cfg: RunConfig, grid, sys, kernel, temperature):
-    """(coefficients, EngineResult) of one point on the configured engine.
+    """(coefficients, EngineResult) of one point on a number-basis engine.
 
     Above zero temperature the coefficients come from the fitted thermal
     kernel pair and the fock-master engine runs the two-bath equation.
@@ -499,9 +501,6 @@ def _run_point(cfg: RunConfig, grid, sys, kernel, temperature):
         F = solve_thermal_ocoeff(eff, sys, grid)
     else:
         F = solve_ocoeff(kernel, sys, grid, include_f5=cfg.include_f5)
-    if cfg.engine == "moments":
-        traj = integrate_moments(F, sys, vacuum(), grid)
-        return F, EngineResult(grid.times(), traj.en_series(), traj.values)
     ops = build_operators(cfg.dims, sys)
     if cfg.engine == "fock-master":
         rho0 = projector(basis_state(cfg.dims))
@@ -523,14 +522,13 @@ def _run_point(cfg: RunConfig, grid, sys, kernel, temperature):
 def _scan(cfg: RunConfig, grid, points):
     """(coefficients, EngineResult) of each (system, kernel, temperature) point.
 
-    On the moments engine the points march together: the exponential-kernel
-    points in one closed coefficient march (the others get their own
-    solve), then all of them in one moment march, and a physicality dip
-    is reported once.  Other engines and a single point go point by point.
+    On the moments engine the points march together, a single point as a
+    batch of one: the exponential-kernel points in one closed coefficient
+    march (the others get their own solve), then all of them in one
+    moment march, and a physicality dip is reported once.  The
+    number-basis engines go point by point through :func:`_run_point`.
     """
-    # a single point stays off the batched closed march on purpose: as a
-    # batch of one it takes about twice as long (see solve_ou_closed)
-    if cfg.engine != "moments" or len(points) == 1:
+    if cfg.engine != "moments":
         return [_run_point(cfg, grid, *point) for point in points]
     systems = [s for s, _, _ in points]
     ou = [i for i, (_, k, _) in enumerate(points) if isinstance(k, OUKernel)]

@@ -148,7 +148,7 @@ class MomentTrajectory:
         Matches per-node :func:`gaussian_ent.log_negativity` results.
         The physicality monitor warns (never raises) when the smallest
         symplectic eigenvalue of V dips below 1 by more than ``DIP_TOL``
-        at any node; a batched march warns once for all its points.
+        at any node; a march of several points warns once, naming how many dipped.
         """
         batch = self.values.ndim == 3
         values = self.values if batch else self.values[..., None]
@@ -167,7 +167,7 @@ class MomentTrajectory:
             worst.append(float(r.nu.min()))
         dips = [w for w in worst if w < 1.0 - DIP_TOL]
         if monitor and dips:
-            where = f" at {len(dips)} of {len(worst)} scan points" if batch else ""
+            where = f" at {len(dips)} of {len(worst)} scan points" if len(worst) > 1 else ""
             warnings.warn(f"covariance physicality dip{where}: min symplectic "
                           f"eigenvalue {min(dips):.8f} < 1", RuntimeWarning, stacklevel=2)
         return en if batch else en[:, 0]

@@ -268,52 +268,39 @@ def solve_two_time_grid(k, sys: LinearizedSystem, grid: TimeGrid,
     )
 
 
-def _closed_rhs(fv, a0, r1, r2, r3, r4, ig, mu2, with_f5):
-    # r1..r4 = (+-i wm - mu, -+i Delta - mu), ig = iG and mu2 = 2 mu are
-    # formed once per solve, with the same operations as written inline
-    F1, F2, F3, F4 = fv[0], fv[1], fv[2], fv[3]
-    c34 = ig * (F3 - F4)
-    c12 = ig * (F1 - F2)
-    out = np.empty_like(fv)
-    out[0] = a0 + (r1 + F1) * F1 + c34
-    out[1] = (r2 + F1) * F2 + c34
-    out[2] = (r3 + F1) * F3 + c12
-    out[3] = (r4 + F1) * F4 + c12
-    if with_f5:
-        F5 = fv[4]
-        out[1] -= F5
-        out[4] = a0 * F2 + (F1 - mu2) * F5
-    return out
-
-
 def solve_ou_closed(k, sys, grid: TimeGrid, include_f5=True) -> OCoefficientSeries:
     """Closed ODE fast path for exponential kernels.
 
     Differentiating the quadrature definitions under an exponential
-    kernel closes the system on (F1..F5) alone; validated against the
-    grid solver.  Step doubling guards against stiffness.
+    kernel closes the system on F = (F1..F5) alone, as an affine map plus
+    one rank-one term: dF/dt = c + K F + F1 F with c = alpha0 e_0.
+    Validated against the grid solver; step doubling guards against
+    stiffness.
 
     ``k`` and ``sys`` are one :class:`OUKernel` and one system, or two
-    equal-length sequences of them, one pair per scan point.  The points
-    of a sequence march together, and every F array of the result then
-    carries a trailing point axis (see :meth:`OCoefficientSeries.point`).
+    equal-length sequences of them, one pair per scan point.  Each point
+    gets its own (c, K), and all march on one (dim, P) state with one
+    ``einsum`` per stage, so a point's series is bitwise the same alone or
+    in any batch.  For a sequence the F arrays carry a trailing point
+    axis (see :meth:`OCoefficientSeries.point`).
     """
     batch = isinstance(k, (list, tuple))
     pairs = list(zip(k, sys, strict=True)) if batch else [(k, sys)]
     if not all(isinstance(q, OUKernel) for q, _ in pairs):
         raise TypeError("closed path needs an exponential kernel")
-    consts = [(complex(q.alpha0), q.mu, s.omega_m, s.Delta, s.G) for q, s in pairs]
-    # one point marches on numpy scalars, not as a batch of one: one-element
-    # array ufuncs cost more than scalar arithmetic (3,000 steps at dt 0.01,
-    # median of 6 alternating runs on a shared 2-core Xeon: 0.35 s scalar,
-    # 0.75 s as a batch of one)
-    a0, mu, wm, delta, g = (np.array(c) for c in zip(*consts)) if batch else consts[0]
-    rates = (a0, 1j * wm - mu, -1j * wm - mu, -1j * delta - mu, 1j * delta - mu,
-             1j * g, 2.0 * mu)
     dim = 5 if include_f5 else 4
-    y0 = np.zeros((dim, len(pairs)) if batch else dim)
-    F = np.moveaxis(march_doubled(lambda y: _closed_rhs(y, *rates, include_f5), y0,
-                                  grid, "closed coefficient system"), 1, 0)
+    c = np.zeros((dim, len(pairs)), dtype=complex)
+    K = np.zeros((dim, dim, len(pairs)), dtype=complex)
+    for p, (q, s) in enumerate(pairs):
+        a0, mu, ig, w, d = complex(q.alpha0), q.mu, 1j * s.G, s.omega_m, s.Delta
+        c[0, p] = a0
+        K[:4, :4, p] = [[1j * w - mu, 0, ig, -ig], [0, -1j * w - mu, ig, -ig],
+                        [ig, -ig, -1j * d - mu, 0], [ig, -ig, 0, 1j * d - mu]]
+        if include_f5:
+            K[[1, 4, 4], [4, 1, 4], p] = (-1.0, a0, -2.0 * mu)
+    F = march_doubled(lambda y: c + np.einsum("ijp,jp->ip", K, y) + y[0] * y,
+                      np.zeros_like(c), grid, "closed coefficient system")
+    F = np.moveaxis(F if batch else F[..., 0], 1, 0)
     return OCoefficientSeries(
         grid=grid, F1=F[0], F2=F[1], F3=F[2], F4=F[3],
         F5=F[4] if include_f5 else None, provenance="closed-ou",

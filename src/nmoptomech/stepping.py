@@ -168,9 +168,9 @@ def march_doubled(rhs, y0, grid, what):
     Each step is taken twice (one full, two halves) and the finer result
     is kept.  The march stops with :class:`NumericalFailure`, naming
     ``what``, once the two differ by more than 1e-2 of the state scale.
-    A state with a trailing point axis marches many points at once; each
-    point is then held to the guard against its own scale.  Returns the
-    states stacked along a leading time axis.
+    The guard reduces over the leading axis only, so each point of a
+    trailing point axis (the closed OU march always has one) is held to
+    its own scale.  Returns the states stacked along a leading time axis.
     """
     dt = grid.dt
     y = np.asarray(y0, dtype=complex)

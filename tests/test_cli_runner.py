@@ -320,6 +320,14 @@ def test_exit_code_two_on_config_error(tmp_path, capsys):
     assert ("config error: [grid] dt: cannot read 'abc' as a finite number"
             in capsys.readouterr().err)
     assert not (tmp_path / "o").exists()
+    # a node count t_final / dt that no grid can hold
+    for dt, ratio in (("5e-324", "inf"), ("1e-300", "1e+300")):
+        rc = main(["run", "--scenario", "custom", "--config", str(p),
+                   "--out", str(tmp_path / "o"), "--dt", dt, "--tfinal", "1"])
+        assert rc == 2
+        assert (f"config error: [grid] t_final / dt = {ratio}: too many grid nodes"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
 
 _SYSTEM = "[system]\ndelta = 1.0\ncoupling = 0.1\n"

@@ -54,6 +54,21 @@ def test_environment_frequency_scan_matches_per_point():
     _assert_agrees(got, list(zip(kernels, systems)), GRID)
 
 
+@pytest.mark.parametrize("include_f5", [True, False])
+def test_closed_series_does_not_depend_on_batching(include_f5):
+    # every point of a fig4-like batch has bitwise the series it has alone
+    grid = TimeGrid(dt=0.01, t_final=4.0)
+    kernels = [OUKernel(Gamma=0.4, gamma=1.0, Omega=w)
+               for w in np.round(np.arange(0.0, 2.0001, 0.1), 10)]
+    systems = [LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)] * len(kernels)
+    batch = solve_ou_closed(kernels, systems, grid, include_f5=include_f5)
+    for p, (k, s) in enumerate(zip(kernels, systems)):
+        alone = solve_ou_closed(k, s, grid, include_f5=include_f5)
+        assert (alone.F5 is None) == (not include_f5)
+        for got, want in zip(_coefficients(batch.point(p)), _coefficients(alone)):
+            assert got is want is None or np.array_equal(got, want)
+
+
 def test_detuning_scan_matches_per_point():
     # fig5-like: one kernel, the detuning varies
     systems = [LinearizedSystem(omega_m=1.0, Delta=d, G=0.1)
