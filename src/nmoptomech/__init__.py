@@ -64,6 +64,7 @@ from .fock import (
     moments_from_rho,
     integrate_master,
     integrate_lindblad,
+    integrate_thermal_master,
     propagate_trajectory,
     propagate_ensemble,
     average_trajectories,
@@ -75,7 +76,6 @@ from .thermal import (
     thermal_occupation,
     effective_kernels,
     solve_thermal_ocoeff,
-    integrate_thermal_master,
 )
 from .cli_runner import RunConfig, parse_config, run_scenario, main
 
@@ -127,6 +127,7 @@ __all__ = [
     "moments_from_rho",
     "integrate_master",
     "integrate_lindblad",
+    "integrate_thermal_master",
     "propagate_trajectory",
     "propagate_ensemble",
     "average_trajectories",
@@ -136,7 +137,6 @@ __all__ = [
     "thermal_occupation",
     "effective_kernels",
     "solve_thermal_ocoeff",
-    "integrate_thermal_master",
     "RunConfig",
     "parse_config",
     "run_scenario",

@@ -29,6 +29,7 @@ from .fock import (
     basis_state,
     build_operators,
     integrate_master,
+    integrate_thermal_master,
     moments_from_rho,
     projector,
     propagate_ensemble,
@@ -37,11 +38,10 @@ from .fock import (
 from .gaussian_ent import log_negativity, symplectic_readout  # noqa: F401
 from .kernel import DeltaKernel, OUKernel, TabulatedKernel, read_kernel_table
 from .moments import covariances, integrate_moments, vacuum
-from .ocoeff import OCoefficientSeries, solve_ocoeff
+from .ocoeff import _SLAB_BUDGET, OCoefficientSeries, solve_ocoeff
 from .params import PhysicalParams, LinearizedSystem, linearize, solve_mean_field
 from .stepping import TimeGrid
-from .thermal import (effective_kernels, frequency_window, integrate_thermal_master,
-                      solve_thermal_ocoeff)
+from .thermal import effective_kernels, frequency_window, solve_thermal_ocoeff
 
 __all__ = ["RunConfig", "parse_config", "run_scenario", "main"]
 
@@ -132,6 +132,9 @@ _FIG5_DELTAS = tuple(np.round(np.arange(1.0, 3.0001, 0.05), 10))
 _ONSET_LEVEL = 0.1
 # every sweep point is a full run; a longer range is a typo, not a plan
 _MAX_SWEEP_POINTS = 10_000
+# one point's history of 5 coefficient and 14 moment rows (16-byte values)
+# must fit the coefficient solve's storage budget; scans are not multiplied in
+_MAX_NODES = _SLAB_BUDGET // (16 * (5 + 14))
 
 
 def _onset_time(times, en, level=_ONSET_LEVEL):
@@ -336,8 +339,10 @@ def _validate(scenario, v, src, resolved) -> RunConfig:
         raise ConfigError("[grid] dt must be positive")
     if t_final <= dt:
         raise ConfigError("[grid] t_final must exceed dt")
-    if not t_final / dt <= np.iinfo(np.intp).max:
-        raise ConfigError(f"[grid] t_final / dt = {t_final / dt:g}: too many grid nodes")
+    if not np.rint(t_final / dt) + 1 <= _MAX_NODES:
+        raise ConfigError(f"[grid] t_final / dt = {t_final / dt:g}: too many grid nodes "
+                          f"(at most {_MAX_NODES}: one point's history fits in "
+                          f"{_SLAB_BUDGET / 1e9:g} GB)")
     # fig2 reads F5/F1 at the node nearest t = 15 (rounded as TimeGrid rounds)
     if scenario == "fig2" and np.rint(_FIG2_RATIO_T / dt) > np.rint(t_final / dt):
         raise ConfigError(f"time {_FIG2_RATIO_T:g} is outside the grid "

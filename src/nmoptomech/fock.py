@@ -6,8 +6,8 @@ here: the memory-carrying master equation
     drho/dt = -i[H_S, rho] + [b, rho Obar^dag] + h.c.,
     Obar(t) = F1 b + F2 b^dag + F3 a + F4 a^dag,
 
-its memoryless limit (the standard damped-mirror Lindblad form), and
-the linear stochastic unraveling
+its memoryless limit (the standard damped-mirror Lindblad form), the
+two-bath equation of ``thermal`` and the linear stochastic unraveling
 
     d|psi>/dt = (-i H_S + b z*_t - b^dag Obar(t)) |psi>,
 
@@ -26,7 +26,8 @@ from .kernel import path_seed, sample_noise_batch, NoisePath
 from .moments import MomentTrajectory
 from .ocoeff import OCoefficientSeries
 from .params import LinearizedSystem
-from .stepping import TimeGrid, rk4_step, stage_values
+from .stepping import TimeGrid, half_node_values, march_driven
+from .thermal import ThermalOCoefficients
 
 __all__ = [
     "FockOperators",
@@ -37,6 +38,7 @@ __all__ = [
     "RhoTrajectory",
     "integrate_master",
     "integrate_lindblad",
+    "integrate_thermal_master",
     "StatePath",
     "propagate_trajectory",
     "propagate_ensemble",
@@ -260,40 +262,33 @@ def _store_nodes(n, store_every):
     return np.array(sorted({0, n - 1, *range(0, n, store_every or n)}))
 
 
-def _run_rho(gen_at, rows, grid, rho0, ops, store_every, trace_tol, leak_tol):
+def _run_rho(rhs_at, grid, rho0, ops, store_every, trace_tol, leak_tol):
     """Shared 4th-order density-matrix march.
 
-    ``gen_at(values)`` returns the generator, a function of rho, for the
-    values of the coefficient ``rows`` (none for an autonomous equation)
-    at a node or a step midpoint.  ``rho0`` must be Hermitian, as the
-    band generators assume.
+    ``rhs_at(j)`` returns the generator, a function of rho, with its
+    coefficients at half-node ``j`` (see :func:`stepping.march_driven`).
+    ``rho0`` must be Hermitian, as the band generators assume.
     """
-    nodes, mids = stage_values(rows) if rows else ((), ())
     n = grid.n_points
-    dt = grid.dt
     rho = np.array(rho0, dtype=complex)
     if rho.shape != (ops.dim, ops.dim):
         raise ValueError("initial state has wrong dimension")
     if np.abs(rho - rho.conj().T).max() > 1e-12 * max(1.0, np.abs(rho).max()):
         raise ValueError("initial state must be Hermitian")
     store_idx = _store_nodes(n, store_every)
+    slot = {k: i for i, k in enumerate(store_idx.tolist())}
     rhos = np.empty((len(store_idx), ops.dim, ops.dim), dtype=complex)
     moments = np.empty((n, 14), dtype=complex)
     traces = np.empty(n)
-    ptr = 0
-    t = grid.times()
-    for k in range(n):
+
+    def visit(k, rho):
         traces[k] = np.trace(rho).real
         moments[k] = ops.moment_vector(rho)
-        if ptr < len(store_idx) and store_idx[ptr] == k:
-            rhos[ptr] = rho
-            ptr += 1
-        _check_rho(rho, ops, t[k], trace_tol, leak_tol)
-        if k == n - 1:
-            break
-        rho = rk4_step(rho, dt, gen_at([r[k] for r in nodes]),
-                       gen_at([r[k] for r in mids]),
-                       gen_at([r[k + 1] for r in nodes]))
+        if k in slot:
+            rhos[slot[k]] = rho
+        _check_rho(rho, ops, grid.dt * k, trace_tol, leak_tol)
+
+    march_driven(rhs_at, rho, grid, visit)
     return RhoTrajectory(grid=grid, store_idx=store_idx, rhos=rhos,
                          moments=moments, traces=traces)
 
@@ -347,7 +342,8 @@ def integrate_master(F: OCoefficientSeries, ops: FockOperators, rho0,
         raise ValueError("F series and master integration must share one grid")
     if ops.H is None:
         raise ValueError("operators were built without a Hamiltonian")
-    return _run_rho(lambda fv: _master_generator(ops, fv), (F.F1, F.F2, F.F3, F.F4),
+    rows = (F.F1, F.F2, F.F3, F.F4)
+    return _run_rho(lambda j: _master_generator(ops, half_node_values(rows, j)),
                     grid, rho0, ops, store_every, trace_tol, leak_tol)
 
 
@@ -368,8 +364,33 @@ def integrate_lindblad(ops: FockOperators, Gamma, rho0, grid: TimeGrid,
         return (-1j * (H @ rho - rho @ H)
                 + half * ((b @ p - p @ b) + (q @ bd - bd @ q)))
 
-    return _run_rho(lambda _: gen, (), grid, rho0, ops, store_every,
-                    trace_tol, leak_tol)
+    return _run_rho(lambda _: gen, grid, rho0, ops, store_every, trace_tol,
+                    leak_tol)
+
+
+def _thermal_generator(ops: FockOperators, x):
+    """Two-bath generator at one stage with X11..X14, X21..X24 = ``x``:
+    -i[H, rho] + [L, rho Obar1^dag] + [L^dag, rho Obar2^dag] + h.c. with
+    L = a + b (the q_i = Obar_i rho terms are the daggers p_i^dag)."""
+    bd = ops.bands
+    basis = (bd["a"], bd["ad"], bd["b"], bd["bd"])
+    return _band_generator(ops, [bd["a"], bd["b"]], _weighted(x[0:4], basis),
+                           _weighted(x[4:8], basis))
+
+
+def integrate_thermal_master(Xij: ThermalOCoefficients, ops: FockOperators,
+                             rho0, grid: TimeGrid, store_every=0,
+                             trace_tol=1e-6, leak_tol=1e-4) -> RhoTrajectory:
+    """Integrate the two-bath state equation of ``thermal`` (channel
+    L = a + b) on the band products of the zero-temperature equation;
+    each bath term is Hermiticity- and trace-preserving on its own."""
+    if not grid.matches(Xij.grid):
+        raise ValueError("coefficients and integration must share one grid")
+    if ops.H is None:
+        raise ValueError("operators were built without a Hamiltonian")
+    rows = [Xij.X[:, i, j] for i in range(2) for j in range(4)]
+    return _run_rho(lambda j: _thermal_generator(ops, half_node_values(rows, j)),
+                    grid, rho0, ops, store_every, trace_tol, leak_tol)
 
 
 @dataclass(frozen=True)
@@ -401,37 +422,30 @@ def _propagate_states(F, ops, Z, psi0, grid, store_idx, out):
     weighted by F1..F4) and the b band times each path's noise, so every
     path is advanced element by element, independent of the batch width.
     """
-    n = grid.n_points
-    dt = grid.dt
     basis = ops._drift_basis
     ob, wb = ops.bands["b"]
-    nodes, mids = stage_values((F.F1, F.F2, F.F3, F.F4))
-    # the march runs on (d, paths): a band product scales whole rows
-    psi = np.repeat(np.asarray(psi0, dtype=complex)[:, None], Z.shape[1], axis=1)
-    ptr = 0
+    rows = (F.F1, F.F2, F.F3, F.F4)
+    slot = {k: i for i, k in enumerate(store_idx.tolist())}
 
-    def rhs_at(fv, z_row):
-        c = np.array([1.0, *(-f for f in fv)])
-        bands = [(o, c @ w) for o, w in basis] + [(ob, np.outer(wb, z_row))]
+    def rhs_at(j):
+        c = np.array([1.0, *(-f for f in half_node_values(rows, j))])
+        bands = [(o, c @ w) for o, w in basis] + [(ob, np.outer(wb, Z[j]))]
         return lambda p: _lmul(bands, p)
 
-    f_next = rhs_at([r[0] for r in nodes], Z[0])
-    for k in range(n):
-        if ptr < len(store_idx) and store_idx[ptr] == k:
-            out[:, ptr] = psi.T
-            ptr += 1
-        if k == n - 1:
-            break
-        f_node, f_next = f_next, rhs_at([r[k + 1] for r in nodes], Z[2 * k + 2])
-        psi = rk4_step(psi, dt, f_node, rhs_at([r[k] for r in mids], Z[2 * k + 1]),
-                       f_next)
-        if k % 64 == 0 or k == n - 2:
+    def visit(k, psi):
+        if k in slot:
+            out[:, slot[k]] = psi.T
+        if k % 64 == 1 or k == grid.n_steps:
             worst = np.abs(psi).max()
             if not np.isfinite(worst) or worst > _NORM_CAP:
                 raise NumericalFailure(
                     f"trajectory amplitude reached {worst:.2e} at "
-                    f"t={grid.dt * (k + 1):.3f}; aborting (heavy-tailed norm)"
+                    f"t={grid.dt * k:.3f}; aborting (heavy-tailed norm)"
                 )
+
+    # the march runs on (d, paths): a band product scales whole rows
+    psi0 = np.repeat(np.asarray(psi0, dtype=complex)[:, None], Z.shape[1], axis=1)
+    march_driven(rhs_at, psi0, grid, visit)
 
 
 def propagate_trajectory(F: OCoefficientSeries, ops: FockOperators,

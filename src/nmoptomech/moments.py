@@ -26,7 +26,7 @@ import numpy as np
 from .errors import NumericalFailure
 from .gaussian_ent import log_negativity, symplectic_readout
 from .ocoeff import OCoefficientSeries
-from .stepping import TimeGrid, midpoint_at, rk4_step
+from .stepping import TimeGrid, half_node_values, march_driven
 
 __all__ = [
     "DIP_TOL",
@@ -223,24 +223,21 @@ def integrate_moments(F: OCoefficientSeries, sys, init,
     basis = _affine_basis()
     par = np.empty((len(systems), 11), dtype=complex)
     par[:, 8:] = [(s.omega_m, s.Delta, s.G) for s in systems]
+    # the state marches as (P, 14); midpoints step by step, so no stage
+    # arrays are stored for every point
+    vals = np.empty((n, 14, len(systems)), dtype=complex)
 
-    def rhs(f):
-        par[:, :4] = np.transpose(f)
+    def rhs_at(j):
+        par[:, :4] = np.transpose(half_node_values(rows, j))
         par[:, 4:8] = par[:, :4].conj()
         op = par @ basis
         M, c = op[:, :196].reshape(-1, 14, 14), op[:, 196:]
         return lambda y: (M @ y[..., None])[..., 0] + c
 
-    # the state marches as (P, 14); midpoints step by step, so no stage
-    # arrays are stored for every point
-    vals = np.empty((n, 14, len(systems)), dtype=complex)
-    y = np.tile(init, (len(systems), 1))
-    vals[0] = y.T
-    f_next = rhs([r[0] for r in rows])
-    for k in range(n - 1):
-        f_node, f_next = f_next, rhs([r[k + 1] for r in rows])
-        y = rk4_step(y, grid.dt, f_node, rhs([midpoint_at(r, k) for r in rows]), f_next)
-        vals[k + 1] = y.T
+    def visit(k, y):
+        vals[k] = y.T
+
+    y = march_driven(rhs_at, np.tile(init, (len(systems), 1)), grid, visit)
     if not np.all(np.isfinite(vals)):
         raise NumericalFailure("moment integration blew up; refine the grid")
     drift = conjugation_residual(y)  # one row per point

@@ -17,9 +17,9 @@ __all__ = [
     "trapezoid_weights",
     "midpoint_values",
     "midpoint_derivative",
-    "midpoint_at",
-    "stage_values",
+    "half_node_values",
     "rk4_step",
+    "march_driven",
     "march_doubled",
 ]
 
@@ -122,28 +122,22 @@ def midpoint_derivative(values, h):
     return _apply_mid_stencil(values, _DMID_INTERIOR, _DMID_LEFT, _DMID_RIGHT) / h
 
 
-def midpoint_at(values, k):
-    """Midpoint value past node ``k``, as in :func:`stage_values`, for a
-    march that takes one step's midpoint at a time instead of storing all."""
-    n = values.shape[0]
-    if n < 4:
-        return 0.5 * (values[k] + values[k + 1])
-    w = _MID_LEFT if k == 0 else _MID_RIGHT if k == n - 2 else _MID_INTERIOR
-    j = min(max(k - 1, 0), n - 4)
-    return w @ values[j : j + 4]
-
-
-def stage_values(rows):
-    """Node and 4th-order midpoint values for each driving coefficient row.
+def half_node_values(rows, j):
+    """Values of each coefficient row at half-node ``j`` of the refined
+    grid: node j/2 at even j, the 4th-order midpoint past node (j-1)/2 at
+    odd j, one step's stencil at a time.
 
     Grids with fewer than four nodes fall back to the two-node average.
     """
-    nodes = [np.asarray(r) for r in rows]
-    if nodes[0].shape[0] >= 4:
-        mids = [midpoint_values(r) for r in nodes]
-    else:
-        mids = [0.5 * (r[:-1] + r[1:]) for r in nodes]
-    return nodes, mids
+    k, odd = divmod(j, 2)
+    if not odd:
+        return [r[k] for r in rows]
+    n = rows[0].shape[0]
+    if n < 4:
+        return [0.5 * (r[k] + r[k + 1]) for r in rows]
+    w = _MID_LEFT if k == 0 else _MID_RIGHT if k == n - 2 else _MID_INTERIOR
+    i = min(max(k - 1, 0), n - 4)
+    return [w @ r[i : i + 4] for r in rows]
 
 
 def rk4_step(y, h, f, f_mid=None, f_next=None):
@@ -160,6 +154,24 @@ def rk4_step(y, h, f, f_mid=None, f_next=None):
     k3 = f_mid(y + 0.5 * h * k2)
     k4 = f_next(y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def march_driven(rhs_at, y, grid, visit):
+    """RK4 march of ``y`` over ``grid`` with stage data that vary in time.
+
+    ``rhs_at(j)`` is the right-hand side with its data at half-node ``j``
+    of ``grid.refine()`` (node k is j = 2k, the midpoint past it 2k + 1);
+    each node's serves the steps on both sides of it.  ``visit(k, y)``
+    sees the state at every node k = 0..n_steps once, in order, before
+    the march goes on.  Returns the state at the last node.
+    """
+    visit(0, y)
+    f_next = rhs_at(0)
+    for k in range(grid.n_steps):
+        f_node, f_next = f_next, rhs_at(2 * k + 2)
+        y = rk4_step(y, grid.dt, f_node, rhs_at(2 * k + 1), f_next)
+        visit(k + 1, y)
+    return y
 
 
 def march_doubled(rhs, y0, grid, what):

@@ -15,7 +15,7 @@ to the bare kernel of J.  The noise-free operator for bath i is
 expanded as Obar_i = X_i1 a + X_i2 a^dag + X_i3 b + X_i4 b^dag; the
 coefficient rows x_ij(t, s) share one bilinear evolution matrix and the
 kernel averages X_ij close on themselves for exponential kernels.  The
-resulting state equation is
+resulting state equation (:func:`fock.integrate_thermal_master`) is
 
     drho/dt = -i[H_S, rho] + [L, rho Obar1^dag] - [L^dag, Obar1 rho]
                            + [L^dag, rho Obar2^dag] - [L, Obar2 rho].
@@ -30,8 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .fock import (FockOperators, RhoTrajectory, _band_generator, _run_rho,
-                   _weighted)
 from .kernel import DeltaKernel, OUKernel, TabulatedKernel, spectral_density
 from .ocoeff import _two_time_march
 from .params import LinearizedSystem
@@ -44,7 +42,6 @@ __all__ = [
     "frequency_window",
     "effective_kernels",
     "solve_thermal_ocoeff",
-    "integrate_thermal_master",
 ]
 
 # boundary rows x_ij(t, t): bath 1 rides the annihilators, bath 2 the creators
@@ -342,30 +339,3 @@ def solve_thermal_ocoeff(kernels, sys: LinearizedSystem,
         return _solve_thermal_grid((a1, a2), sys, grid)
     return _solve_thermal_closed((a1, a2), sys, grid)
 
-
-def _thermal_generator(ops: FockOperators, x):
-    """Two-bath generator at one stage with X11..X14, X21..X24 = ``x``:
-    -i[H, rho] + [L, rho Obar1^dag] + [L^dag, rho Obar2^dag] + h.c. with
-    L = a + b (the q_i = Obar_i rho terms are the daggers p_i^dag)."""
-    bd = ops.bands
-    basis = (bd["a"], bd["ad"], bd["b"], bd["bd"])
-    return _band_generator(ops, [bd["a"], bd["b"]], _weighted(x[0:4], basis),
-                           _weighted(x[4:8], basis))
-
-
-def integrate_thermal_master(Xij: ThermalOCoefficients, ops: FockOperators,
-                             rho0, grid: TimeGrid, store_every=0,
-                             trace_tol=1e-6, leak_tol=1e-4) -> RhoTrajectory:
-    """Integrate the two-bath state equation with channel L = a + b.
-
-    The generator (:func:`_thermal_generator`) runs on the band products
-    of the zero-temperature master equation; each bath term is
-    Hermiticity- and trace-preserving on its own.
-    """
-    if not grid.matches(Xij.grid):
-        raise ValueError("coefficients and integration must share one grid")
-    if ops.H is None:
-        raise ValueError("operators were built without a Hamiltonian")
-    series = [Xij.X[:, i, j] for i in range(2) for j in range(4)]
-    return _run_rho(lambda x: _thermal_generator(ops, x), series, grid, rho0,
-                    ops, store_every, trace_tol, leak_tol)

@@ -18,6 +18,7 @@ from nmoptomech.fock import (
     build_operators,
     integrate_lindblad,
     integrate_master,
+    integrate_thermal_master,
     moments_from_rho,
     projector,
     propagate_ensemble,
@@ -37,7 +38,6 @@ from nmoptomech.stepping import TimeGrid
 from nmoptomech.thermal import (
     ThermalOCoefficients,
     effective_kernels,
-    integrate_thermal_master,
     solve_thermal_ocoeff,
     thermal_occupation,
 )

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from nmoptomech.cli_runner import (_SCENARIOS, _SCHEMA, RunConfig, _custom_point,
                                    _onset_time, main, parse_config)
 from nmoptomech.errors import ConfigError, NumericalFailure
+from nmoptomech.ocoeff import _SLAB_BUDGET
 
 MINIMAL = """\
 [system]
@@ -329,6 +330,25 @@ def test_exit_code_two_on_config_error(tmp_path, capsys):
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+
+
+def test_grid_over_the_storage_budget_is_config_error(tmp_path, capsys):
+    # one point keeps 5 coefficient and 14 moment rows of 16-byte values
+    # per node; the last node count inside the budget still parses
+    most = _SLAB_BUDGET // (16 * (5 + 14))
+    cfg = parse_config(MINIMAL + f"[grid]\ndt = 1.0\nt_final = {most - 1}\n")
+    assert cfg.t_final == most - 1
+    with pytest.raises(ConfigError, match=f"too many grid nodes \\(at most {most}:"):
+        parse_config(MINIMAL + f"[grid]\ndt = 1.0\nt_final = {most}\n")
+    p = tmp_path / "c.cfg"
+    p.write_text(MINIMAL)
+    rc = main(["run", "--scenario", "custom", "--config", str(p),
+               "--out", str(tmp_path / "o"), "--dt", "1e-12", "--tfinal", "1"])
+    assert rc == 2
+    assert ("config error: [grid] t_final / dt = 1e+12: too many grid nodes (at most "
+            f"{most}: one point's history fits in {_SLAB_BUDGET / 1e9:g} GB)"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
 
 _SYSTEM = "[system]\ndelta = 1.0\ncoupling = 0.1\n"
 _RAW = "[system]\nomega_c = 10.0\ng = 0.01\nomega_drive = 9.0\n"

@@ -28,7 +28,7 @@ from nmoptomech.kernel import (
 from nmoptomech.moments import MOMENT_LABELS
 from nmoptomech.ocoeff import markov_series, solve_ou_closed
 from nmoptomech.params import LinearizedSystem
-from nmoptomech.stepping import TimeGrid, rk4_step, stage_values
+from nmoptomech.stepping import TimeGrid, midpoint_values, rk4_step
 
 SYS = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)
 OU_MAIN = OUKernel(Gamma=2.0, gamma=0.6, Omega=0.0)
@@ -267,7 +267,8 @@ def test_master_march_matches_dense_generator_march():
     F = solve_ou_closed(OU_MAIN, SYS, grid)
     rho0 = projector((basis_state(dims) + basis_state(dims, 1, 2)) / np.sqrt(2))
     rt = integrate_master(F, ops, rho0, grid, store_every=50)
-    nodes, mids = stage_values((F.F1, F.F2, F.F3, F.F4))
+    nodes = (F.F1, F.F2, F.F3, F.F4)
+    mids = [midpoint_values(r) for r in nodes]
     rho = rho0
     worst = 0.0
     for k in range(grid.n_steps):
@@ -338,7 +339,8 @@ def test_band_drift_march_matches_dense_drift_march(dims):
     noise = sample_noise_path(k, grid.refine(), path_seed(11, sum(dims)))
     psi0 = (basis_state(dims) + basis_state(dims, 1, 1)) / np.sqrt(2)
     path = propagate_trajectory(F, ops, noise, psi0, grid)
-    nodes, mids = stage_values((F.F1, F.F2, F.F3, F.F4))
+    nodes = (F.F1, F.F2, F.F3, F.F4)
+    mids = [midpoint_values(r) for r in nodes]
     z = noise.values
     psi = psi0
     worst = np.max(np.abs(path.states[0] - psi))

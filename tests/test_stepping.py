@@ -9,11 +9,12 @@ from nmoptomech.ocoeff import solve_ou_closed
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import (
     TimeGrid,
+    half_node_values,
     march_doubled,
+    march_driven,
     midpoint_derivative,
     midpoint_values,
     rk4_step,
-    stage_values,
     trapezoid_weights,
 )
 
@@ -79,13 +80,26 @@ def test_midpoint_derivative_matches_cosine():
     assert np.max(np.abs(d - exact)) < 1e-6
 
 
-def test_stage_values_fall_back_to_average_on_short_grids():
+def test_half_node_values_fall_back_to_average_on_short_grids():
     row = np.array([0.0, 1.0, 4.0])
-    nodes, mids = stage_values([row])
-    assert np.array_equal(nodes[0], row)
-    assert mids[0].tolist() == [0.5, 2.5]
-    x = np.linspace(0.0, 1.0, 9)
-    assert np.array_equal(stage_values([x**2])[1][0], midpoint_values(x**2))
+    assert [half_node_values([row], j)[0] for j in range(5)] == [0.0, 0.5, 1.0, 2.5, 4.0]
+    pair = np.array([2.0, 3.0])
+    assert half_node_values([pair, 2.0 * pair], 1) == [2.5, 5.0]
+
+
+def test_half_node_values_match_nodes_and_midpoint_stencil():
+    # odd j takes one step's stencil as a dot product, midpoint_values all
+    # of them as one tensordot: the two round apart by at most 2 ulp
+    rng = np.random.default_rng(5)
+    flat = rng.normal(size=9)
+    wide = rng.normal(size=(9, 21)) + 1j * rng.normal(size=(9, 21))
+    for r in (flat, wide, np.linspace(0.0, 1.0, 9) ** 2):
+        mids = midpoint_values(r)
+        ulp = np.spacing(np.abs(r).max())
+        for k in range(9):
+            assert np.array_equal(half_node_values([r], 2 * k)[0], r[k])
+        for k in range(8):
+            assert np.abs(half_node_values([r], 2 * k + 1)[0] - mids[k]).max() <= 2 * ulp
 
 
 def _rk4_error(n):
@@ -105,6 +119,35 @@ def test_rk4_step_is_fourth_order_on_nonautonomous_ode():
     e1, e2, e3 = _rk4_error(10), _rk4_error(20), _rk4_error(40)
     assert 13.0 < e1 / e2 < 19.0
     assert 13.0 < e2 / e3 < 19.0
+
+
+def _cos_rhs(t):
+    return lambda v: np.cos(t) * v
+
+
+def test_march_driven_equals_the_hand_written_loop():
+    # the _rk4_error ODE; both routes read their stage times from one
+    # table, so they must agree bitwise
+    grid = TimeGrid(dt=0.1, t_final=1.0)
+    t = grid.refine().times()
+    want = [np.array([1.0])]
+    for k in range(grid.n_steps):
+        want.append(rk4_step(want[-1], grid.dt, _cos_rhs(t[2 * k]),
+                             _cos_rhs(t[2 * k + 1]), _cos_rhs(t[2 * k + 2])))
+    built, seen = [], []
+
+    def rhs_at(j):
+        built.append(j)
+        return _cos_rhs(t[j])
+
+    got = march_driven(rhs_at, want[0], grid, lambda k, y: seen.append((k, y)))
+    assert np.array_equal(got, want[-1])
+    # every node once, in order, with the state the loop holds there
+    assert [k for k, _ in seen] == list(range(grid.n_steps + 1))
+    assert all(np.array_equal(y, want[k]) for k, y in seen)
+    # each half-node's right-hand side is built once
+    assert sorted(built) == list(range(2 * grid.n_steps + 1))
+    assert abs(got[0] - np.exp(np.sin(1.0))) < 1e-5
 
 
 def _doubling_gap(rhs, y0, h):

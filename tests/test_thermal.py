@@ -6,19 +6,24 @@ import pytest
 from scipy.integrate import quad
 
 from nmoptomech.errors import NumericalFailure, TruncationError
-from nmoptomech.fock import basis_state, build_operators, integrate_master, projector
+from nmoptomech.fock import (
+    _thermal_generator,
+    basis_state,
+    build_operators,
+    integrate_master,
+    integrate_thermal_master,
+    projector,
+)
 from nmoptomech.kernel import DeltaKernel, OUKernel, TabulatedKernel
 from nmoptomech.ocoeff import solve_ou_closed
 from nmoptomech.params import LinearizedSystem
-from nmoptomech.stepping import TimeGrid, rk4_step, stage_values
+from nmoptomech.stepping import TimeGrid, midpoint_values, rk4_step
 from nmoptomech.thermal import (
     _solve_thermal_closed,
     _solve_thermal_grid,
-    _thermal_generator,
     EffectiveKernels,
     ThermalOCoefficients,
     effective_kernels,
-    integrate_thermal_master,
     solve_thermal_ocoeff,
     thermal_occupation,
 )
@@ -240,7 +245,8 @@ def test_thermal_march_matches_dense_generator_march():
     rho0 = projector((basis_state(dims) + basis_state(dims, 1, 1)) / np.sqrt(2))
     rt = integrate_thermal_master(X, ops, rho0, grid, store_every=50,
                                   leak_tol=1e-2)
-    nodes, mids = stage_values([X.X[:, i, j] for i in range(2) for j in range(4)])
+    nodes = [X.X[:, i, j] for i in range(2) for j in range(4)]
+    mids = [midpoint_values(r) for r in nodes]
     rho = rho0
     worst = 0.0
     for k in range(grid.n_steps):
