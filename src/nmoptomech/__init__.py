@@ -51,7 +51,6 @@ from .gaussian_ent import (
     min_symplectic_eigenvalue,
     pt_min_symplectic_eigenvalue,
     two_mode_squeezed_covariance,
-    random_physical_covariance,
 )
 from .fock import (
     FockOperators,
@@ -116,7 +115,6 @@ __all__ = [
     "min_symplectic_eigenvalue",
     "pt_min_symplectic_eigenvalue",
     "two_mode_squeezed_covariance",
-    "random_physical_covariance",
     "FockOperators",
     "RhoTrajectory",
     "StatePath",

@@ -37,7 +37,7 @@ from .fock import (
 # log_negativity is not called here; the benchmark tracer wraps this name
 from .gaussian_ent import log_negativity, symplectic_readout  # noqa: F401
 from .kernel import DeltaKernel, OUKernel, TabulatedKernel, read_kernel_table
-from .moments import covariances, integrate_moments, vacuum
+from .moments import covariances, integrate_moments, occupations, vacuum
 from .ocoeff import _SLAB_BUDGET, OCoefficientSeries, solve_ocoeff
 from .params import PhysicalParams, LinearizedSystem, linearize, solve_mean_field
 from .stepping import TimeGrid
@@ -132,7 +132,8 @@ _FIG5_DELTAS = tuple(np.round(np.arange(1.0, 3.0001, 0.05), 10))
 _ONSET_LEVEL = 0.1
 # every sweep point is a full run; a longer range is a typo, not a plan
 _MAX_SWEEP_POINTS = 10_000
-# one point's history of 5 coefficient and 14 moment rows (16-byte values)
+# one point's history of 5 coefficient and 14 moment rows, counted at 16
+# bytes a value (the real moment rows take 8, so the bound is conservative),
 # must fit the coefficient solve's storage budget; scans are not multiplied in
 _MAX_NODES = _SLAB_BUDGET // (16 * (5 + 14))
 
@@ -879,8 +880,7 @@ def _write_custom(cfg, outdir, manifest, coefficients, res):
             else "thermal_coefficients.csv")
     _write_series(outdir / name, coefficients.grid.times(), _coefficient_rows(coefficients))
     files = [name]
-    n_cav = res.moments[:, 5].real - 1.0
-    n_mec = res.moments[:, 12].real - 1.0
+    n_cav, n_mec = occupations(res.moments)
     _write_csv(outdir / "timeseries.csv",
                ["t", "en", "n_cavity", "n_mirror"],
                [res.times, res.en, n_cav, n_mec])

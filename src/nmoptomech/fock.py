@@ -129,13 +129,21 @@ class FockOperators:
 
     @property
     def moment_matrices(self):
-        """Stack of the 14 operators matching moments.MOMENT_LABELS."""
+        """Stack of the 14 observables matching moments.MOMENT_LABELS.
+
+        A mode's own second moments use a^dag a = a a^dag - 1 (as the
+        ladder equations do), not products of the truncated quadratures.
+        """
         a, ad, b, bd = self.a, self.ad, self.b, self.bd
+        one = np.eye(self.dim)
+        q1, p1, q2, p2 = a + ad, -1j * (a - ad), b + bd, -1j * (b - bd)
+        aa, adad, bb, bdbd = a @ a, ad @ ad, b @ b, bd @ bd
+        na, nb = 2.0 * a @ ad - one, 2.0 * b @ bd - one
         return np.stack([
-            a, ad, b, bd,
-            a @ a, a @ ad, a @ b, a @ bd,
-            ad @ ad, ad @ b, ad @ bd,
-            b @ b, b @ bd, bd @ bd,
+            q1, p1, q2, p2,
+            aa + adad + na, -1j * (aa - adad), q1 @ q2, q1 @ p2,
+            na - aa - adad, p1 @ q2, p1 @ p2,
+            bb + bdbd + nb, -1j * (bb - bdbd), nb - bb - bdbd,
         ])
 
     @cached_property
@@ -147,10 +155,10 @@ class FockOperators:
         return m, s * self.dim + r, mats[m, r, s]
 
     def moment_vector(self, rho):
-        """The 14 unnormalized means tr(M rho), O(d) per call."""
+        """The 14 unnormalized real means tr(M rho) of a Hermitian rho,
+        O(d) per call."""
         m, idx, w = self._moment_gather
-        p = w * rho.ravel()[idx]
-        return np.bincount(m, p.real, 14) + 1j * np.bincount(m, p.imag, 14)
+        return np.bincount(m, (w * rho.ravel()[idx]).real, 14)
 
     @cached_property
     def _leak_mask(self):
@@ -201,12 +209,12 @@ def projector(psi):
 
 
 def moments_from_rho(rho, ops: FockOperators, normalize=True):
-    """The (14,) moment vector by trace contraction; divides by tr rho by
-    default so ensemble-averaged (not exactly normalized) states give
-    estimators."""
+    """The real (14,) moment vector by trace contraction; divides by
+    tr rho by default so ensemble-averaged (not exactly normalized) states
+    give estimators."""
     vals = ops.moment_vector(np.asarray(rho))
     if normalize:
-        tr = np.trace(rho)
+        tr = np.trace(rho).real
         if abs(tr) < 1e-12:
             raise ValueError("state has (near) zero trace")
         vals = vals / tr
@@ -278,7 +286,7 @@ def _run_rho(rhs_at, grid, rho0, ops, store_every, trace_tol, leak_tol):
     store_idx = _store_nodes(n, store_every)
     slot = {k: i for i, k in enumerate(store_idx.tolist())}
     rhos = np.empty((len(store_idx), ops.dim, ops.dim), dtype=complex)
-    moments = np.empty((n, 14), dtype=complex)
+    moments = np.empty((n, 14))
     traces = np.empty(n)
 
     def visit(k, rho):

@@ -30,7 +30,6 @@ __all__ = [
     "log_negativity",
     "min_symplectic_eigenvalue",
     "pt_min_symplectic_eigenvalue",
-    "random_physical_covariance",
     "symplectic_readout",
     "two_mode_squeezed_covariance",
 ]
@@ -176,24 +175,3 @@ def two_mode_squeezed_covariance(r):
     V[1, 3] = V[3, 1] = -sh
     return V
 
-
-def random_physical_covariance(rng, nu=None, strength=1.0):
-    """Random physical two-mode covariance matrix.
-
-    Built as S diag(nu1, nu1, nu2, nu2) S^T with S = expm(M Q) for a random
-    symmetric Q, which is symplectic for the form M.  Symplectic spectra
-    ``nu`` default to random values in [1, 3].
-    """
-    from scipy.linalg import expm
-
-    if nu is None:
-        nu = 1.0 + 2.0 * rng.random(2)
-    nu1, nu2 = nu
-    if nu1 < 1.0 or nu2 < 1.0:
-        raise ValueError("symplectic eigenvalues must be >= 1")
-    q = rng.standard_normal((4, 4)) * strength
-    q = 0.5 * (q + q.T)
-    s = expm(_M @ q)
-    d = np.diag([nu1, nu1, nu2, nu2])
-    V = s @ d @ s.T
-    return 0.5 * (V + V.T)

@@ -1,20 +1,17 @@
 """Mean-value evolution driven by the O-coefficient series, and the
 covariance matrix built from it.
 
-Fourteen coupled means close on themselves: the four first moments and
-the ten independent second moments in the orderings
+Quadratures are xi = (q1, p1, q2, p2) with q = a + ad, p = -i(a - ad);
+with [xi_a, xi_b] = 2iM the vacuum covariance matrix is the identity.
+The state stays Gaussian, so fourteen real means close on themselves:
+the first moments r = <xi> and the second moments
+S_ij = <{xi_i, xi_j}>/2 for i <= j.  A moment state is the real (14,)
+vector x = (r, triu S) in the order of ``MOMENT_LABELS``; a stack of
+states keeps the moment axis last.  The covariance is V = S - r r^T.
 
-    a, ad, b, bd, aa, aad, ab, abd, adad, adb, adbd, bb, bbd, bdbd.
-
-A moment state is the (14,) complex vector of these means; a stack of
-states keeps the moment axis last.
-
-Conjugation pairs (ad = conj a, adad = conj aa, adbd = conj ab,
-adb = conj abd, bdbd = conj bb, aad and bbd real) are preserved by the
-flow and monitored, not enforced.
-
-Quadratures are q = a + ad, p = -i(a - ad); with [xi_a, xi_b] = 2iM the
-vacuum covariance matrix is the identity.
+With F_j = R_j + i I_j the means obey dr/dt = A r and the second
+moments the Lyapunov equation dS/dt = A S + S A^T + D (see
+:func:`_moment_rhs`).
 """
 
 import functools
@@ -34,30 +31,32 @@ __all__ = [
     "MomentTrajectory",
     "coherent",
     "vacuum",
-    "conjugation_residual",
     "integrate_moments",
     "covariances",
+    "occupations",
 ]
 
 # how far below 1 the smallest symplectic eigenvalue may dip unreported
 DIP_TOL = 1e-6
 
 MOMENT_LABELS = (
-    "a", "ad", "b", "bd",
-    "aa", "aad", "ab", "abd",
-    "adad", "adb", "adbd",
-    "bb", "bbd", "bdbd",
+    "q1", "p1", "q2", "p2",
+    "q1q1", "q1p1", "q1q2", "q1p2",
+    "p1p1", "p1q2", "p1p2",
+    "q2q2", "q2p2", "p2p2",
 )
+
+# (i, j) of the entries of triu S, and the position of S_ij in a state
+_TRIU = np.triu_indices(4)
+_SYM = np.empty((4, 4), dtype=int)
+_SYM[_TRIU] = _SYM.T[_TRIU] = 4 + np.arange(10)
 
 
 def coherent(alpha=0j, beta=0j):
     """Moment vector (14,) of the product coherent state |alpha> x |beta>."""
     a, b = complex(alpha), complex(beta)
-    ac, bc = a.conjugate(), b.conjugate()
-    return np.array([a, ac, b, bc,
-                     a * a, a * ac + 1.0, a * b, a * bc,
-                     ac * ac, ac * b, ac * bc,
-                     b * b, b * bc + 1.0, bc * bc])
+    r = 2.0 * np.array([a.real, a.imag, b.real, b.imag])
+    return np.concatenate([r, (np.outer(r, r) + np.eye(4))[_TRIU]])
 
 
 def vacuum():
@@ -65,65 +64,34 @@ def vacuum():
     return coherent(0j, 0j)
 
 
-def conjugation_residual(v):
-    """Max deviation from the Hermiticity pairing of the 14 means; one
-    value per vector of a stack (..., 14)."""
-    v = np.asarray(v)
-    r = np.abs(v[..., [1, 3, 8, 10, 9, 13]] - v[..., [0, 2, 4, 6, 7, 11]].conj())
-    return np.maximum(r.max(axis=-1), np.abs(v[..., [5, 12]].imag).max(axis=-1))
+def covariances(x):
+    """Covariance matrices V = S - r r^T, shape (..., 4, 4), of moment
+    vector(s) ``x`` with the moment axis last."""
+    x = np.asarray(x)
+    r = x[..., :4]
+    return x[..., _SYM] - r[..., :, None] * r[..., None, :]
 
 
-def covariances(v):
-    """Covariance matrices, shape (..., 4, 4), of moment vector(s).
-
-    ``v`` has the moment axis last, so both a single (14,) vector and a
-    trajectory (n, 14) array work.  Uses the commutators <a^dag a> =
-    <a a^dag> - 1 and likewise for b, so the vacuum gives the identity.
-    """
-    a, ad, b, bd, aa, aad, ab, abd, adad, adb, adbd, bb, bbd, bdbd = np.moveaxis(v, -1, 0)
-    q1, p1 = a + ad, -1j * (a - ad)
-    q2, p2 = b + bd, -1j * (b - bd)
-    v11 = (aa + adad + 2.0 * aad - 1.0 - q1 * q1).real
-    v12 = (-1j * (aa - adad) - q1 * p1).real
-    v22 = (2.0 * aad - 1.0 - aa - adad - p1 * p1).real
-    v33 = (bb + bdbd + 2.0 * bbd - 1.0 - q2 * q2).real
-    v34 = (-1j * (bb - bdbd) - q2 * p2).real
-    v44 = (2.0 * bbd - 1.0 - bb - bdbd - p2 * p2).real
-    v13 = (ab + abd + adb + adbd - q1 * q2).real
-    v14 = (-1j * (ab - abd + adb - adbd) - q1 * p2).real
-    v23 = (-1j * (ab + abd - adb - adbd) - p1 * q2).real
-    v24 = (-(ab - abd - adb + adbd) - p1 * p2).real
-    return np.stack([v11, v12, v13, v14, v12, v22, v23, v24,
-                     v13, v23, v33, v34, v14, v24, v34, v44], axis=-1).reshape(np.shape(a) + (4, 4))
+def occupations(x):
+    """<a^dag a> = (S_q1q1 + S_p1p1)/4 - 1/2 and likewise <b^dag b>, of
+    moment vector(s) ``x`` with the moment axis last."""
+    x = np.asarray(x)
+    return (x[..., 4] + x[..., 8]) / 4.0 - 0.5, (x[..., 11] + x[..., 13]) / 4.0 - 0.5
 
 
-def _moment_rhs(m, f1, f2, f3, f4, f1c, f2c, f3c, f4c, wm, delta, g):
-    (a, ad, b, bd, aa, aad, ab, abd, adad, adb, adbd, bb, bbd, bdbd) = m
-    ig = 1j * g
-    return (
-        1j * delta * a - ig * (b + bd),
-        -1j * delta * ad + ig * (b + bd),
-        -1j * wm * b - ig * (a + ad) - (f1 * b + f2 * bd + f3 * a + f4 * ad),
-        1j * wm * bd + ig * (a + ad) - (f1c * bd + f2c * b + f3c * ad + f4c * a),
-        2j * delta * aa - 2.0 * ig * (abd + ab),
-        ig * (abd + ab - adbd - adb),
-        1j * (delta - wm) * ab - ig * (aad + bbd - 1.0 + aa + bb)
-        - (f1 * ab + f2 * abd + f3 * aa + f4 * aad),
-        1j * (delta + wm) * abd - ig * (bdbd + bbd - aad - aa)
-        - (f1c * abd + f2c * ab + f3c * (aad - 1.0) + f4c * aa),
-        -2j * delta * adad + 2.0 * ig * (adbd + adb),
-        -1j * (delta + wm) * adb - ig * (adad + aad - bbd - bb)
-        - (f1 * adb + f2 * adbd + f3 * (aad - 1.0) + f4 * adad),
-        1j * (wm - delta) * adbd + ig * (aad + bbd - 1.0 + adad + bdbd)
-        - (f1c * adbd + f2c * adb + f3c * adad + f4c * aad),
-        -2j * wm * bb - 2.0 * ig * (adb + ab)
-        - 2.0 * (f1 * bb + f2 * bbd + f3 * ab + f4 * adb),
-        -ig * (adbd + abd - adb - ab)
-        - (f1c * (bbd - 1.0) + f2c * bb + f3c * adb + f4c * ab)
-        - (f1 * (bbd - 1.0) + f2 * bdbd + f3 * abd + f4 * adbd),
-        2j * wm * bdbd + 2.0 * ig * (abd + adbd)
-        - 2.0 * (f1c * bdbd + f2c * bbd + f3c * adbd + f4c * abd),
-    )
+def _moment_rhs(x, re1, re2, re3, re4, im1, im2, im3, im4, wm, delta, g):
+    """dx/dt of one state: dr/dt = A r and dS/dt = A S + S A^T + D, with
+    F_j = re_j + i im_j."""
+    A = np.array([[0.0, -delta, 0.0, 0.0],
+                  [delta, 0.0, -2.0 * g, 0.0],
+                  [-re3 - re4, im3 - im4, -re1 - re2, wm + im1 - im2],
+                  [-2.0 * g - im3 - im4, re4 - re3, -wm - im1 - im2, re2 - re1]])
+    D = np.array([[0.0, 0.0, re3 - re4, im3 - im4],
+                  [0.0, 0.0, -im3 - im4, re3 + re4],
+                  [re3 - re4, -im3 - im4, 2.0 * (re1 - re2), -2.0 * im2],
+                  [im3 - im4, re3 + re4, -2.0 * im2, 2.0 * (re1 + re2)]])
+    AS = A @ x[_SYM]
+    return np.concatenate([A @ x[:4], (AS + AS.T + D)[_TRIU]])
 
 
 @dataclass(frozen=True)
@@ -178,16 +146,16 @@ class MomentTrajectory:
 
 @functools.cache
 def _affine_basis():
-    """:func:`_moment_rhs` probed into its affine form dm/dt = M(p) m + c(p).
+    """:func:`_moment_rhs` probed into its affine form dx/dt = M(p) x + c(p).
 
-    It is linear in each of its 11 parameters p = (f1..f4, their
-    conjugates, wm, delta, g): M(p) = p @ basis[:, :196] (row-major
+    It is linear in each of its 11 real parameters p = (Re F1..F4,
+    Im F1..F4, wm, delta, g): M(p) = p @ basis[:, :196] (row-major
     14 x 14) and c(p) = p @ basis[:, 196:].
     """
-    basis = np.empty((11, 210), dtype=complex)
+    basis = np.empty((11, 210))
     for j, p in enumerate(np.eye(11)):
-        c = np.array(_moment_rhs(np.zeros(14), *p))
-        cols = [np.array(_moment_rhs(e, *p)) - c for e in np.eye(14)]
+        c = _moment_rhs(np.zeros(14), *p)
+        cols = [_moment_rhs(e, *p) - c for e in np.eye(14)]
         basis[j, :196] = np.stack(cols, axis=1).ravel()
         basis[j, 196:] = c
     return basis
@@ -195,8 +163,9 @@ def _affine_basis():
 
 def integrate_moments(F: OCoefficientSeries, sys, init,
                       grid: TimeGrid) -> MomentTrajectory:
-    """Integrate the 14 mean-value equations with the shared 4th-order step
-    from the (14,) moment vector ``init`` (e.g. :func:`vacuum`).
+    """Integrate the 14 real mean-value equations with the shared
+    4th-order step from the real (14,) moment vector ``init`` (e.g.
+    :func:`vacuum`).
 
     The F series must live on the same grid; its half-node values come
     from the 4th-order midpoint stencil (exact for the constant
@@ -209,11 +178,11 @@ def integrate_moments(F: OCoefficientSeries, sys, init,
     """
     if not grid.matches(F.grid):
         raise ValueError("F series and moment integration must share one grid")
-    init = np.asarray(init, dtype=complex)
+    init = np.asarray(init)
+    if np.iscomplexobj(init):
+        raise ValueError("the moment vector is real; got a complex initial vector")
     if init.shape != (14,):
         raise ValueError(f"need a (14,) initial moment vector, got shape {init.shape}")
-    if conjugation_residual(init) > 1e-9:
-        raise ValueError("initial moments break the conjugation pairing")
     n = grid.n_points
     batch = F.F1.ndim == 2
     systems = list(sys) if batch else [sys]
@@ -221,15 +190,15 @@ def integrate_moments(F: OCoefficientSeries, sys, init,
     if len(systems) != rows[0].shape[1]:
         raise ValueError("need one system per point of the F series")
     basis = _affine_basis()
-    par = np.empty((len(systems), 11), dtype=complex)
+    par = np.empty((len(systems), 11))
     par[:, 8:] = [(s.omega_m, s.Delta, s.G) for s in systems]
     # the state marches as (P, 14); midpoints step by step, so no stage
     # arrays are stored for every point
-    vals = np.empty((n, 14, len(systems)), dtype=complex)
+    vals = np.empty((n, 14, len(systems)))
 
     def rhs_at(j):
-        par[:, :4] = np.transpose(half_node_values(rows, j))
-        par[:, 4:8] = par[:, :4].conj()
+        f = np.transpose(half_node_values(rows, j))
+        par[:, :4], par[:, 4:8] = f.real, f.imag
         op = par @ basis
         M, c = op[:, :196].reshape(-1, 14, 14), op[:, 196:]
         return lambda y: (M @ y[..., None])[..., 0] + c
@@ -237,12 +206,7 @@ def integrate_moments(F: OCoefficientSeries, sys, init,
     def visit(k, y):
         vals[k] = y.T
 
-    y = march_driven(rhs_at, np.tile(init, (len(systems), 1)), grid, visit)
+    march_driven(rhs_at, np.tile(init.astype(float), (len(systems), 1)), grid, visit)
     if not np.all(np.isfinite(vals)):
         raise NumericalFailure("moment integration blew up; refine the grid")
-    drift = conjugation_residual(y)  # one row per point
-    bad = drift > 1e-6 * np.maximum(1.0, np.abs(y).max(axis=1))
-    if np.any(bad):
-        raise NumericalFailure(f"conjugation pairing drifted by {drift[bad].max():.2e}; "
-                               "integration unstable")
     return MomentTrajectory(grid=grid, values=vals if batch else vals[..., 0])

@@ -29,6 +29,7 @@ from nmoptomech.moments import MOMENT_LABELS
 from nmoptomech.ocoeff import markov_series, solve_ou_closed
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import TimeGrid, midpoint_values, rk4_step
+from oracles import to_quadratures
 
 SYS = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)
 OU_MAIN = OUKernel(Gamma=2.0, gamma=0.6, Omega=0.0)
@@ -63,9 +64,11 @@ def test_basis_state_and_moments():
     ops = build_operators((4, 4))
     m = moments_from_rho(rho, ops)
     lab = MOMENT_LABELS.index
-    assert m[lab("aad")] == pytest.approx(2.0)
-    assert m[lab("bbd")] == pytest.approx(3.0)
-    assert m[lab("a")] == pytest.approx(0.0)
+    assert m.dtype == np.float64
+    # <n> = (<q^2> + <p^2>)/4 - 1/2 for each mode
+    assert (m[lab("q1q1")] + m[lab("p1p1")]) / 4.0 - 0.5 == pytest.approx(1.0)
+    assert (m[lab("q2q2")] + m[lab("p2p2")]) / 4.0 - 0.5 == pytest.approx(2.0)
+    assert m[lab("q1")] == pytest.approx(0.0)
     with pytest.raises(ValueError):
         basis_state((3, 3), na=3, nb=0)
 
@@ -103,7 +106,8 @@ def test_one_phonon_markov_decay():
     rho0 = projector(basis_state(dims, na=0, nb=1))
     Gamma = 0.7
     rt = integrate_lindblad(ops, Gamma, rho0, grid)
-    n = rt.moments[:, MOMENT_LABELS.index("bbd")].real - 1.0
+    n = (rt.moments[:, MOMENT_LABELS.index("q2q2")]
+         + rt.moments[:, MOMENT_LABELS.index("p2p2")]) / 4.0 - 0.5
     want = np.exp(-Gamma * grid.times())
     assert np.max(np.abs(n - want)) < 1e-9
 
@@ -253,11 +257,27 @@ def test_band_generator_matches_dense_formula(dims):
 def test_band_moment_readout_matches_trace_contraction(dims):
     rng = np.random.default_rng(7)
     ops = build_operators(dims)
-    d = ops.dim
-    rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = random_hermitian(ops.dim, rng)
     want = np.einsum("mij,ji->m", ops.moment_matrices, rho)
     got = moments_from_rho(rho, ops, normalize=False)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.linalg.norm(rho)
+
+
+def test_moment_vector_is_the_ladder_traces_in_quadratures():
+    # the truncated quadrature products differ from the ladder moments on
+    # the top levels; the read-out keeps the ladder identities
+    rng = np.random.default_rng(34)
+    ops = build_operators((3, 4))
+    a, ad, b, bd = ops.a, ops.ad, ops.b, ops.bd
+    ladder = [a, ad, b, bd, a @ a, a @ ad, a @ b, a @ bd,
+              ad @ ad, ad @ b, ad @ bd, b @ b, b @ bd, bd @ bd]
+    for _ in range(3):
+        rho = random_hermitian(ops.dim, rng)
+        rho /= np.trace(rho).real
+        want = to_quadratures(np.array([np.trace(m @ rho) for m in ladder]))
+        assert np.abs(want.imag).max() <= 1e-13
+        got = ops.moment_vector(rho)
+        assert np.abs(got - want.real).max() <= 1e-13 * np.linalg.norm(rho)
 
 
 def test_master_march_matches_dense_generator_march():

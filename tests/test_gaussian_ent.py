@@ -9,10 +9,10 @@ from nmoptomech.gaussian_ent import (
     log_negativity,
     min_symplectic_eigenvalue,
     pt_min_symplectic_eigenvalue,
-    random_physical_covariance,
     symplectic_readout,
     two_mode_squeezed_covariance,
 )
+from oracles import random_physical_covariance
 
 
 def pt_oracle_en(V):

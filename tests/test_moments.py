@@ -18,32 +18,43 @@ from nmoptomech.moments import (
     _affine_basis,
     _moment_rhs,
     coherent,
-    conjugation_residual,
     covariances,
     integrate_moments,
+    occupations,
     vacuum,
 )
 from nmoptomech.ocoeff import OCoefficientSeries, markov_series, solve_ou_closed
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import TimeGrid
+from oracles import LADDER_LABELS, ladder_rhs, to_quadratures
+
+lab = MOMENT_LABELS.index
 
 
 def test_vacuum_moments():
     v = vacuum()
-    assert v[MOMENT_LABELS.index("aad")] == 1.0
-    assert v[MOMENT_LABELS.index("bbd")] == 1.0
-    assert np.count_nonzero(v) == 2
-    assert conjugation_residual(v) == 0.0
+    assert v.dtype == np.float64
+    for name in ("q1q1", "p1p1", "q2q2", "p2p2"):
+        assert v[lab(name)] == 1.0
+    assert np.count_nonzero(v) == 4
+    assert occupations(v) == (0.0, 0.0)
 
 
 def test_coherent_moments_factorize():
-    v = coherent(0.3 + 0.4j, -0.2j)
-    lab = MOMENT_LABELS.index
-    assert v[lab("a")] == pytest.approx(0.3 + 0.4j)
-    assert v[lab("ab")] == pytest.approx((0.3 + 0.4j) * (-0.2j))
-    assert v[lab("aad")] == pytest.approx(abs(0.3 + 0.4j) ** 2 + 1.0)
-    assert v[lab("adb")] == pytest.approx((0.3 - 0.4j) * (-0.2j))
-    assert conjugation_residual(v) < 1e-15
+    alpha, beta = 0.3 + 0.4j, -0.2j
+    v = coherent(alpha, beta)
+    assert v[lab("q1")] == pytest.approx(0.6)
+    assert v[lab("p1")] == pytest.approx(0.8)
+    assert v[lab("p2")] == pytest.approx(-0.4)
+    assert v[lab("q1p2")] == pytest.approx(0.6 * -0.4)
+    assert v[lab("q1q1")] == pytest.approx(0.6 ** 2 + 1.0)
+    assert occupations(v) == pytest.approx((abs(alpha) ** 2, abs(beta) ** 2))
+    # the ladder moments of the same state, carried over to quadratures
+    a, b = alpha, beta
+    ac, bc = a.conjugate(), b.conjugate()
+    ladder = np.array([a, ac, b, bc, a * a, a * ac + 1.0, a * b, a * bc,
+                       ac * ac, ac * b, ac * bc, b * b, b * bc + 1.0, bc * bc])
+    assert np.abs(to_quadratures(ladder) - v).max() < 1e-15
 
 
 def test_vacuum_covariance_is_identity():
@@ -56,25 +67,38 @@ def test_two_mode_squeezed_moments_covariance():
     # compare with the quadrature-side constructor
     r = 0.45
     ch, sh = np.cosh(r), np.sinh(r)
-    v = np.zeros(14, dtype=complex)
-    lab = MOMENT_LABELS.index
-    v[lab("aad")] = ch ** 2
-    v[lab("bbd")] = ch ** 2
-    v[lab("ab")] = ch * sh
-    v[lab("adbd")] = ch * sh
-    V = covariances(v)
+    m = np.zeros(14, dtype=complex)
+    m[LADDER_LABELS.index("aad")] = ch ** 2
+    m[LADDER_LABELS.index("bbd")] = ch ** 2
+    m[LADDER_LABELS.index("ab")] = ch * sh
+    m[LADDER_LABELS.index("adbd")] = ch * sh
+    x = to_quadratures(m)
+    assert np.abs(x.imag).max() == 0.0
+    V = covariances(x.real)
     assert np.allclose(V, two_mode_squeezed_covariance(r), atol=1e-12)
 
 
 def test_thermal_mirror_covariance_block():
     # n = 0.5 in the mirror: B block is (2 n + 1) I
-    v = np.zeros(14, dtype=complex)
-    v[MOMENT_LABELS.index("aad")] = 1.0
-    v[MOMENT_LABELS.index("bbd")] = 1.5
+    v = vacuum()
+    v[lab("q2q2")] = v[lab("p2p2")] = 2.0
+    assert occupations(v) == (0.0, 0.5)
     V = covariances(v)
     assert np.allclose(V[2:4, 2:4], np.diag([2.0, 2.0]), atol=1e-14)
     assert np.allclose(V[0:2, 0:2], np.eye(2), atol=1e-14)
     assert np.allclose(V[0:2, 2:4], 0.0, atol=1e-14)
+
+
+def test_covariance_subtracts_the_means():
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((5, 14))
+    V = covariances(x)
+    for k in range(5):
+        S = np.empty((4, 4))
+        S[np.triu_indices(4)] = x[k, 4:]
+        S = np.triu(S) + np.triu(S, 1).T
+        assert np.array_equal(V[k], V[k].T)
+        assert np.abs(V[k] - (S - np.outer(x[k, :4], x[k, :4]))).max() < 1e-15
 
 
 def test_free_evolution_preserves_vacuum():
@@ -96,7 +120,7 @@ def test_markov_damping_of_coherent_amplitude():
     beta = 0.7 - 0.2j
     traj = integrate_moments(F, sys_, coherent(0.0, beta), grid)
     t = grid.times()
-    got = traj.values[:, MOMENT_LABELS.index("b")]
+    got = 0.5 * (traj.values[:, lab("q2")] + 1j * traj.values[:, lab("p2")])
     want = beta * np.exp((-1j * sys_.omega_m - Gamma / 2) * t)
     assert np.max(np.abs(got - want)) < 1e-9
 
@@ -108,32 +132,11 @@ def test_markov_phonon_decay():
     Gamma = 0.5
     F = markov_series(Gamma, grid)
     init = vacuum()
-    init[MOMENT_LABELS.index("bbd")] = 1.0 + 0.8
+    init[lab("q2q2")] = init[lab("p2p2")] = 1.0 + 2.0 * 0.8
     traj = integrate_moments(F, sys_, init, grid)
-    n = traj.values[:, MOMENT_LABELS.index("bbd")].real - 1.0
+    n = occupations(traj.values)[1]
     want = 0.8 * np.exp(-Gamma * grid.times())
     assert np.max(np.abs(n - want)) < 1e-9
-
-
-def test_conjugation_residual_of_a_stack_is_row_by_row():
-    pairs = [(1, 0), (3, 2), (8, 4), (10, 6), (9, 7), (13, 11)]
-
-    def one(v):
-        r = max(abs(v[i] - v[j].conjugate()) for i, j in pairs)
-        return max(r, abs(v[5].imag), abs(v[12].imag))
-
-    rng = np.random.default_rng(14)
-    stack = rng.standard_normal((6, 14)) + 1j * rng.standard_normal((6, 14))
-    stack[0] = coherent(0.3j, 0.1)
-    stack[1] = coherent(0.3j, 0.1)
-    stack[1, MOMENT_LABELS.index("bbd")] += 0.25j  # <b^dag b> not real
-    got = conjugation_residual(stack)
-    assert got.shape == (6,)
-    assert got[0] == 0.0
-    assert got[1] == 0.25
-    assert np.array_equal(got, [conjugation_residual(v) for v in stack])
-    # numpy's array hypot may round the last bit apart from Python's abs
-    assert np.allclose(got, [one(v) for v in stack], rtol=4 * np.finfo(float).eps, atol=0)
 
 
 def test_initial_moment_vector_is_checked():
@@ -143,19 +146,10 @@ def test_initial_moment_vector_is_checked():
     for bad in (vacuum()[:13], vacuum()[None], np.concatenate([vacuum(), [0.0]])):
         with pytest.raises(ValueError, match=r"need a \(14,\) initial moment vector"):
             integrate_moments(F, sys_, bad, grid)
-    unpaired = vacuum()
-    unpaired[MOMENT_LABELS.index("a")] = 0.1  # <a> != conj <a^dag>
-    with pytest.raises(ValueError, match="conjugation pairing"):
-        integrate_moments(F, sys_, unpaired, grid)
-
-
-def test_conjugation_structure_preserved():
-    grid = TimeGrid(dt=0.01, t_final=8.0)
-    sys_ = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)
-    F = solve_ou_closed(OUKernel(Gamma=2.0, gamma=0.6, Omega=0.0), sys_, grid)
-    traj = integrate_moments(F, sys_, vacuum(), grid)
-    for idx in (0, grid.n_points // 2, grid.n_points - 1):
-        assert conjugation_residual(traj.values[idx]) < 1e-10
+    # a complex vector is refused, not cast: even with zero imaginary parts
+    for bad in (vacuum().astype(complex), vacuum() + 0.1j):
+        with pytest.raises(ValueError, match="moment vector is real"):
+            integrate_moments(F, sys_, bad, grid)
 
 
 def test_en_series_matches_pointwise():
@@ -169,10 +163,9 @@ def test_en_series_matches_pointwise():
 
 
 def _scaled_vacuum(nu, grid):
-    # zero means and <a a^dag> = <b b^dag> = (nu + 1)/2 give V = nu * I
-    values = np.zeros((grid.n_points, 14), dtype=complex)
-    values[:, MOMENT_LABELS.index("aad")] = 0.5 * (nu + 1.0)
-    values[:, MOMENT_LABELS.index("bbd")] = 0.5 * (nu + 1.0)
+    # zero means and S = nu * I give V = nu * I
+    values = np.zeros((grid.n_points, 14))
+    values[:, [lab("q1q1"), lab("p1p1"), lab("q2q2"), lab("p2p2")]] = nu
     return MomentTrajectory(grid=grid, values=values)
 
 
@@ -201,17 +194,43 @@ def test_physicality_monitor_checks_every_node():
 
 def test_affine_basis_reproduces_the_moment_equations():
     # the march relies on the right-hand side being affine in the means and
-    # linear in each parameter; random complex means and coefficients on a batch
+    # linear in each parameter; random means and coefficients on a batch
     rng = np.random.default_rng(2007)
     P = 7
-    m = rng.standard_normal((14, P)) + 1j * rng.standard_normal((14, P))
-    f = 3.0 * (rng.standard_normal((4, P)) + 1j * rng.standard_normal((4, P)))
-    wm, delta, g = rng.uniform(-3.0, 3.0, (3, P))
-    par = np.concatenate([f, f.conj(), [wm, delta, g]]).T
+    x = rng.standard_normal((P, 14))
+    f = 3.0 * (rng.standard_normal((P, 4)) + 1j * rng.standard_normal((P, 4)))
+    par = np.concatenate([f.real, f.imag, rng.uniform(-3.0, 3.0, (P, 3))], axis=1)
     op = par @ _affine_basis()
-    got = (op[:, :196].reshape(P, 14, 14) @ m.T[..., None])[..., 0] + op[:, 196:]
-    want = np.array(_moment_rhs(m, *f, *f.conj(), wm, delta, g)).T
+    got = (op[:, :196].reshape(P, 14, 14) @ x[..., None])[..., 0] + op[:, 196:]
+    want = np.array([_moment_rhs(xp, *pp) for xp, pp in zip(x, par)])
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _pulled_ladder_basis():
+    """Affine basis of the complex ladder equations in the quadrature
+    variables x = T m + t0, probed over the 11 real parameters."""
+    t0 = to_quadratures(np.zeros(14, dtype=complex))
+    T = np.stack([to_quadratures(e) - t0 for e in np.eye(14, dtype=complex)], axis=1)
+    T_inv = np.linalg.inv(T)
+
+    def rhs(x, p):
+        f = p[:4] + 1j * p[4:8]
+        return T @ np.array(ladder_rhs(T_inv @ (x - t0), *f, *f.conj(), *p[8:]))
+
+    basis = np.empty((11, 210), dtype=complex)
+    for j, p in enumerate(np.eye(11)):
+        c = rhs(np.zeros(14), p)
+        basis[j, :196] = np.stack([rhs(e, p) - c for e in np.eye(14)], axis=1).ravel()
+        basis[j, 196:] = c
+    return basis
+
+
+def test_affine_basis_is_the_ladder_equations_in_quadratures():
+    # the Lyapunov form against the 14 complex ladder equations, an
+    # independent route carried through the change of variables
+    want = _pulled_ladder_basis()
+    assert np.abs(want.imag).max() <= 1e-15
+    assert np.abs(_affine_basis() - want.real).max() <= 1e-15
 
 
 def test_single_point_march_is_a_batch_of_one():
@@ -221,7 +240,8 @@ def test_single_point_march_is_a_batch_of_one():
     init = coherent(0.2 - 0.1j, 0.3j)
     one = integrate_moments(F, sys_, init, grid)
     batch = integrate_moments(OCoefficientSeries.batch([F]), [sys_], init, grid)
-    assert batch.values.shape == one.values.shape + (1,)
+    assert one.values.dtype == batch.values.dtype == np.float64
+    assert batch.values.shape == one.values.shape + (1,) == (grid.n_points, 14, 1)
     assert np.array_equal(one.values, batch.values[..., 0])
 
 
@@ -233,7 +253,7 @@ def test_trajectory_readout_is_nan_where_log_negativity_raises():
     rows = integrate_moments(F, sys_, vacuum(), grid).values[::40].copy()
     bad = 5
     rows[bad] = vacuum()
-    rows[bad, MOMENT_LABELS.index("aad")] = 0.5  # cavity block A = 0: det V = 0
+    rows[bad, [lab("q1q1"), lab("p1p1")]] = 0.0  # cavity block A = 0: det V = 0
     en = symplectic_readout(covariances(rows), tol=1e-6).en
     assert np.isnan(en[bad])
     with pytest.raises(ValueError, match="positive determinant"):
