@@ -57,6 +57,10 @@ _BC = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 
 _SLAB_BUDGET = 2_000_000_000  # bytes
 
+# steps whose four stage pairs wait as one rank-(4 * _DELAY) product
+# before they fold into the f5 slab (16, 32 and 64 ran alike; 32 was fastest)
+_DELAY = 32
+
 _ROWS = ("F1", "F2", "F3", "F4", "F5")
 
 
@@ -158,15 +162,24 @@ def _two_time_march(row_rhs, bc, kernels, grid, with_slab=False,
     """The two-time grid march of B baths with boundary rows ``bc`` (B, 4).
 
     ``row_rhs(y, x, v)`` is the time derivative of the s-rows ``y``
-    (B, 4, L) at the kernel averages ``x`` (B, 4) and the F5' row ``v``.
-    Each step is one :func:`rk4_step` over every s-row; the stage
-    averages are re-quadratured from the stage rows with half-node kernel
-    weights plus the exact boundary-node contribution.  With
-    ``with_slab`` (one bath) the stages record their (f1 row, F5' row)
-    pairs and the f5 slab takes their weighted outer products once per
-    step.  Returns the node averages (n, B, 4), F5 (None without the
-    slab), and with ``store_fields`` the (n, n) rows of every bath in
-    order, the F5' rows and the last slab.
+    (B, 4, rows) at the kernel averages ``x`` (B, 4) and the F5' row ``v``.
+    Each step is one :func:`rk4_step` over the s-rows; the stage averages
+    are re-quadratured from the stage rows with half-node kernel weights
+    plus the exact boundary-node contribution.  Only the last m rows are
+    marched: m is one past the last lag at which a sampled kernel value
+    (node or half-node) is nonzero, so older rows carry zero weight at
+    every later step (m = n for a kernel without a zero tail, and with
+    ``store_fields``).
+
+    With ``with_slab`` (one bath) the f5 slab S gives the node F5' row and
+    the step's two stage F5' products in one (3, m) @ S product at the
+    start of each step.  The stages' weighted (f1 row, F5' row) pairs of
+    the last ``_DELAY`` steps wait as one low-rank update U @ V, added to
+    each product, and fold into S every ``_DELAY`` steps and at the end, a
+    block of rows at a time.
+    Returns the node averages (n, B, 4), F5 (None without the slab), and
+    with ``store_fields`` the (n, n) rows of every bath in order, the F5'
+    rows and the last slab.
     """
     n = grid.n_points
     dt = grid.dt
@@ -182,6 +195,8 @@ def _two_time_march(row_rhs, bc, kernels, grid, with_slab=False,
     t = grid.times()
     lag = [np.asarray(k.alpha(t), dtype=complex) for k in kernels]
     half = [np.asarray(k.alpha(t + 0.5 * dt), dtype=complex) for k in kernels]
+    live = np.flatnonzero(np.any(np.array(lag + half) != 0, axis=0))
+    m = n if store_fields else 1 + int(live.max(initial=0))
     bw2 = np.array([0.25 * dt * a[0] * b for a, b in zip(lag, bc)])
     bw4 = np.array([0.5 * dt * a[0] * b for a, b in zip(lag, bc)])
     wgt = (dt / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
@@ -189,59 +204,96 @@ def _two_time_march(row_rhs, bc, kernels, grid, with_slab=False,
     def average(y, kw):
         return np.array([y[i] @ kw[i] for i in range(nb)])
 
+    def check(k):
+        if not (np.all(np.isfinite(X[k])) and (F5 is None or np.isfinite(F5[k]))):
+            raise NumericalFailure(
+                f"{what} diverged at t={t[k]:.3f}; "
+                "the grid is too coarse for these parameters"
+            )
+
     Y = np.zeros((nb, 4, n), dtype=complex)
     Y[:, :, 0] = bc
     X = np.zeros((n, nb, 4), dtype=complex)
-    F5 = S = f5p = f5p_hist = None
+    F5 = S = f5p_hist = None
     if with_slab:
-        F5, f5p, S = np.zeros(n, complex), np.zeros(n, complex), np.zeros((n, n), complex)
+        F5, S = np.zeros(n, complex), np.zeros((n, n), complex)
+        U, V = np.zeros((n, 4 * _DELAY), complex), np.zeros((4 * _DELAY, n), complex)
+        held, held_lo = 0, 0  # pending pairs, and the first row or column they touch
     if store_fields:
         rows_hist = np.zeros((nb, 4, n, n), dtype=complex)
         rows_hist[:, :, 0, 0] = bc
         f5p_hist = np.zeros((n, n), dtype=complex) if with_slab else None
-    for kk in range(n - 1):
-        L = kk + 1
-        w = trapezoid_weights(L, dt)
-        kw2 = [np.append(w[:-1], w[-1] + 0.25 * dt) * h[kk::-1] for h in half]
-        kw4 = [np.append(w[:-1], w[-1] + 0.5 * dt) * a[kk + 1:0:-1] for a in lag]
-        us, vs = [], []
-        b_half, b_end = (np.vstack([kw2[0], kw4[0]]) @ S[:L, :L] if with_slab
-                         else (None, None))
 
-        def stage(kw=None, bw=None, b=None, c=None):
-            # kw None: the step's first stage, at the node
-            def f(y):
-                x = X[kk] if kw is None else average(y, kw) + bw
-                v = None
-                if with_slab:
-                    v = f5p[:L].copy() if kw is None else b + c * (kw[0] @ us[-1]) * vs[-1]
-                    us.append(y[0, 0])
-                    vs.append(v)
-                return row_rhs(y, x, v)
-            return f
-
-        step = rk4_step(Y[:, :, :L], dt, stage(), stage(kw2, bw2, b_half, 0.5 * dt),
-                        stage(kw4, bw4, b_end, dt))
-        if with_slab:
-            S[:L, :L] += (np.stack(us, axis=1) * wgt) @ np.stack(vs, axis=0)
-        Y[:, :, :L] = step
-        Y[:, :, L] = bc
-        kw1 = [trapezoid_weights(L + 1, dt) * a[kk + 1::-1] for a in lag]
-        X[kk + 1] = average(Y[:, :, :L + 1], kw1)
-        if with_slab:
-            S[:L, L] = Y[0, 1, :L]
-            f5p[:L + 1] = kw1[0] @ S[:L + 1, :L + 1]
-            F5[kk + 1] = f5p[:L + 1] @ kw1[0]
+    def node_f5(k, lo, W):
+        # W @ (S + U @ V) over the window [lo, k], one read of S: the F5'
+        # row at node k (W[0] holds its weights) and the stage products
+        P = W @ S[lo:k + 1, lo:k + 1]
+        if held:
+            P += (W @ U[lo:k + 1, :held]) @ V[:held, lo:k + 1]
+        F5[k] = P[0] @ W[0]
+        check(k)
         if store_fields:
-            rows_hist[:, :, kk + 1, :L + 1] = Y[:, :, :L + 1]
+            f5p_hist[k, lo:k + 1] = P[0]
+        return P
+
+    def fold(L):
+        # S += U @ V a block of rows at a time, so no L x L temporary is made
+        nonlocal held
+        for r in range(held_lo, L, _DELAY):
+            S[r:r + _DELAY, held_lo:L] += U[r:r + _DELAY, :held] @ V[:held, held_lo:L]
+        U[held_lo:L] = 0
+        V[:, held_lo:L] = 0
+        held = 0
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kk in range(n - 1):
+            L = kk + 1
+            lo = max(0, L - m)
+            w = trapezoid_weights(L, dt)[lo:]
+            kw2 = [np.append(w[:-1], w[-1] + 0.25 * dt) * h[kk - lo::-1] for h in half]
+            kw4 = [np.append(w[:-1], w[-1] + 0.5 * dt) * a[kk + 1 - lo:0:-1] for a in lag]
+            us, vs = [], []
+            f5p = b_half = b_end = None
             if with_slab:
-                f5p_hist[kk + 1, :L + 1] = f5p[:L + 1]
-        if not (np.all(np.isfinite(X[kk + 1]))
-                and (F5 is None or np.isfinite(F5[kk + 1]))):
-            raise NumericalFailure(
-                f"{what} diverged at t={t[kk + 1]:.3f}; "
-                "the grid is too coarse for these parameters"
-            )
+                f5p, b_half, b_end = node_f5(
+                    kk, lo, np.vstack([w * lag[0][kk - lo::-1], kw2[0], kw4[0]]))
+
+            def stage(kw=None, bw=None, b=None, c=None):
+                # kw None: the step's first stage, at the node
+                def f(y):
+                    x = X[kk] if kw is None else average(y, kw) + bw
+                    v = None
+                    if with_slab:
+                        v = f5p if kw is None else b + c * (kw[0] @ us[-1]) * vs[-1]
+                        us.append(y[0, 0])
+                        vs.append(v)
+                    return row_rhs(y, x, v)
+                return f
+
+            step = rk4_step(Y[:, :, lo:L], dt, stage(), stage(kw2, bw2, b_half, 0.5 * dt),
+                            stage(kw4, bw4, b_end, dt))
+            if with_slab:
+                # the first stage's f1 row is a view of Y: hold the pairs first
+                if not held:
+                    held_lo = lo
+                U[lo:L, held:held + 4] = np.stack(us, axis=1) * wgt
+                V[held:held + 4, lo:L] = vs
+                held += 4
+                if held == 4 * _DELAY:
+                    fold(L)
+                # column s' = t_L: no pending pair reaches it before step L
+                S[lo:L, L] = step[0, 1]
+            Y[:, :, lo:L] = step
+            Y[:, :, L] = bc
+            kw1 = [trapezoid_weights(L + 1, dt)[lo:] * a[kk + 1 - lo::-1] for a in lag]
+            X[kk + 1] = average(Y[:, :, lo:L + 1], kw1)
+            if store_fields:
+                rows_hist[:, :, kk + 1, :L + 1] = Y[:, :, :L + 1]
+            check(kk + 1)
+        if with_slab:
+            fold(L)
+            lo = max(0, n - m)
+            node_f5(n - 1, lo, (trapezoid_weights(n, dt)[lo:] * lag[0][n - 1 - lo::-1])[None])
     return X, F5, (*rows_hist.reshape(4 * nb, n, n), f5p_hist, S) if store_fields else None
 
 

@@ -3,11 +3,13 @@ Markov constants, and the defining integro-differential relations."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import nmoptomech.ocoeff as oc
 from nmoptomech.errors import NumericalFailure
 from nmoptomech.kernel import DeltaKernel, OUKernel, TabulatedKernel
 from nmoptomech.ocoeff import (
@@ -20,6 +22,7 @@ from nmoptomech.ocoeff import (
 )
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import TimeGrid
+from nmoptomech.thermal import _solve_thermal_grid
 
 SYS = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)
 OU = OUKernel(Gamma=2.0, gamma=0.6, Omega=0.0)
@@ -177,3 +180,78 @@ def test_markov_limit_of_large_gamma():
     late = slice(grid.n_points // 2, None)
     assert np.max(np.abs(F.F1[late] - 1.0)) < 0.02
     assert np.max(np.abs(F.F5[late])) < 1e-3
+
+
+def _support_table(t_final, dt, support, tail=0.0, scale=1.0):
+    # OU samples on the march's lag grid (so node lags hit table lags
+    # exactly) up to ``support``, then ``tail`` out past t_final
+    lags = np.arange(int(round(t_final / dt)) + 2) * dt
+    values = scale * OU.alpha(lags)
+    values[lags > support + 0.5 * dt] = tail
+    return TabulatedKernel(lags, values)
+
+
+@pytest.mark.parametrize("steps", [2 * oc._DELAY + oc._DELAY // 2 + 3, oc._DELAY // 2 - 1])
+@pytest.mark.parametrize("finite", [False, True])
+def test_delayed_slab_update_matches_per_step_fold(monkeypatch, steps, finite):
+    # pending pairs left at the end (steps not a multiple of _DELAY), and a
+    # grid shorter than one delay block; the finite table is also windowed
+    grid = TimeGrid(dt=0.02, t_final=0.02 * steps)
+    k = _support_table(grid.t_final, grid.dt, 0.6) if finite else OU
+    runs = []
+    for delay in (oc._DELAY, 1):
+        monkeypatch.setattr(oc, "_DELAY", delay)
+        runs.append((solve_two_time_grid(k, SYS, grid),
+                     solve_two_time_grid(k, SYS, grid, store_fields=True)))
+    (F, Fs), (G, Gs) = runs
+    for name in ("F1", "F2", "F3", "F4", "F5"):
+        assert np.max(np.abs(getattr(F, name) - getattr(G, name))) <= 1e-13
+        assert np.max(np.abs(getattr(Fs, name) - getattr(G, name))) <= 1e-13
+    for name in ("f5_slab", "f5_prime"):
+        assert np.max(np.abs(getattr(Fs.fields, name) - getattr(Gs.fields, name))) <= 1e-13
+    # the column writes, which both runs share: the last slab column is f2,
+    # and F5 follows the closed route (1.5% apart at 15 steps; without the
+    # writes F5 stays zero)
+    assert Fs.fields.boundary_residual() < 1e-12
+    if not finite:
+        Fc = solve_ou_closed(OU, SYS, grid)
+        assert np.max(np.abs(F.F5 - Fc.F5)) < 0.05 * np.max(np.abs(Fc.F5))
+
+
+def test_window_of_finite_support_matches_full_memory():
+    # a zero tail replaced by 1e-300 keeps every lag live, so that run
+    # marches every row; the window must not change F by more than rounding
+    grid = TimeGrid(dt=0.02, t_final=3.0)
+    short = _support_table(grid.t_final, grid.dt, 1.0)
+    full = _support_table(grid.t_final, grid.dt, 1.0, tail=1e-300)
+    Fw = solve_two_time_grid(short, SYS, grid)
+    Ff = solve_two_time_grid(full, SYS, grid)
+    for name in ("F1", "F2", "F3", "F4", "F5"):
+        assert np.max(np.abs(getattr(Fw, name) - getattr(Ff, name))) <= 1e-12
+    # two baths of different support, no slab: the window is the longer one
+    pair_w = (short, _support_table(grid.t_final, grid.dt, 0.6, scale=0.3))
+    pair_f = (full, _support_table(grid.t_final, grid.dt, 0.6, tail=1e-300, scale=0.3))
+    Xw = _solve_thermal_grid(pair_w, SYS, grid).X
+    Xf = _solve_thermal_grid(pair_f, SYS, grid).X
+    assert np.max(np.abs(Xw - Xf)) <= 1e-12
+
+
+@pytest.mark.parametrize("Gamma, dt, t_final, diverges_at", [
+    (200.0, 0.1, 20.0, "0.500"), (25.0, 0.1, 20.0, None), (200.0, 0.01, 1.0, None)])
+def test_grid_march_divergence_guard(Gamma, dt, t_final, diverges_at):
+    # a kernel too sharp for the grid overflows the march within a few
+    # steps; a weaker bath or a finer step marches through.  The overflow
+    # is reported by the guard alone, with no RuntimeWarning on the way
+    grid = TimeGrid(dt=dt, t_final=t_final)
+    lags = np.arange(2 * grid.n_steps + 1) * (0.5 * dt)
+    k = TabulatedKernel(lags, OUKernel(Gamma, 0.6).alpha(lags))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if diverges_at is None:
+            F = solve_two_time_grid(k, SYS, grid)
+            assert all(np.all(np.isfinite(getattr(F, f))) for f in ("F1", "F2", "F3", "F4", "F5"))
+        else:
+            with pytest.raises(NumericalFailure,
+                               match=f"coefficient march diverged at t={diverges_at};"):
+                solve_two_time_grid(k, SYS, grid)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
