@@ -132,9 +132,10 @@ _FIG5_DELTAS = tuple(np.round(np.arange(1.0, 3.0001, 0.05), 10))
 _ONSET_LEVEL = 0.1
 # every sweep point is a full run; a longer range is a typo, not a plan
 _MAX_SWEEP_POINTS = 10_000
-# one point's history of 5 coefficient and 14 moment rows, counted at 16
-# bytes a value (the real moment rows take 8, so the bound is conservative),
-# must fit the coefficient solve's storage budget; scans are not multiplied in
+# every point of a run or scan keeps a history of 5 coefficient and 14 moment
+# rows, counted at 16 bytes a value (the real moment rows take 8, so the
+# bound is conservative); all of them must fit the coefficient solve's
+# storage budget
 _MAX_NODES = _SLAB_BUDGET // (16 * (5 + 14))
 
 
@@ -334,16 +335,23 @@ def parse_config(text, scenario="custom", overrides=None) -> RunConfig:
     return _validate(scenario, values, sources, resolved)
 
 
+def _scan_points(scenario, user_gamma, sweep):
+    """Points the scenario marches: its scan lists, or the sweep values."""
+    if scenario == "fig3":
+        return (1 if user_gamma else len(_FIG3_GAMMAS)) + 1  # plus the Markov point
+    if scenario == "fig4":
+        return len(_FIG4_OMEGAS)
+    if scenario == "fig5":
+        return (1 if user_gamma else len(_FIG5_GAMMAS)) * len(_FIG5_DELTAS)
+    return len(sweep[1]) if sweep else 1
+
+
 def _validate(scenario, v, src, resolved) -> RunConfig:
     dt, t_final = v[("grid", "dt")], v[("grid", "t_final")]
     if dt <= 0:
         raise ConfigError("[grid] dt must be positive")
     if t_final <= dt:
         raise ConfigError("[grid] t_final must exceed dt")
-    if not np.rint(t_final / dt) + 1 <= _MAX_NODES:
-        raise ConfigError(f"[grid] t_final / dt = {t_final / dt:g}: too many grid nodes "
-                          f"(at most {_MAX_NODES}: one point's history fits in "
-                          f"{_SLAB_BUDGET / 1e9:g} GB)")
     # fig2 reads F5/F1 at the node nearest t = 15 (rounded as TimeGrid rounds)
     if scenario == "fig2" and np.rint(_FIG2_RATIO_T / dt) > np.rint(t_final / dt):
         raise ConfigError(f"time {_FIG2_RATIO_T:g} is outside the grid "
@@ -432,6 +440,13 @@ def _validate(scenario, v, src, resolved) -> RunConfig:
                                   f"got {bad[0]:g}")
         sweep = (param, pts)
 
+    points = _scan_points(scenario, _user_set(src[("bath", "gamma")]), sweep)
+    if not np.rint(t_final / dt) + 1 <= _MAX_NODES // points:
+        held = ("one point's history fits" if points == 1
+                else f"the histories of {points} points fit")
+        raise ConfigError(f"[grid] t_final / dt = {t_final / dt:g}: too many grid nodes "
+                          f"(at most {_MAX_NODES // points}: {held} in "
+                          f"{_SLAB_BUDGET / 1e9:g} GB)")
     # a temperature sweep replaces [bath] temperature point by point
     temps = [v[("bath", "temperature")]]
     if sweep and sweep[0] == "temperature":

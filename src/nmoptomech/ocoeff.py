@@ -100,8 +100,10 @@ class OCoefficientSeries:
 class TwoTimeField:
     """Stored two-time solution f_j(t_k, s_l), l <= k, plus F5'(t_k, s_l).
 
-    ``f5_slab`` is the (s, s') slab at the final time; both are None
-    without f5.  Row k of each f_j holds s-nodes 0..k, zero past them.
+    ``f5_slab`` is the n x n (s, s') slab at the final time (stored
+    fields keep the march's full memory, so its slab buffer never slides);
+    both are None without f5.  Row k of each f_j holds s-nodes 0..k, zero
+    past them.
     """
 
     grid: TimeGrid
@@ -168,15 +170,19 @@ def _two_time_march(row_rhs, bc, kernels, grid, with_slab=False,
     plus the exact boundary-node contribution.  Only the last m rows are
     marched: m is one past the last lag at which a sampled kernel value
     (node or half-node) is nonzero, so older rows carry zero weight at
-    every later step (m = n for a kernel without a zero tail, and with
-    ``store_fields``).
+    every later step (m = n for an exponential kernel, for a table without
+    a zero tail, and with ``store_fields``).
 
     With ``with_slab`` (one bath) the f5 slab S gives the node F5' row and
     the step's two stage F5' products in one (3, m) @ S product at the
     start of each step.  The stages' weighted (f1 row, F5' row) pairs of
     the last ``_DELAY`` steps wait as one low-rank update U @ V, added to
     each product, and fold into S every ``_DELAY`` steps and at the end, a
-    block of rows at a time.
+    block of rows at a time.  S, U and V keep M = min(n, m + _DELAY + 1)
+    rows and columns, slot i for node ``base + i``: right after a fold,
+    when nothing is pending, the window [L - m, L] moves to slot 0, so a
+    kernel of finite support needs O(n + m²) memory.  The storage guard
+    counts the M x M slab and, with ``store_fields``, the n x n arrays.
     Returns the node averages (n, B, 4), F5 (None without the slab), and
     with ``store_fields`` the (n, n) rows of every bath in order, the F5'
     rows and the last slab.
@@ -184,19 +190,24 @@ def _two_time_march(row_rhs, bc, kernels, grid, with_slab=False,
     n = grid.n_points
     dt = grid.dt
     nb = len(kernels)
-    # n x n complex arrays: the slab; with store_fields every bath's rows and F5'
-    arrays = int(with_slab) + (4 * nb + int(with_slab) if store_fields else 0)
-    need = 16 * n * n * arrays
+    t = grid.times()
+    # an exponential kernel remembers the whole grid: its samples underflow
+    # to zero only far out, which must not shrink the storage counted below
+    m = n
+    if not (store_fields or any(isinstance(k, OUKernel) for k in kernels)):
+        m = 1 + max(int(np.flatnonzero(k.alpha(tau)).max(initial=0))
+                    for k in kernels for tau in (t, t + 0.5 * dt))
+    M = min(n, m + _DELAY + 1) if with_slab else 0
+    # complex arrays: the M x M slab; with store_fields every bath's rows and
+    # the F5' rows, n x n each
+    need = 16 * (M * M + (4 * nb + int(with_slab)) * n * n * int(store_fields))
     if need > _SLAB_BUDGET:
         raise NumericalFailure(
             f"two-time storage would need {need/1e9:.1f} GB, over the "
             f"{_SLAB_BUDGET/1e9:.1f} GB budget; coarsen the grid or drop f5"
         )
-    t = grid.times()
     lag = [np.asarray(k.alpha(t), dtype=complex) for k in kernels]
     half = [np.asarray(k.alpha(t + 0.5 * dt), dtype=complex) for k in kernels]
-    live = np.flatnonzero(np.any(np.array(lag + half) != 0, axis=0))
-    m = n if store_fields else 1 + int(live.max(initial=0))
     bw2 = np.array([0.25 * dt * a[0] * b for a, b in zip(lag, bc)])
     bw4 = np.array([0.5 * dt * a[0] * b for a, b in zip(lag, bc)])
     wgt = (dt / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
@@ -216,9 +227,10 @@ def _two_time_march(row_rhs, bc, kernels, grid, with_slab=False,
     X = np.zeros((n, nb, 4), dtype=complex)
     F5 = S = f5p_hist = None
     if with_slab:
-        F5, S = np.zeros(n, complex), np.zeros((n, n), complex)
-        U, V = np.zeros((n, 4 * _DELAY), complex), np.zeros((4 * _DELAY, n), complex)
+        F5, S = np.zeros(n, complex), np.zeros((M, M), complex)
+        U, V = np.zeros((M, 4 * _DELAY), complex), np.zeros((4 * _DELAY, M), complex)
         held, held_lo = 0, 0  # pending pairs, and the first row or column they touch
+        base = 0  # the node of buffer slot 0
     if store_fields:
         rows_hist = np.zeros((nb, 4, n, n), dtype=complex)
         rows_hist[:, :, 0, 0] = bc
@@ -227,9 +239,10 @@ def _two_time_march(row_rhs, bc, kernels, grid, with_slab=False,
     def node_f5(k, lo, W):
         # W @ (S + U @ V) over the window [lo, k], one read of S: the F5'
         # row at node k (W[0] holds its weights) and the stage products
-        P = W @ S[lo:k + 1, lo:k + 1]
+        a, b = lo - base, k + 1 - base
+        P = W @ S[a:b, a:b]
         if held:
-            P += (W @ U[lo:k + 1, :held]) @ V[:held, lo:k + 1]
+            P += (W @ U[a:b, :held]) @ V[:held, a:b]
         F5[k] = P[0] @ W[0]
         check(k)
         if store_fields:
@@ -239,11 +252,25 @@ def _two_time_march(row_rhs, bc, kernels, grid, with_slab=False,
     def fold(L):
         # S += U @ V a block of rows at a time, so no L x L temporary is made
         nonlocal held
-        for r in range(held_lo, L, _DELAY):
-            S[r:r + _DELAY, held_lo:L] += U[r:r + _DELAY, :held] @ V[:held, held_lo:L]
-        U[held_lo:L] = 0
-        V[:, held_lo:L] = 0
+        a, b = held_lo - base, L - base
+        for r in range(a, b, _DELAY):
+            S[r:r + _DELAY, a:b] += U[r:r + _DELAY, :held] @ V[:held, a:b]
+        U[a:b] = 0
+        V[:, a:b] = 0
         held = 0
+
+    def slide(lo, L):
+        # move the window [lo, L] to the buffer origin; a block of d rows at
+        # a time, so source and destination never overlap (an overlapping
+        # slice assignment copies through an m x m temporary)
+        nonlocal base
+        d, w = lo - base, L + 1 - lo
+        for r in range(0, w, d):
+            e = min(r + d, w)
+            S[r:e, :w] = S[r + d:e + d, d:d + w]
+        S[w:] = 0
+        S[:w, w:] = 0
+        base = lo
 
     with np.errstate(over="ignore", invalid="ignore"):
         for kk in range(n - 1):
@@ -276,13 +303,15 @@ def _two_time_march(row_rhs, bc, kernels, grid, with_slab=False,
                 # the first stage's f1 row is a view of Y: hold the pairs first
                 if not held:
                     held_lo = lo
-                U[lo:L, held:held + 4] = np.stack(us, axis=1) * wgt
-                V[held:held + 4, lo:L] = vs
+                U[lo - base:L - base, held:held + 4] = np.stack(us, axis=1) * wgt
+                V[held:held + 4, lo - base:L - base] = vs
                 held += 4
                 if held == 4 * _DELAY:
                     fold(L)
+                    if lo > base:
+                        slide(lo, L)
                 # column s' = t_L: no pending pair reaches it before step L
-                S[lo:L, L] = step[0, 1]
+                S[lo - base:L - base, L - base] = step[0, 1]
             Y[:, :, lo:L] = step
             Y[:, :, L] = bc
             kw1 = [trapezoid_weights(L + 1, dt)[lo:] * a[kk + 1 - lo::-1] for a in lag]

@@ -3,6 +3,7 @@ command line front end."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -350,7 +351,30 @@ def test_grid_over_the_storage_budget_is_config_error(tmp_path, capsys):
             in capsys.readouterr().err)
     assert not (tmp_path / "o").exists()
 
-_SYSTEM = "[system]\ndelta = 1.0\ncoupling = 0.1\n"
+
+@pytest.mark.parametrize("scenario, text, points", [
+    ("fig3", "", 4), ("fig3", "[bath]\ngamma = 0.5\n", 2), ("fig4", "", 21),
+    ("fig5", "", 82), ("custom", MINIMAL + "[sweep]\nparameter = gamma\nvalues = 0.3, 0.6\n", 2)])
+def test_scan_over_the_storage_budget_is_config_error(tmp_path, capsys, scenario, text,
+                                                      points):
+    # a scan keeps every point's history, so the node bound is divided by
+    # the point count; the last node count inside it still parses
+    most = _SLAB_BUDGET // (16 * (5 + 14)) // points
+    cfg = parse_config(text + f"[grid]\ndt = 1.0\nt_final = {most - 1}\n", scenario)
+    assert cfg.t_final == most - 1
+    message = (f"too many grid nodes (at most {most}: the histories of {points} points "
+               f"fit in {_SLAB_BUDGET / 1e9:g} GB)")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(text + f"[grid]\ndt = 1.0\nt_final = {most}\n", scenario)
+    p = tmp_path / "c.cfg"
+    p.write_text(text)
+    rc = main(["run", "--scenario", scenario, "--config", str(p),
+               "--out", str(tmp_path / "o"), "--dt", "1.0", "--tfinal", str(most)])
+    assert rc == 2
+    assert f"config error: [grid] t_final / dt = {most:g}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+_SYSTEM ="[system]\ndelta = 1.0\ncoupling = 0.1\n"
 _RAW = "[system]\nomega_c = 10.0\ng = 0.01\nomega_drive = 9.0\n"
 _THERMAL = "[run]\nengine = fock-master\n[bath]\ntemperature = 0.5\n"
 

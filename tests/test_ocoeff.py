@@ -2,6 +2,7 @@
 Markov constants, and the defining integro-differential relations."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -218,22 +219,70 @@ def test_delayed_slab_update_matches_per_step_fold(monkeypatch, steps, finite):
         assert np.max(np.abs(F.F5 - Fc.F5)) < 0.05 * np.max(np.abs(Fc.F5))
 
 
-def test_window_of_finite_support_matches_full_memory():
+def _memory_nodes(k, grid):
+    # the march's window m: one past the last lag with a nonzero sample
+    t = grid.times()
+    return 1 + max(np.flatnonzero(k.alpha(tau)).max() for tau in (t, t + 0.5 * grid.dt))
+
+
+@pytest.mark.parametrize("t_final, support", [(3.0, 1.0), (8.0, 0.5), (1.2, 0.6)])
+def test_window_of_finite_support_matches_full_memory(t_final, support):
     # a zero tail replaced by 1e-300 keeps every lag live, so that run
-    # marches every row; the window must not change F by more than rounding
-    grid = TimeGrid(dt=0.02, t_final=3.0)
-    short = _support_table(grid.t_final, grid.dt, 1.0)
-    full = _support_table(grid.t_final, grid.dt, 1.0, tail=1e-300)
+    # marches every row; the window must not change F by more than rounding.
+    # The cases: the slab buffer moves 3 and 12 times, and once with a
+    # buffer as large as the grid; n - m is never a multiple of _DELAY
+    grid = TimeGrid(dt=0.02, t_final=t_final)
+    short = _support_table(grid.t_final, grid.dt, support)
+    full = _support_table(grid.t_final, grid.dt, support, tail=1e-300)
+    n, m = grid.n_points, _memory_nodes(short, grid)
+    moves = sum(L > m for L in range(oc._DELAY, n, oc._DELAY))
+    assert moves >= 1 and (moves >= 3 or m + oc._DELAY + 1 >= n)
+    assert (n - m) % oc._DELAY
     Fw = solve_two_time_grid(short, SYS, grid)
     Ff = solve_two_time_grid(full, SYS, grid)
     for name in ("F1", "F2", "F3", "F4", "F5"):
         assert np.max(np.abs(getattr(Fw, name) - getattr(Ff, name))) <= 1e-12
     # two baths of different support, no slab: the window is the longer one
-    pair_w = (short, _support_table(grid.t_final, grid.dt, 0.6, scale=0.3))
-    pair_f = (full, _support_table(grid.t_final, grid.dt, 0.6, tail=1e-300, scale=0.3))
+    pair_w = (short, _support_table(grid.t_final, grid.dt, 0.6 * support, scale=0.3))
+    pair_f = (full, _support_table(grid.t_final, grid.dt, 0.6 * support, tail=1e-300,
+                                   scale=0.3))
     Xw = _solve_thermal_grid(pair_w, SYS, grid).X
     Xf = _solve_thermal_grid(pair_f, SYS, grid).X
     assert np.max(np.abs(Xw - Xf)) <= 1e-12
+
+
+def test_slab_buffer_lifts_the_storage_guard_for_finite_support(monkeypatch):
+    # with the budget just below one n x n slab, a table of finite support
+    # still solves in its (m + _DELAY + 1)-square buffer, to the same bits,
+    # while the exponential kernel's full memory is refused as before
+    grid = TimeGrid(dt=0.02, t_final=6.0)
+    n = grid.n_points
+    table = _support_table(grid.t_final, grid.dt, 1.0)
+    free = solve_two_time_grid(table, SYS, grid)
+    monkeypatch.setattr(oc, "_SLAB_BUDGET", 16 * n * n - 1)
+    tight = solve_two_time_grid(table, SYS, grid)
+    for name in ("F1", "F2", "F3", "F4", "F5"):
+        assert np.array_equal(getattr(tight, name), getattr(free, name))
+    with pytest.raises(NumericalFailure, match=re.escape(
+            f"two-time storage would need {16 * n * n / 1e9:.1f} GB, over the "
+            f"{(16 * n * n - 1) / 1e9:.1f} GB budget; coarsen the grid or drop f5")):
+        solve_two_time_grid(OU, SYS, grid)
+
+
+def test_finite_support_march_keeps_a_window_sized_slab():
+    # support 0.2 at dt 0.01 reaches back m = 21 nodes of 1,001: the solve
+    # holds an M = 54 square slab (47 kB), not the 16 MB n x n one
+    grid = TimeGrid(dt=0.01, t_final=10.0)
+    table = _support_table(grid.t_final, grid.dt, 0.2)
+    assert _memory_nodes(table, grid) == 21
+    tracemalloc.start()
+    try:
+        F = solve_two_time_grid(table, SYS, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(F.F5))
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("Gamma, dt, t_final, diverges_at", [
