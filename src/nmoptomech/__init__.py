@@ -65,6 +65,7 @@ from .fock import (
     integrate_lindblad,
     integrate_thermal_master,
     propagate_trajectory,
+    propagate_paths,
     propagate_ensemble,
     average_trajectories,
     trace_distance,
@@ -127,6 +128,7 @@ __all__ = [
     "integrate_lindblad",
     "integrate_thermal_master",
     "propagate_trajectory",
+    "propagate_paths",
     "propagate_ensemble",
     "average_trajectories",
     "trace_distance",

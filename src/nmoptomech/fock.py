@@ -17,7 +17,7 @@ truncation.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -40,7 +40,9 @@ __all__ = [
     "integrate_lindblad",
     "integrate_thermal_master",
     "StatePath",
+    "AveragedEnsemble",
     "propagate_trajectory",
+    "propagate_paths",
     "propagate_ensemble",
     "average_trajectories",
     "trace_distance",
@@ -421,10 +423,12 @@ class StatePath:
 _NORM_CAP = 1e6
 
 
-def _propagate_states(F, ops, Z, psi0, grid, store_idx, out):
-    """March a batch of trajectories from ``psi0`` and write the states at
-    ``store_idx`` into ``out``, shape (paths, nodes, d); Z has one noise
-    column per path on the refined (half-step) grid.
+def _propagate_states(F, ops, Z, psi0, grid, store_idx, sink):
+    """March a batch of trajectories from ``psi0`` and hand the state at
+    each node of ``store_idx`` to ``sink(i, psi)``: i is the node's place
+    in ``store_idx`` and psi the (d, paths) march state, valid during the
+    call only.  Z has one noise column per path on the refined
+    (half-step) grid.
 
     A stage applies the drift's band list (``FockOperators._drift_basis``
     weighted by F1..F4) and the b band times each path's noise, so every
@@ -442,7 +446,7 @@ def _propagate_states(F, ops, Z, psi0, grid, store_idx, out):
 
     def visit(k, psi):
         if k in slot:
-            out[:, slot[k]] = psi.T
+            sink(slot[k], psi)
         if k % 64 == 1 or k == grid.n_steps:
             worst = np.abs(psi).max()
             if not np.isfinite(worst) or worst > _NORM_CAP:
@@ -470,30 +474,55 @@ def propagate_trajectory(F: OCoefficientSeries, ops: FockOperators,
     if not noise.grid.matches(grid.refine()):
         raise ValueError("noise must be sampled on the half-step refinement")
     store_idx = _store_nodes(grid.n_points, store_every)
-    out = np.empty((1, len(store_idx), ops.dim), dtype=complex)
-    _propagate_states(F, ops, noise.values[:, None], psi0, grid, store_idx, out)
+    states = np.empty((len(store_idx), ops.dim), dtype=complex)
+
+    def write(i, psi):
+        states[i] = psi[:, 0]
+
+    _propagate_states(F, ops, noise.values[:, None], psi0, grid, store_idx, write)
     return StatePath(grid=grid, dims=ops.dims, node_indices=store_idx,
-                     states=out[0])
+                     states=states)
 
 
-def propagate_ensemble(F: OCoefficientSeries, ops: FockOperators,
-                       k, psi0, grid: TimeGrid, n_paths,
-                       master_seed, batch_size=512, store_every=0) -> StatePath:
-    """Propagate ``n_paths`` trajectories with per-path counter-based seeds.
+def _march_batches(F, ops, k, psi0, grid, n_paths, master_seed, batch_size,
+                   store_idx, sink):
+    """March ``n_paths`` trajectories ``batch_size`` at a time, path i on
+    the stream seeded by (master_seed, i), and hand each batch's stored
+    states to ``sink(lo, i, psi)``, lo being the batch's first path and
+    i, psi as in :func:`_propagate_states`."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be at least 1")
+    fine = grid.refine()
+    for lo in range(0, n_paths, batch_size):
+        seeds = [path_seed(master_seed, i)
+                 for i in range(lo, min(lo + batch_size, n_paths))]
+        # the noise is passed on, not bound here, so each batch's is freed
+        # before the next batch draws its own
+        _propagate_states(F, ops, sample_noise_batch(k, fine, seeds), psi0,
+                          grid, store_idx, partial(sink, lo))
 
-    Returns one StatePath whose states have shape (paths, nodes, d)
-    (batching is an implementation detail; path i always consumes the
-    stream seeded by (master_seed, i)).
+
+def propagate_paths(F: OCoefficientSeries, ops: FockOperators,
+                    k, psi0, grid: TimeGrid, n_paths,
+                    master_seed, batch_size=512, store_every=0) -> StatePath:
+    """Propagate ``n_paths`` trajectories with per-path counter-based seeds
+    and keep every path's states.
+
+    Returns one StatePath whose states have shape (paths, nodes, d),
+    bitwise the same for any ``batch_size`` (path i always consumes the
+    stream seeded by (master_seed, i)).  :func:`propagate_ensemble` gives
+    the mean with memory independent of the path count; this route and
+    :func:`average_trajectories` are its independent check.
     """
     store_idx = _store_nodes(grid.n_points, store_every)
-    fine = grid.refine()
     # paths first: a batch touches only its own slice of the array
     states = np.empty((n_paths, len(store_idx), ops.dim), dtype=complex)
-    for lo in range(0, n_paths, batch_size):
-        hi = min(lo + batch_size, n_paths)
-        seeds = [path_seed(master_seed, i) for i in range(lo, hi)]
-        Z = sample_noise_batch(k, fine, seeds)
-        _propagate_states(F, ops, Z, psi0, grid, store_idx, states[lo:hi])
+
+    def write(lo, i, psi):
+        states[lo:lo + psi.shape[1], i] = psi.T
+
+    _march_batches(F, ops, k, psi0, grid, n_paths, master_seed, batch_size,
+                   store_idx, write)
     return StatePath(grid=grid, dims=ops.dims, node_indices=store_idx, states=states)
 
 
@@ -508,9 +537,84 @@ class AveragedEnsemble:
     trace_se: np.ndarray
 
 
+class _ProjectorSum:
+    """Running sums of a trajectory ensemble at each stored node, folded a
+    batch at a time: the lower triangle of sum_p |psi_p><psi_p|, and the
+    count, mean and M2 of the norms |psi_p|^2 less a shift, the first
+    batch's mean (batch statistics merged as by Chan, Golub & LeVeque,
+    Am. Stat. 37, 242 (1983)).  Unshifted, the merged means would carry
+    the size of the norms, not their spread, and their rounding would
+    reach the standard error where the norms barely spread.
+
+    The fold makes no BLAS call: between calls OpenBLAS worker threads
+    spin, which doubled the CPU time of a march with a product per node.
+    """
+
+    def __init__(self, n_nodes, dim):
+        self.low = np.zeros((n_nodes, dim, dim), dtype=complex)
+        self.count = np.zeros(n_nodes)
+        self.shift = np.zeros(n_nodes)
+        self.mean = np.zeros(n_nodes)
+        self.m2 = np.zeros(n_nodes)
+
+    def fold(self, lo, i, psi):
+        """Add the batch states ``psi`` (d, paths) at stored node ``i``."""
+        d, m = psi.shape
+        flat = self.low[i].reshape(-1)
+        sq = np.square(psi.real)
+        sq += np.square(psi.imag)
+        flat[::d + 1] += sq.sum(axis=1)
+        norms = sq.sum(axis=0)
+        cpsi = psi.conj()
+        prod = np.empty_like(psi)
+        # band o of the lower triangle, rows o..d-1: sum_p psi[o:] psi*[:d-o]
+        for o in range(1, d):
+            flat[o * d::d + 1] += np.multiply(psi[o:], cpsi[:d - o],
+                                              out=prod[:d - o]).sum(axis=1)
+        n, total = self.count[i], self.count[i] + m
+        if not n:
+            self.shift[i] = norms.mean()
+        x = norms - self.shift[i]
+        mean = x.mean()
+        delta = mean - self.mean[i]
+        self.mean[i] += delta * m / total
+        self.m2[i] += np.square(x - mean).sum() + delta * delta * n * m / total
+        self.count[i] = total
+
+    def average(self, grid, node_indices) -> AveragedEnsemble:
+        low = self.low / self.count[:, None, None]
+        rhos = low + np.conj(np.swapaxes(np.tril(low, -1), 1, 2))
+        se = (np.sqrt(self.m2 / (self.count - 1)) / np.sqrt(self.count)
+              if self.count[0] > 1 else np.zeros_like(self.m2))
+        return AveragedEnsemble(grid=grid, node_indices=node_indices, rhos=rhos,
+                                trace_mean=self.shift + self.mean, trace_se=se)
+
+
+def propagate_ensemble(F: OCoefficientSeries, ops: FockOperators,
+                       k, psi0, grid: TimeGrid, n_paths,
+                       master_seed, batch_size=512,
+                       store_every=0) -> AveragedEnsemble:
+    """Mean projector of ``n_paths`` trajectories with per-path
+    counter-based seeds, streamed: each batch is drawn, marched and
+    folded into sum_p |psi_p><psi_p| at every stored node, so memory
+    scales with the batch and with nodes * d^2, not with the path count.
+
+    Path i always consumes the stream seeded by (master_seed, i); the
+    mean depends on ``batch_size`` only by rounding.  The standard error
+    of the projector trace (|psi|^2) is reported per node.
+    """
+    if n_paths < 1:
+        raise ValueError("need an ensemble of at least one trajectory")
+    store_idx = _store_nodes(grid.n_points, store_every)
+    acc = _ProjectorSum(len(store_idx), ops.dim)
+    _march_batches(F, ops, k, psi0, grid, n_paths, master_seed, batch_size,
+                   store_idx, acc.fold)
+    return acc.average(grid, store_idx)
+
+
 def average_trajectories(ensemble: StatePath) -> AveragedEnsemble:
-    """Mean of |psi><psi| over an ensemble (see :func:`propagate_ensemble`),
-    one matrix product per stored node.
+    """Mean of |psi><psi| over a per-path ensemble (see
+    :func:`propagate_paths`), one matrix product per stored node.
 
     The standard error of the projector trace (|psi|^2) is reported per
     node.

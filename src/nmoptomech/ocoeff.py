@@ -276,7 +276,7 @@ def _two_time_march(row_rhs, bc, kernels, grid, with_slab=False,
         for kk in range(n - 1):
             L = kk + 1
             lo = max(0, L - m)
-            w = trapezoid_weights(L, dt)[lo:]
+            w = trapezoid_weights(L, dt, lo)
             kw2 = [np.append(w[:-1], w[-1] + 0.25 * dt) * h[kk - lo::-1] for h in half]
             kw4 = [np.append(w[:-1], w[-1] + 0.5 * dt) * a[kk + 1 - lo:0:-1] for a in lag]
             us, vs = [], []
@@ -314,7 +314,7 @@ def _two_time_march(row_rhs, bc, kernels, grid, with_slab=False,
                 S[lo - base:L - base, L - base] = step[0, 1]
             Y[:, :, lo:L] = step
             Y[:, :, L] = bc
-            kw1 = [trapezoid_weights(L + 1, dt)[lo:] * a[kk + 1 - lo::-1] for a in lag]
+            kw1 = [trapezoid_weights(L + 1, dt, lo) * a[kk + 1 - lo::-1] for a in lag]
             X[kk + 1] = average(Y[:, :, lo:L + 1], kw1)
             if store_fields:
                 rows_hist[:, :, kk + 1, :L + 1] = Y[:, :, :L + 1]
@@ -322,7 +322,7 @@ def _two_time_march(row_rhs, bc, kernels, grid, with_slab=False,
         if with_slab:
             fold(L)
             lo = max(0, n - m)
-            node_f5(n - 1, lo, (trapezoid_weights(n, dt)[lo:] * lag[0][n - 1 - lo::-1])[None])
+            node_f5(n - 1, lo, (trapezoid_weights(n, dt, lo) * lag[0][n - 1 - lo::-1])[None])
     return X, F5, (*rows_hist.reshape(4 * nb, n, n), f5p_hist, S) if store_fields else None
 
 

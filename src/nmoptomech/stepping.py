@@ -65,18 +65,20 @@ class TimeGrid:
         )
 
 
-def trapezoid_weights(n, h):
+def trapezoid_weights(n, h, start=0):
     """Composite trapezoid weights for ``n`` equidistant nodes of spacing ``h``.
 
-    A single node gets weight zero (empty interval).
+    Only the weights of nodes ``start``..n-1 are built and returned.  A
+    single node gets weight zero (empty interval).
     """
     if n < 1:
         raise ValueError("need at least one node")
-    w = np.full(n, h)
+    w = np.full(n - start, h)
     if n == 1:
         w[0] = 0.0
     else:
-        w[0] = 0.5 * h
+        if start == 0:
+            w[0] = 0.5 * h
         w[-1] = 0.5 * h
     return w
 

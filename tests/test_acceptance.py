@@ -21,7 +21,7 @@ from nmoptomech.fock import (
     integrate_thermal_master,
     moments_from_rho,
     projector,
-    propagate_ensemble,
+    propagate_paths,
     trace_distance,
 )
 from nmoptomech.gaussian_ent import (
@@ -212,7 +212,7 @@ def test_08_trajectory_average_converges_to_master():
     k = OUKernel(2.0, 0.6, 0.0)
     F = solve_ou_closed(k, BASE, grid)
     psi0 = basis_state(dims)
-    pool = propagate_ensemble(F, ops, k, psi0, grid, 4000, 20260816)
+    pool = propagate_paths(F, ops, k, psi0, grid, 4000, 20260816)
     ref = integrate_master(F, ops, projector(psi0), grid).final
 
     def dist(states):

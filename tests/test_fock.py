@@ -1,10 +1,13 @@
 """Truncated number-basis oracle: operators, master equation,
 trajectory unraveling, and ensemble averaging."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from nmoptomech import fock
 from nmoptomech.errors import NumericalFailure, TruncationError
 from nmoptomech.fock import (
     _master_generator,
@@ -16,6 +19,7 @@ from nmoptomech.fock import (
     moments_from_rho,
     projector,
     propagate_ensemble,
+    propagate_paths,
     propagate_trajectory,
     trace_distance,
 )
@@ -183,8 +187,7 @@ def test_ensemble_mean_approaches_master():
     k = OUKernel(2.0, 0.6, 0.0)
     F = solve_ou_closed(k, SYS, grid)
     psi0 = basis_state(dims)
-    paths = propagate_ensemble(F, ops, k, psi0, grid, 600, 4242, store_every=50)
-    avg = average_trajectories(paths)
+    avg = propagate_ensemble(F, ops, k, psi0, grid, 600, 4242, store_every=50)
     ref = integrate_master(F, ops, projector(psi0), grid, store_every=50)
     pairs = zip(avg.rhos, (ref.rho_at(i) for i in avg.node_indices))
     dists = [trace_distance(a, b) for a, b in pairs]
@@ -200,16 +203,13 @@ def test_ensemble_is_deterministic_for_fixed_seed():
     k = OUKernel(1.0, 0.8, 0.0)
     F = solve_ou_closed(k, SYS, grid)
     psi0 = basis_state(dims)
-    a = average_trajectories(
-        propagate_ensemble(F, ops, k, psi0, grid, 64, 99, batch_size=64))
-    b = average_trajectories(
-        propagate_ensemble(F, ops, k, psi0, grid, 64, 99, batch_size=64))
+    a = propagate_ensemble(F, ops, k, psi0, grid, 64, 99, batch_size=64)
+    b = propagate_ensemble(F, ops, k, psi0, grid, 64, 99, batch_size=64)
     # identical call: bitwise reproducible
     assert np.array_equal(a.rhos, b.rhos)
-    # split batches reuse the same per-path noise streams; only gemm
-    # round-off differs with batch width
-    c = average_trajectories(
-        propagate_ensemble(F, ops, k, psi0, grid, 64, 99, batch_size=7))
+    # split batches reuse the same per-path noise streams; only the
+    # round-off of the batch sums differs with batch width
+    c = propagate_ensemble(F, ops, k, psi0, grid, 64, 99, batch_size=7)
     assert np.max(np.abs(a.rhos - c.rhos)) < 1e-12
 
 
@@ -384,7 +384,7 @@ def test_ensemble_mean_is_bitwise_independent_of_batch_width():
     F = solve_ou_closed(k, SYS, grid)
     psi0 = basis_state(dims)
     m = 96
-    runs = [average_trajectories(propagate_ensemble(
+    runs = [average_trajectories(propagate_paths(
         F, ops, k, psi0, grid, m, 99, batch_size=b, store_every=5))
         for b in (7, 64, m)]
     for other in runs[1:]:
@@ -402,8 +402,8 @@ def test_single_trajectory_equals_its_ensemble_path():
     k = OUKernel(2.0, 0.6, 0.0)
     F = solve_ou_closed(k, SYS, grid)
     psi0 = basis_state(dims, 1, 0)
-    paths = propagate_ensemble(F, ops, k, psi0, grid, 40, 5, batch_size=16,
-                               store_every=4)
+    paths = propagate_paths(F, ops, k, psi0, grid, 40, 5, batch_size=16,
+                            store_every=4)
     for j in (0, 15, 16, 39):
         noise = sample_noise_path(k, grid.refine(), path_seed(5, j))
         one = propagate_trajectory(F, ops, noise, psi0, grid, store_every=4)
@@ -412,16 +412,36 @@ def test_single_trajectory_equals_its_ensemble_path():
         assert np.array_equal(one.final, paths.final[j])
 
 
-def test_empty_ensemble_has_no_mean():
+def test_empty_ensemble_has_no_mean(monkeypatch):
     grid = TimeGrid(dt=0.05, t_final=1.0)
     dims = (3, 4)
     ops = build_operators(dims, SYS)
     k = OUKernel(2.0, 0.6, 0.0)
     F = solve_ou_closed(k, SYS, grid)
-    empty = propagate_ensemble(F, ops, k, basis_state(dims), grid, 0, 5)
+    empty = propagate_paths(F, ops, k, basis_state(dims), grid, 0, 5)
     assert empty.states.shape == (0, 2, ops.dim)
     with pytest.raises(ValueError, match="at least one trajectory"):
         average_trajectories(empty)
+    # the streamed route fails before it draws any noise
+    draws = []
+    monkeypatch.setattr(fock, "sample_noise_batch",
+                        lambda *args: draws.append(args))
+    with pytest.raises(ValueError, match="at least one trajectory"):
+        propagate_ensemble(F, ops, k, basis_state(dims), grid, 0, 5)
+    assert draws == []
+
+
+@pytest.mark.parametrize("route", [propagate_ensemble, propagate_paths])
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_ensemble_rejects_a_batch_width_below_one(route, batch_size):
+    # a negative width would march no batch and leave the result unset
+    grid = TimeGrid(dt=0.05, t_final=1.0)
+    dims = (3, 4)
+    ops = build_operators(dims, SYS)
+    k = OUKernel(2.0, 0.6, 0.0)
+    F = solve_ou_closed(k, SYS, grid)
+    with pytest.raises(ValueError, match="batch_size"):
+        route(F, ops, k, basis_state(dims), grid, 8, 5, batch_size=batch_size)
 
 
 def test_ensemble_mean_matches_outer_product_mean():
@@ -430,8 +450,8 @@ def test_ensemble_mean_matches_outer_product_mean():
     ops = build_operators(dims, SYS)
     k = OUKernel(2.0, 0.6, 0.0)
     F = solve_ou_closed(k, SYS, grid)
-    paths = propagate_ensemble(F, ops, k, basis_state(dims, 1, 0), grid, 50,
-                               5, batch_size=16, store_every=4)
+    paths = propagate_paths(F, ops, k, basis_state(dims, 1, 0), grid, 50,
+                            5, batch_size=16, store_every=4)
     avg = average_trajectories(paths)
     for j in range(len(avg.node_indices)):
         block = paths.states[:, j]
@@ -442,3 +462,41 @@ def test_ensemble_mean_matches_outer_product_mean():
         assert avg.trace_mean[j] == pytest.approx(norms.mean(), rel=1e-14)
         assert avg.trace_se[j] == pytest.approx(
             norms.std(ddof=1) / np.sqrt(len(paths.states)), rel=1e-12)
+
+
+def test_streamed_mean_matches_per_path_mean_at_any_batch_width():
+    grid = TimeGrid(dt=0.05, t_final=1.0)
+    dims = (4, 4)
+    ops = build_operators(dims, SYS)
+    k = OUKernel(1.0, 0.8, 0.0)
+    F = solve_ou_closed(k, SYS, grid)
+    psi0 = basis_state(dims)
+    m = 96
+    want = average_trajectories(propagate_paths(F, ops, k, psi0, grid, m, 99,
+                                                store_every=5))
+    for b in (7, 64, m):
+        got = propagate_ensemble(F, ops, k, psi0, grid, m, 99, batch_size=b,
+                                 store_every=5)
+        assert np.array_equal(got.node_indices, want.node_indices)
+        for rho, ref in zip(got.rhos, want.rhos):
+            assert np.max(np.abs(rho - ref)) <= 1e-14 * np.linalg.norm(ref)
+        np.testing.assert_allclose(got.trace_mean, want.trace_mean, rtol=1e-14)
+        np.testing.assert_allclose(got.trace_se, want.trace_se, rtol=1e-12)
+
+
+def test_streamed_ensemble_keeps_no_path_history():
+    # every path's states at the 101 stored nodes would take
+    # 1000 * 101 * 16 complex numbers, 25.9 MB
+    grid = TimeGrid(dt=0.01, t_final=1.0)
+    dims = (4, 4)
+    ops = build_operators(dims, SYS)
+    k = OUKernel(2.0, 0.6, 0.0)
+    F = solve_ou_closed(k, SYS, grid)
+    tracemalloc.start()
+    try:
+        propagate_ensemble(F, ops, k, basis_state(dims), grid, 1000, 3,
+                           store_every=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

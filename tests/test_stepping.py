@@ -58,6 +58,12 @@ def test_trapezoid_weights_degenerate_sizes():
     assert trapezoid_weights(2, 0.5).tolist() == [0.25, 0.25]
 
 
+@pytest.mark.parametrize("n, start", [(1, 0), (2, 1), (5, 0), (5, 1), (5, 4)])
+def test_trapezoid_weights_from_start_are_the_tail_of_the_rule(n, start):
+    tail = trapezoid_weights(n, 0.3, start)
+    assert np.array_equal(tail, trapezoid_weights(n, 0.3)[start:])
+
+
 def test_midpoint_values_fourth_order():
     # error of the 4-point stencil decays like h^4 on smooth data
     errs = []
