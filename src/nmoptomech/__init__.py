@@ -21,9 +21,7 @@ from .kernel import (
     OUKernel,
     DeltaKernel,
     TabulatedKernel,
-    NoisePath,
     spectral_density,
-    sample_noise_path,
     sample_noise_batch,
     path_seed,
     read_kernel_table,
@@ -36,7 +34,6 @@ from .ocoeff import (
     solve_ou_closed,
     solve_two_time_grid,
     solve_ocoeff,
-    consistency_residual,
 )
 from .moments import (
     MomentTrajectory,
@@ -48,9 +45,6 @@ from .moments import (
 from .gaussian_ent import (
     EntanglementResult,
     log_negativity,
-    min_symplectic_eigenvalue,
-    pt_min_symplectic_eigenvalue,
-    two_mode_squeezed_covariance,
 )
 from .fock import (
     FockOperators,
@@ -62,13 +56,10 @@ from .fock import (
     projector,
     moments_from_rho,
     integrate_master,
-    integrate_lindblad,
     integrate_thermal_master,
-    propagate_trajectory,
     propagate_paths,
     propagate_ensemble,
     average_trajectories,
-    trace_distance,
 )
 from .thermal import (
     EffectiveKernels,
@@ -92,9 +83,7 @@ __all__ = [
     "OUKernel",
     "DeltaKernel",
     "TabulatedKernel",
-    "NoisePath",
     "spectral_density",
-    "sample_noise_path",
     "sample_noise_batch",
     "path_seed",
     "read_kernel_table",
@@ -105,7 +94,6 @@ __all__ = [
     "solve_ou_closed",
     "solve_two_time_grid",
     "solve_ocoeff",
-    "consistency_residual",
     "MomentTrajectory",
     "MOMENT_LABELS",
     "coherent",
@@ -113,9 +101,6 @@ __all__ = [
     "vacuum",
     "EntanglementResult",
     "log_negativity",
-    "min_symplectic_eigenvalue",
-    "pt_min_symplectic_eigenvalue",
-    "two_mode_squeezed_covariance",
     "FockOperators",
     "RhoTrajectory",
     "StatePath",
@@ -125,13 +110,10 @@ __all__ = [
     "projector",
     "moments_from_rho",
     "integrate_master",
-    "integrate_lindblad",
     "integrate_thermal_master",
-    "propagate_trajectory",
     "propagate_paths",
     "propagate_ensemble",
     "average_trajectories",
-    "trace_distance",
     "EffectiveKernels",
     "ThermalOCoefficients",
     "thermal_occupation",

@@ -347,6 +347,21 @@ def _scan_points(scenario, user_gamma, sweep):
     return len(sweep[1]) if sweep else 1
 
 
+def _temperatures(temperature, sweep):
+    """Bath temperature of each point: a temperature sweep replaces
+    [bath] temperature point by point."""
+    return sweep[1] if sweep and sweep[0] == "temperature" else (temperature,)
+
+
+def _f5_unread(scenario, temps):
+    """Why no point of a run reads [run] include_f5, or None if one does."""
+    if scenario == "fig2":
+        return "fig2 always solves F5 for its ratio"
+    if min(temps) > 0:
+        return "the thermal coefficients have no F5"
+    return None
+
+
 def _validate(scenario, v, src, resolved) -> RunConfig:
     dt, t_final = v[("grid", "dt")], v[("grid", "t_final")]
     if dt <= 0:
@@ -448,10 +463,7 @@ def _validate(scenario, v, src, resolved) -> RunConfig:
         raise ConfigError(f"[grid] t_final / dt = {t_final / dt:g}: too many grid nodes "
                           f"(at most {_MAX_NODES // points}: {held} in "
                           f"{_SLAB_BUDGET / 1e9:g} GB)")
-    # a temperature sweep replaces [bath] temperature point by point
-    temps = [v[("bath", "temperature")]]
-    if sweep and sweep[0] == "temperature":
-        temps = sweep[1]
+    temps = _temperatures(v[("bath", "temperature")], sweep)
     if max(temps) > 0:
         if scenario != "custom":
             raise ConfigError("figure presets are zero-temperature scenarios")
@@ -477,6 +489,9 @@ def _validate(scenario, v, src, resolved) -> RunConfig:
     for key in _KERNEL_KEYS["ou"]:
         if key not in _KERNEL_KEYS[kernel] and _user_set(src[("bath", key)]):
             raise ConfigError(f"[bath] {key} does not enter the {kernel} kernel")
+    why = _f5_unread(scenario, temps)
+    if why and _user_set(src[("run", "include_f5")]):
+        raise ConfigError(f"[run] include_f5 is read by no point of this run: {why}")
 
     fields = {key: v[(sec, key)] for sec in ("bath", "grid", "run") for key in _SCHEMA[sec]}
     fields["out"] = fields["out"] or os.path.join("runs", scenario)
@@ -938,10 +953,16 @@ def _scenario_custom(cfg, outdir, manifest):
 
 
 def _echo_text(cfg: RunConfig):
-    # fig3 and fig5 scan their own memory rates unless gamma is set by the
-    # user; read back as a file value, an echoed preset gamma would narrow
-    # the scan, so that line is echoed as a comment
-    scanned = cfg.scenario in ("fig3", "fig5") and not _user_set(cfg.gamma_source)
+    # read back as file values, these lines would change the run or be
+    # rejected, so they are echoed as comments: a preset gamma would narrow
+    # the memory-rate scan of fig3 and fig5, and a [bath] key the kernel
+    # does not read, or include_f5 where no point reads it, is an error
+    unused = {("bath", key): f"the {cfg.kernel} kernel does not read it"
+              for key in _KERNEL_KEYS["ou"] if key not in _KERNEL_KEYS[cfg.kernel]}
+    if cfg.scenario in ("fig3", "fig5") and not _user_set(cfg.gamma_source):
+        unused[("bath", "gamma")] = "the scenario scans its own memory rates"
+    if why := _f5_unread(cfg.scenario, _temperatures(cfg.temperature, cfg.sweep)):
+        unused[("run", "include_f5")] = why
     lines = [f"# resolved configuration, scenario {cfg.scenario}"]
     current = None
     for sec, key, raw, source in cfg.resolved:
@@ -949,9 +970,8 @@ def _echo_text(cfg: RunConfig):
             lines.append("")
             lines.append(f"[{sec}]")
             current = sec
-        if scanned and (sec, key) == ("bath", "gamma"):
-            lines.append(f"# {key} = {raw}  # {source}; unused: the scenario "
-                         "scans its own memory rates")
+        if (sec, key) in unused:
+            lines.append(f"# {key} = {raw}  # {source}; unused: {unused[sec, key]}")
             continue
         lines.append(f"{key} = {raw}  # {source}")
     return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Truncated two-mode number-basis oracle.
+"""Truncated two-mode number-basis engines.
 
 Everything downstream of the Gaussian machinery can be cross-checked
 here: the memory-carrying master equation
@@ -6,14 +6,15 @@ here: the memory-carrying master equation
     drho/dt = -i[H_S, rho] + [b, rho Obar^dag] + h.c.,
     Obar(t) = F1 b + F2 b^dag + F3 a + F4 a^dag,
 
-its memoryless limit (the standard damped-mirror Lindblad form), the
-two-bath equation of ``thermal`` and the linear stochastic unraveling
+the two-bath equation of ``thermal`` and the linear stochastic
+unraveling
 
     d|psi>/dt = (-i H_S + b z*_t - b^dag Obar(t)) |psi>,
 
-whose unnormalized projectors average to rho.  States live on a
-(N_a, N_b) product of truncated ladders; a leakage monitor guards the
-truncation.
+whose unnormalized projectors average to rho, streamed
+(:func:`propagate_ensemble`) or path by path (:func:`propagate_paths`).
+States live on a (N_a, N_b) product of truncated ladders; a leakage
+monitor guards the truncation.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import NumericalFailure, TruncationError
-from .kernel import path_seed, sample_noise_batch, NoisePath
+from .kernel import path_seed, sample_noise_batch
 from .moments import MomentTrajectory
 from .ocoeff import OCoefficientSeries
 from .params import LinearizedSystem
@@ -37,15 +38,12 @@ __all__ = [
     "moments_from_rho",
     "RhoTrajectory",
     "integrate_master",
-    "integrate_lindblad",
     "integrate_thermal_master",
     "StatePath",
     "AveragedEnsemble",
-    "propagate_trajectory",
     "propagate_paths",
     "propagate_ensemble",
     "average_trajectories",
-    "trace_distance",
 ]
 
 
@@ -91,7 +89,7 @@ class FockOperators:
     """Dense matrices of the two truncated modes.
 
     H is the quadratic Hamiltonian for the system that built the
-    operators (None when none was given).  In the product index
+    operators.  In the product index
     k = i N_b + j every operator of the number-basis marches is a band:
     a and a^dag sit at offsets +-N_b, b and b^dag at +-1, H has 5 bands.
     """
@@ -101,7 +99,7 @@ class FockOperators:
     ad: np.ndarray
     b: np.ndarray
     bd: np.ndarray
-    H: np.ndarray = None
+    H: np.ndarray
 
     @property
     def dim(self):
@@ -111,8 +109,7 @@ class FockOperators:
     def bands(self):
         """(offset, diagonal) of "a", "ad", "b", "bd"; band list of "-iH"."""
         out = {k: _bands(getattr(self, k))[0] for k in ("a", "ad", "b", "bd")}
-        if self.H is not None:
-            out["-iH"] = [(o, -1j * w) for o, w in _bands(self.H)]
+        out["-iH"] = [(o, -1j * w) for o, w in _bands(self.H)]
         return out
 
     @cached_property
@@ -173,12 +170,10 @@ class FockOperators:
         return float(np.einsum("ii->i", rho).real[self._leak_mask].sum())
 
 
-def build_operators(dims, sys: LinearizedSystem = None) -> FockOperators:
-    """Truncated ladder matrices on the (N_a, N_b) product space.
-
-    When a linearized system is given, the Hamiltonian
-    -Delta a^dag a + omega_m b^dag b + G (a^dag + a)(b^dag + b)
-    is attached.
+def build_operators(dims, sys: LinearizedSystem) -> FockOperators:
+    """Truncated ladder matrices on the (N_a, N_b) product space, with
+    the Hamiltonian -Delta a^dag a + omega_m b^dag b + G (a^dag + a)(b^dag + b)
+    of the linearized system.
     """
     na, nb = int(dims[0]), int(dims[1])
     if na < 2 or nb < 2:
@@ -189,10 +184,8 @@ def build_operators(dims, sys: LinearizedSystem = None) -> FockOperators:
     b = np.kron(np.eye(na), sb)
     ad = a.conj().T.copy()
     bd = b.conj().T.copy()
-    H = None
-    if sys is not None:
-        H = (-sys.Delta * (ad @ a) + sys.omega_m * (bd @ b)
-             + sys.G * ((ad + a) @ (bd + b)))
+    H = (-sys.Delta * (ad @ a) + sys.omega_m * (bd @ b)
+         + sys.G * ((ad + a) @ (bd + b)))
     return FockOperators(dims=(na, nb), a=a, ad=ad, b=b, bd=bd, H=H)
 
 
@@ -210,17 +203,14 @@ def projector(psi):
     return np.outer(psi, psi.conj())
 
 
-def moments_from_rho(rho, ops: FockOperators, normalize=True):
-    """The real (14,) moment vector by trace contraction; divides by
-    tr rho by default so ensemble-averaged (not exactly normalized) states
-    give estimators."""
-    vals = ops.moment_vector(np.asarray(rho))
-    if normalize:
-        tr = np.trace(rho).real
-        if abs(tr) < 1e-12:
-            raise ValueError("state has (near) zero trace")
-        vals = vals / tr
-    return vals
+def moments_from_rho(rho, ops: FockOperators):
+    """The real (14,) moment vector by trace contraction, divided by
+    tr rho so ensemble-averaged (not exactly normalized) states give
+    estimators."""
+    tr = np.trace(rho).real
+    if abs(tr) < 1e-12:
+        raise ValueError("state has (near) zero trace")
+    return ops.moment_vector(np.asarray(rho)) / tr
 
 
 @dataclass(frozen=True)
@@ -247,8 +237,8 @@ class RhoTrajectory:
             raise KeyError(f"node {node} was not stored")
         return self.rhos[pos]
 
-    def en_series(self, **kw):
-        return MomentTrajectory(grid=self.grid, values=self.moments).en_series(**kw)
+    def en_series(self):
+        return MomentTrajectory(grid=self.grid, values=self.moments).en_series()
 
 
 def _check_rho(rho, ops, t, trace_tol, leak_tol):
@@ -350,32 +340,9 @@ def integrate_master(F: OCoefficientSeries, ops: FockOperators, rho0,
     """
     if not grid.matches(F.grid):
         raise ValueError("F series and master integration must share one grid")
-    if ops.H is None:
-        raise ValueError("operators were built without a Hamiltonian")
     rows = (F.F1, F.F2, F.F3, F.F4)
     return _run_rho(lambda j: _master_generator(ops, half_node_values(rows, j)),
                     grid, rho0, ops, store_every, trace_tol, leak_tol)
-
-
-def integrate_lindblad(ops: FockOperators, Gamma, rho0, grid: TimeGrid,
-                       store_every=0, trace_tol=1e-6,
-                       leak_tol=1e-4) -> RhoTrajectory:
-    """Memoryless reference equation
-    drho/dt = -i[H, rho] + Gamma/2 ([b, rho b^dag] + [b rho, b^dag]),
-    kept as an independent code path for cross-checks."""
-    if ops.H is None:
-        raise ValueError("operators were built without a Hamiltonian")
-    H, b, bd = ops.H, ops.b, ops.bd
-    half = 0.5 * Gamma
-
-    def gen(rho):
-        p = rho @ bd
-        q = b @ rho
-        return (-1j * (H @ rho - rho @ H)
-                + half * ((b @ p - p @ b) + (q @ bd - bd @ q)))
-
-    return _run_rho(lambda _: gen, grid, rho0, ops, store_every, trace_tol,
-                    leak_tol)
 
 
 def _thermal_generator(ops: FockOperators, x):
@@ -396,8 +363,6 @@ def integrate_thermal_master(Xij: ThermalOCoefficients, ops: FockOperators,
     each bath term is Hermiticity- and trace-preserving on its own."""
     if not grid.matches(Xij.grid):
         raise ValueError("coefficients and integration must share one grid")
-    if ops.H is None:
-        raise ValueError("operators were built without a Hamiltonian")
     rows = [Xij.X[:, i, j] for i in range(2) for j in range(4)]
     return _run_rho(lambda j: _thermal_generator(ops, half_node_values(rows, j)),
                     grid, rho0, ops, store_every, trace_tol, leak_tol)
@@ -405,9 +370,8 @@ def integrate_thermal_master(Xij: ThermalOCoefficients, ops: FockOperators,
 
 @dataclass(frozen=True)
 class StatePath:
-    """Stored (possibly unnormalized) state vectors at ``node_indices``:
-    shape (nodes, d) for one trajectory, (paths, nodes, d) for an
-    ensemble."""
+    """Stored (unnormalized) state vectors of an ensemble at
+    ``node_indices``, shape (paths, nodes, d)."""
 
     grid: TimeGrid
     dims: tuple
@@ -460,36 +424,14 @@ def _propagate_states(F, ops, Z, psi0, grid, store_idx, sink):
     march_driven(rhs_at, psi0, grid, visit)
 
 
-def propagate_trajectory(F: OCoefficientSeries, ops: FockOperators,
-                         noise: NoisePath, psi0, grid: TimeGrid,
-                         store_every=1) -> StatePath:
-    """Integrate one linear stochastic trajectory.
-
-    The noise path must live on the half-step refinement of ``grid``
-    (its values feed the interior stages directly).  The state norm is
-    not preserved; the ensemble mean of projectors is the state.
-    """
-    if not grid.matches(F.grid):
-        raise ValueError("F series and trajectory must share one grid")
-    if not noise.grid.matches(grid.refine()):
-        raise ValueError("noise must be sampled on the half-step refinement")
-    store_idx = _store_nodes(grid.n_points, store_every)
-    states = np.empty((len(store_idx), ops.dim), dtype=complex)
-
-    def write(i, psi):
-        states[i] = psi[:, 0]
-
-    _propagate_states(F, ops, noise.values[:, None], psi0, grid, store_idx, write)
-    return StatePath(grid=grid, dims=ops.dims, node_indices=store_idx,
-                     states=states)
-
-
 def _march_batches(F, ops, k, psi0, grid, n_paths, master_seed, batch_size,
                    store_idx, sink):
     """March ``n_paths`` trajectories ``batch_size`` at a time, path i on
     the stream seeded by (master_seed, i), and hand each batch's stored
     states to ``sink(lo, i, psi)``, lo being the batch's first path and
     i, psi as in :func:`_propagate_states`."""
+    if not grid.matches(F.grid):
+        raise ValueError("F series and trajectories must share one grid")
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     fine = grid.refine()
@@ -635,9 +577,3 @@ def average_trajectories(ensemble: StatePath) -> AveragedEnsemble:
     return AveragedEnsemble(grid=ensemble.grid, node_indices=ensemble.node_indices,
                             rhos=rhos, trace_mean=tr_mean, trace_se=tr_se)
 
-
-def trace_distance(r1, r2):
-    """Half the trace norm of the difference of two Hermitian matrices."""
-    d = np.asarray(r1) - np.asarray(r2)
-    d = 0.5 * (d + d.conj().T)
-    return float(0.5 * np.abs(np.linalg.eigvalsh(d)).sum())

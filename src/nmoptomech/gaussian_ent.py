@@ -15,8 +15,8 @@ For a covariance matrix V with 2x2 blocks A (mode 1), B (mode 2) and C
 ``nu_minus`` is the smallest symplectic eigenvalue of the partially
 transposed state; with +2 det C in Sigma the same formula gives the
 smallest symplectic eigenvalue of V itself, which is >= 1 for a physical
-state.  Independent eigenvalue routes are provided for cross-checking
-the closed formula.
+state.  The eigenvalue routes that cross-check the closed formula live
+with the tests (``tests/oracles.py``).
 """
 
 from dataclasses import dataclass
@@ -28,16 +28,8 @@ __all__ = [
     "EntanglementResult",
     "SymplecticReadout",
     "log_negativity",
-    "min_symplectic_eigenvalue",
-    "pt_min_symplectic_eigenvalue",
     "symplectic_readout",
-    "two_mode_squeezed_covariance",
 ]
-
-_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-_M = np.block([[_J, np.zeros((2, 2))], [np.zeros((2, 2)), _J]])
-# Partial transpose of mode 2 flips the sign of p2.
-_PT = np.diag([1.0, 1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -139,39 +131,4 @@ def log_negativity(V, tol=1e-10):
         raise ValueError("negative radicand for nu_minus; unphysical covariance")
     return EntanglementResult(nu_minus=float(np.sqrt(r.nu_pt_sq)), En=float(r.en),
                               Sigma=float(r.sigma))
-
-
-def min_symplectic_eigenvalue(V):
-    """Smallest modulus among the eigenvalues of i M V.
-
-    For a physical state this is >= 1; the eigenvalue route to the
-    physical nu_- of :func:`symplectic_readout`.
-    """
-    V = _as_covariance(V)
-    if not np.all(np.isfinite(V)):
-        raise ValueError("covariance matrix has non-finite entries")
-    eig = np.linalg.eigvals(1j * _M @ V)
-    return float(np.min(np.abs(eig)))
-
-
-def pt_min_symplectic_eigenvalue(V):
-    """Eigenvalue route to nu_minus: smallest |eig| of i M (P V P).
-
-    Independent of the closed Sigma formula; P flips the momentum of the
-    second mode (partial transposition at covariance level).
-    """
-    return min_symplectic_eigenvalue(_PT @ _as_covariance(V) @ _PT)
-
-
-def two_mode_squeezed_covariance(r):
-    """Covariance matrix of the standard two-mode squeezed vacuum.
-
-    A = B = cosh(2r) I, C = diag(sinh 2r, -sinh 2r); En equals 2r.
-    """
-    ch = np.cosh(2.0 * r)
-    sh = np.sinh(2.0 * r)
-    V = np.diag([ch, ch, ch, ch])
-    V[0, 2] = V[2, 0] = sh
-    V[1, 3] = V[3, 1] = -sh
-    return V
 

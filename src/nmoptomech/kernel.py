@@ -30,9 +30,7 @@ __all__ = [
     "OUKernel",
     "DeltaKernel",
     "TabulatedKernel",
-    "NoisePath",
     "spectral_density",
-    "sample_noise_path",
     "sample_noise_batch",
     "path_seed",
     "write_kernel_table",
@@ -123,14 +121,6 @@ class TabulatedKernel:
         return out if out.ndim else complex(out)
 
 
-@dataclass(frozen=True)
-class NoisePath:
-    """One realization of z*_t on a uniform grid."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-
 def spectral_density(k: OUKernel, omega):
     """Lorentzian line J(w) paired with the exponential kernel."""
     omega = np.asarray(omega, dtype=float)
@@ -199,12 +189,6 @@ def sample_noise_batch(k, grid: TimeGrid, seeds):
     for kk in range(1, n):
         z[kk] = decay * z[kk - 1] + sigma * w[kk]
     return z
-
-
-def sample_noise_path(k, grid: TimeGrid, seed) -> NoisePath:
-    """Draw one realization of z*_t on the grid (see sample_noise_batch)."""
-    values = sample_noise_batch(k, grid, [seed])[:, 0]
-    return NoisePath(grid=grid, values=values)
 
 
 def write_kernel_table(path, lags, values):

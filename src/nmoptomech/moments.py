@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .gaussian_ent import log_negativity, symplectic_readout
+from .gaussian_ent import symplectic_readout
 from .ocoeff import OCoefficientSeries
 from .stepping import TimeGrid, half_node_values, march_driven
 
@@ -109,7 +109,7 @@ class MomentTrajectory:
         """Covariance matrix (4, 4) of the state at node k."""
         return covariances(self.values[k])
 
-    def en_series(self, monitor=True):
+    def en_series(self):
         """Logarithmic negativity at every node, shape (n,), or (n, P) for
         a batched march; read out point by point.
 
@@ -134,14 +134,11 @@ class MomentTrajectory:
             en[:, p] = r.en
             worst.append(float(r.nu.min()))
         dips = [w for w in worst if w < 1.0 - DIP_TOL]
-        if monitor and dips:
+        if dips:
             where = f" at {len(dips)} of {len(worst)} scan points" if len(worst) > 1 else ""
             warnings.warn(f"covariance physicality dip{where}: min symplectic "
                           f"eigenvalue {min(dips):.8f} < 1", RuntimeWarning, stacklevel=2)
         return en if batch else en[:, 0]
-
-    def en_at(self, k):
-        return log_negativity(self.covariance(k)).En
 
 
 @functools.cache

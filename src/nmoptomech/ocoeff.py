@@ -36,8 +36,6 @@ from .params import LinearizedSystem
 from .stepping import (
     TimeGrid,
     march_doubled,
-    midpoint_derivative,
-    midpoint_values,
     rk4_step,
     trapezoid_weights,
 )
@@ -49,7 +47,6 @@ __all__ = [
     "solve_ou_closed",
     "solve_ocoeff",
     "markov_series",
-    "consistency_residual",
 ]
 
 # boundary row values of (f1, f2, f3, f4) at s = t
@@ -399,38 +396,3 @@ def solve_ocoeff(k, sys, grid: TimeGrid, include_f5=True) -> OCoefficientSeries:
         return solve_ou_closed(k, sys, grid, include_f5=include_f5)
     return solve_two_time_grid(k, sys, grid, include_f5=include_f5)
 
-
-def consistency_residual(series: OCoefficientSeries, fields: TwoTimeField,
-                         sys: LinearizedSystem) -> float:
-    """Max-norm residual of the coefficient equations at off-grid midpoints.
-
-    About 16 evenly strided columns of the stored two-time solution
-    (fixed s, running t) are interpolated to panel midpoints with
-    4th-order stencils; the midpoint derivative is compared against the
-    equation right-hand side.  The delta-kernel series is constant and
-    satisfies its reduced equation identically.
-    """
-    if series.provenance == "markov-delta":
-        return 0.0
-    if fields is None:
-        raise ValueError("residual evaluation needs stored fields")
-    grid = series.grid
-    n = grid.n_points
-    dt = grid.dt
-    wm, delta, g = sys.omega_m, sys.Delta, sys.G
-    fmid = [midpoint_values(x) for x in
-            (series.F1, series.F2, series.F3, series.F4)]
-    stride = max(1, n // 16)
-    worst = 0.0
-    for l in range(0, n - 4, stride):
-        cols = np.stack([fields.f1[l:, l], fields.f2[l:, l],
-                         fields.f3[l:, l], fields.f4[l:, l]])
-        mids = np.stack([midpoint_values(c) for c in cols])
-        dots = np.stack([midpoint_derivative(c, dt) for c in cols])
-        f5p_mid = None
-        if fields.f5_prime is not None and series.F5 is not None:
-            f5p_mid = midpoint_values(fields.f5_prime[l:, l])
-        fj = tuple(x[l:] for x in fmid)
-        rhs = _row_rhs(mids, fj, f5p_mid, wm, delta, g)
-        worst = max(worst, np.abs(dots - rhs).max())
-    return float(worst)

@@ -2,8 +2,8 @@
 
 Every solver in this package marches on the same uniform grid with a
 classical fourth-order Runge-Kutta step.  The helpers here keep that step,
-the grid bookkeeping, the trapezoidal quadrature weights, and the midpoint
-stencils in one place so that all modules discretize identically.
+the grid bookkeeping, the trapezoidal quadrature weights, and the
+half-node stencil in one place so that all modules discretize identically.
 """
 
 from dataclasses import dataclass
@@ -15,8 +15,6 @@ from .errors import NumericalFailure
 __all__ = [
     "TimeGrid",
     "trapezoid_weights",
-    "midpoint_values",
-    "midpoint_derivative",
     "half_node_values",
     "rk4_step",
     "march_driven",
@@ -89,39 +87,6 @@ def trapezoid_weights(n, h, start=0):
 _MID_INTERIOR = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
 _MID_LEFT = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
 _MID_RIGHT = np.array([1.0, -5.0, 15.0, 5.0]) / 16.0
-
-_DMID_INTERIOR = np.array([1.0, -27.0, 27.0, -1.0]) / 24.0
-_DMID_LEFT = np.array([-23.0, 21.0, 3.0, -1.0]) / 24.0
-_DMID_RIGHT = np.array([1.0, -3.0, -21.0, 23.0]) / 24.0
-
-
-def _apply_mid_stencil(values, interior, left, right):
-    v = np.asarray(values)
-    n = v.shape[0]
-    if n < 4:
-        raise ValueError("midpoint stencils need at least four nodes")
-    out_shape = (n - 1,) + v.shape[1:]
-    out = np.empty(out_shape, dtype=v.dtype)
-    out[0] = np.tensordot(left, v[0:4], axes=(0, 0))
-    out[-1] = np.tensordot(right, v[n - 4 : n], axes=(0, 0))
-    # windows v[k-1..k+2] for midpoints k = 1..n-3
-    stacked = np.stack([v[0 : n - 3], v[1 : n - 2], v[2 : n - 1], v[3:n]])
-    out[1:-1] = np.tensordot(interior, stacked, axes=(0, 0))
-    return out
-
-
-def midpoint_values(values):
-    """Fourth-order interpolation of a grid series onto step midpoints.
-
-    ``values`` has the time index first; the result has length one less
-    along that axis.
-    """
-    return _apply_mid_stencil(values, _MID_INTERIOR, _MID_LEFT, _MID_RIGHT)
-
-
-def midpoint_derivative(values, h):
-    """Fourth-order derivative of a grid series at step midpoints."""
-    return _apply_mid_stencil(values, _DMID_INTERIOR, _DMID_LEFT, _DMID_RIGHT) / h
 
 
 def half_node_values(rows, j):

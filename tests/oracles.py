@@ -1,16 +1,22 @@
-"""Independent routes and fixtures that the tests share.
+"""Independent routes and fixtures that the tests share; no run of the
+package calls them.
 
-``ladder_rhs`` is the closed system of the 14 complex ladder moments in
-the orderings of ``LADDER_LABELS``, and ``to_quadratures`` maps a ladder
-moment vector onto the real quadrature state of ``moments``.  Together
-they are a second route to the real Lyapunov equations of the moment
-engine.
+``ladder_rhs`` (the 14 complex ladder moments of ``LADDER_LABELS``) with
+``to_quadratures`` is a second route to the real Lyapunov equations of
+the moment engine; the eigenvalue routes cross-check the closed-form
+symplectic read-out, the whole-series midpoint stencils the step-wise
+``stepping.half_node_values``, ``consistency_residual`` the stored
+two-time rows, and the dense ``integrate_lindblad`` the band generators.
 """
 
 import numpy as np
 from scipy.linalg import expm
 
-from nmoptomech.gaussian_ent import _M
+from nmoptomech.fock import FockOperators, _run_rho
+from nmoptomech.gaussian_ent import _as_covariance
+from nmoptomech.ocoeff import OCoefficientSeries, TwoTimeField, _row_rhs
+from nmoptomech.params import LinearizedSystem
+from nmoptomech.stepping import TimeGrid, _MID_INTERIOR, _MID_LEFT, _MID_RIGHT
 
 LADDER_LABELS = (
     "a", "ad", "b", "bd",
@@ -70,6 +76,47 @@ def to_quadratures(m):
     ])
 
 
+_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_M = np.block([[_J, np.zeros((2, 2))], [np.zeros((2, 2)), _J]])
+# Partial transpose of mode 2 flips the sign of p2.
+_PT = np.diag([1.0, 1.0, 1.0, -1.0])
+
+
+def min_symplectic_eigenvalue(V):
+    """Smallest modulus among the eigenvalues of i M V.
+
+    For a physical state this is >= 1; the eigenvalue route to the
+    physical nu_- of :func:`gaussian_ent.symplectic_readout`.
+    """
+    V = _as_covariance(V)
+    if not np.all(np.isfinite(V)):
+        raise ValueError("covariance matrix has non-finite entries")
+    eig = np.linalg.eigvals(1j * _M @ V)
+    return float(np.min(np.abs(eig)))
+
+
+def pt_min_symplectic_eigenvalue(V):
+    """Eigenvalue route to nu_minus: smallest |eig| of i M (P V P).
+
+    Independent of the closed Sigma formula; P flips the momentum of the
+    second mode (partial transposition at covariance level).
+    """
+    return min_symplectic_eigenvalue(_PT @ _as_covariance(V) @ _PT)
+
+
+def two_mode_squeezed_covariance(r):
+    """Covariance matrix of the standard two-mode squeezed vacuum.
+
+    A = B = cosh(2r) I, C = diag(sinh 2r, -sinh 2r); En equals 2r.
+    """
+    ch = np.cosh(2.0 * r)
+    sh = np.sinh(2.0 * r)
+    V = np.diag([ch, ch, ch, ch])
+    V[0, 2] = V[2, 0] = sh
+    V[1, 3] = V[3, 1] = -sh
+    return V
+
+
 def random_physical_covariance(rng, nu=None, strength=1.0):
     """Random physical two-mode covariance matrix.
 
@@ -88,3 +135,98 @@ def random_physical_covariance(rng, nu=None, strength=1.0):
     d = np.diag([nu1, nu1, nu2, nu2])
     V = s @ d @ s.T
     return 0.5 * (V + V.T)
+
+
+_DMID_INTERIOR = np.array([1.0, -27.0, 27.0, -1.0]) / 24.0
+_DMID_LEFT = np.array([-23.0, 21.0, 3.0, -1.0]) / 24.0
+_DMID_RIGHT = np.array([1.0, -3.0, -21.0, 23.0]) / 24.0
+
+
+def _apply_mid_stencil(values, interior, left, right):
+    v = np.asarray(values)
+    n = v.shape[0]
+    if n < 4:
+        raise ValueError("midpoint stencils need at least four nodes")
+    out_shape = (n - 1,) + v.shape[1:]
+    out = np.empty(out_shape, dtype=v.dtype)
+    out[0] = np.tensordot(left, v[0:4], axes=(0, 0))
+    out[-1] = np.tensordot(right, v[n - 4 : n], axes=(0, 0))
+    # windows v[k-1..k+2] for midpoints k = 1..n-3
+    stacked = np.stack([v[0 : n - 3], v[1 : n - 2], v[2 : n - 1], v[3:n]])
+    out[1:-1] = np.tensordot(interior, stacked, axes=(0, 0))
+    return out
+
+
+def midpoint_values(values):
+    """Fourth-order interpolation of a grid series onto step midpoints.
+
+    ``values`` has the time index first; the result has length one less
+    along that axis.
+    """
+    return _apply_mid_stencil(values, _MID_INTERIOR, _MID_LEFT, _MID_RIGHT)
+
+
+def midpoint_derivative(values, h):
+    """Fourth-order derivative of a grid series at step midpoints."""
+    return _apply_mid_stencil(values, _DMID_INTERIOR, _DMID_LEFT, _DMID_RIGHT) / h
+
+
+def consistency_residual(series: OCoefficientSeries, fields: TwoTimeField,
+                         sys: LinearizedSystem) -> float:
+    """Max-norm residual of the coefficient equations at off-grid midpoints.
+
+    About 16 evenly strided columns of the stored two-time solution
+    (fixed s, running t) are interpolated to panel midpoints with
+    4th-order stencils; the midpoint derivative is compared against the
+    equation right-hand side.  The delta-kernel series is constant and
+    satisfies its reduced equation identically.
+    """
+    if series.provenance == "markov-delta":
+        return 0.0
+    if fields is None:
+        raise ValueError("residual evaluation needs stored fields")
+    grid = series.grid
+    n = grid.n_points
+    dt = grid.dt
+    wm, delta, g = sys.omega_m, sys.Delta, sys.G
+    fmid = [midpoint_values(x) for x in
+            (series.F1, series.F2, series.F3, series.F4)]
+    stride = max(1, n // 16)
+    worst = 0.0
+    for l in range(0, n - 4, stride):
+        cols = np.stack([fields.f1[l:, l], fields.f2[l:, l],
+                         fields.f3[l:, l], fields.f4[l:, l]])
+        mids = np.stack([midpoint_values(c) for c in cols])
+        dots = np.stack([midpoint_derivative(c, dt) for c in cols])
+        f5p_mid = None
+        if fields.f5_prime is not None and series.F5 is not None:
+            f5p_mid = midpoint_values(fields.f5_prime[l:, l])
+        fj = tuple(x[l:] for x in fmid)
+        rhs = _row_rhs(mids, fj, f5p_mid, wm, delta, g)
+        worst = max(worst, np.abs(dots - rhs).max())
+    return float(worst)
+
+
+def integrate_lindblad(ops: FockOperators, Gamma, rho0, grid: TimeGrid,
+                       store_every=0, trace_tol=1e-6, leak_tol=1e-4):
+    """Memoryless reference equation
+    drho/dt = -i[H, rho] + Gamma/2 ([b, rho b^dag] + [b rho, b^dag]),
+    on dense matrices, independent of the band generators."""
+    H, b, bd = ops.H, ops.b, ops.bd
+    half = 0.5 * Gamma
+
+    def gen(rho):
+        p = rho @ bd
+        q = b @ rho
+        return (-1j * (H @ rho - rho @ H)
+                + half * ((b @ p - p @ b) + (q @ bd - bd @ q)))
+
+    return _run_rho(lambda _: gen, grid, rho0, ops, store_every, trace_tol,
+                    leak_tol)
+
+
+def trace_distance(r1, r2):
+    """Half the trace norm of the difference of two Hermitian matrices."""
+    d = np.asarray(r1) - np.asarray(r2)
+    d = 0.5 * (d + d.conj().T)
+    return float(0.5 * np.abs(np.linalg.eigvalsh(d)).sum())

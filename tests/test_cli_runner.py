@@ -274,7 +274,11 @@ values = 0.5, 1.0
     ("fig5", "", ["--tfinal", "1", "--dt", "0.02"]),
     ("custom", MINIMAL + "[grid]\ndt = 0.02\nt_final = 1.0\n[sweep]\n"
      "parameter = gamma\nstart = 0.5\nstop = 1.5\nstep = 0.5\n", []),
-], ids=["fig2", "fig3", "fig3-gamma", "fig4", "fig5", "custom-sweep"])
+    ("custom", MINIMAL + "temperature = 0.1\n[run]\nengine = fock-master\ndims = 3,3\n",
+     ["--tfinal", "0.2"]),
+    ("custom", MINIMAL.replace("kernel = ou", "kernel = markov").replace("gamma = 0.6\n", ""),
+     ["--tfinal", "0.2"]),
+], ids=["fig2", "fig3", "fig3-gamma", "fig4", "fig5", "custom-sweep", "thermal", "markov"])
 def test_resolved_config_reproduces_every_csv(tmp_path, scenario, text, flags):
     p = tmp_path / "c.cfg"
     p.write_text(text)
@@ -462,6 +466,29 @@ def test_exit_code_two_on_kernel_config_error(tmp_path, capsys, scenario, bath,
     assert rc == 2
     assert key.format(table=path) in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+_WARM = "[bath]\ntemperature = {}\n[run]\nengine = fock-master\ninclude_f5 = false\n"
+_T_SWEEP = "[sweep]\nparameter = temperature\nvalues = {}\n"
+
+
+@pytest.mark.parametrize("scenario, text, flags", [
+    ("fig2", "[run]\ninclude_f5 = false\n", ("--dt", "0.5")),
+    ("custom", _SYSTEM + _WARM.format(0.5), ("--tfinal", "0.2")),
+    ("custom", _SYSTEM + _WARM.format(0.0).replace("false", "true") + _T_SWEEP.format("0.1, 0.2"),
+     ("--tfinal", "0.2")),
+], ids=["fig2", "finite-temperature", "warm-temperature-sweep"])
+def test_exit_code_two_on_an_include_f5_that_no_point_reads(tmp_path, capsys, scenario,
+                                                           text, flags):
+    # fig2 always solves F5 for its ratio; the thermal coefficients have none
+    p = tmp_path / "c.cfg"
+    p.write_text(text)
+    assert main(["run", "--scenario", scenario, "--config", str(p),
+                 "--out", str(tmp_path / "o"), *flags]) == 2
+    assert "[run] include_f5 is read by no point" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # a zero-temperature point of a sweep reads it
+    assert not parse_config(_SYSTEM + _WARM.format(0.0) + _T_SWEEP.format("0, 0.1")).include_f5
 
 
 _NUMBERS = st.one_of(

@@ -11,36 +11,30 @@ from nmoptomech import fock
 from nmoptomech.errors import NumericalFailure, TruncationError
 from nmoptomech.fock import (
     _master_generator,
+    _propagate_states,
+    _store_nodes,
     average_trajectories,
     basis_state,
     build_operators,
-    integrate_lindblad,
     integrate_master,
     moments_from_rho,
     projector,
     propagate_ensemble,
     propagate_paths,
-    propagate_trajectory,
-    trace_distance,
 )
-from nmoptomech.kernel import (
-    NoisePath,
-    OUKernel,
-    path_seed,
-    sample_noise_path,
-)
+from nmoptomech.kernel import OUKernel, path_seed, sample_noise_batch
 from nmoptomech.moments import MOMENT_LABELS
 from nmoptomech.ocoeff import markov_series, solve_ou_closed
 from nmoptomech.params import LinearizedSystem
-from nmoptomech.stepping import TimeGrid, midpoint_values, rk4_step
-from oracles import to_quadratures
+from nmoptomech.stepping import TimeGrid, rk4_step
+from oracles import integrate_lindblad, midpoint_values, to_quadratures, trace_distance
 
 SYS = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)
 OU_MAIN = OUKernel(Gamma=2.0, gamma=0.6, Omega=0.0)
 
 
 def test_ladder_commutator_structure():
-    ops = build_operators((5, 4))
+    ops = build_operators((5, 4), SYS)
     comm = ops.a @ ops.ad - ops.ad @ ops.a
     # canonical on the retained levels, broken only at the cutoff
     na, nb = 5, 4
@@ -51,7 +45,7 @@ def test_ladder_commutator_structure():
 
 
 def test_number_operator_spectrum():
-    ops = build_operators((3, 3))
+    ops = build_operators((3, 3), SYS)
     nb = ops.bd @ ops.b
     want = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2], dtype=float)
     assert np.allclose(np.diag(nb).real, want)
@@ -59,13 +53,13 @@ def test_number_operator_spectrum():
 
 def test_build_operators_validates_dims():
     with pytest.raises(ValueError):
-        build_operators((1, 4))
+        build_operators((1, 4), SYS)
 
 
 def test_basis_state_and_moments():
     psi = basis_state((4, 4), na=1, nb=2)
     rho = projector(psi)
-    ops = build_operators((4, 4))
+    ops = build_operators((4, 4), SYS)
     m = moments_from_rho(rho, ops)
     lab = MOMENT_LABELS.index
     assert m.dtype == np.float64
@@ -146,20 +140,9 @@ def test_zero_noise_trajectory_is_schroedinger():
     silent = OUKernel(0.0, 0.5, 0.0)
     F = solve_ou_closed(silent, sysb, grid)
     psi0 = (basis_state(dims, 0, 0) + basis_state(dims, 1, 1)) / np.sqrt(2)
-    noise = sample_noise_path(silent, grid.refine(), path_seed(3, 0))
-    path = propagate_trajectory(F, ops, noise, psi0, grid)
+    path = propagate_paths(F, ops, silent, psi0, grid, 1, 3)
     want = expm(-1j * ops.H * grid.t_final) @ psi0
-    assert np.max(np.abs(path.final - want)) < 1e-8
-
-
-def test_trajectory_requires_refined_noise_grid():
-    grid = TimeGrid(dt=0.01, t_final=1.0)
-    dims = (3, 3)
-    ops = build_operators(dims, SYS)
-    F = markov_series(1.0, grid)
-    z = NoisePath(grid=grid, values=np.zeros(grid.n_points, complex))
-    with pytest.raises(ValueError):
-        propagate_trajectory(F, ops, z, basis_state(dims), grid)
+    assert np.max(np.abs(path.final[0] - want)) < 1e-8
 
 
 def test_trajectory_norm_cap_fires_at_its_threshold():
@@ -170,14 +153,19 @@ def test_trajectory_norm_cap_fires_at_its_threshold():
     ops = build_operators(dims, SYS)
     k = OUKernel(2.0, 0.6, 0.0)
     F = solve_ou_closed(k, SYS, grid)
-    noise = sample_noise_path(k, grid.refine(), path_seed(7, 0))
     psi0 = basis_state(dims, 1, 0)
-    unit = propagate_trajectory(F, ops, noise, psi0, grid, store_every=1)
-    worst = max(np.abs(unit.states[1]).max(), np.abs(unit.states[-1]).max())
+    unit = propagate_paths(F, ops, k, psi0, grid, 1, 7, store_every=1).states[0]
+    worst = max(np.abs(unit[1]).max(), np.abs(unit[-1]).max())
     with pytest.raises(NumericalFailure, match="heavy-tailed norm"):
-        propagate_trajectory(F, ops, noise, psi0 * (1e6 / worst) * (1 + 1e-6), grid)
-    path = propagate_trajectory(F, ops, noise, psi0 * (1e6 / worst) * (1 - 1e-6), grid)
+        propagate_paths(F, ops, k, psi0 * (1e6 / worst) * (1 + 1e-6), grid, 1, 7)
+    path = propagate_paths(F, ops, k, psi0 * (1e6 / worst) * (1 - 1e-6), grid, 1, 7)
     assert np.abs(path.final).max() < 1e6
+
+
+def _small_ensemble(dims, k):
+    """Grid, operators and F series of the small ensemble tests."""
+    grid = TimeGrid(dt=0.05, t_final=1.0)
+    return grid, build_operators(dims, SYS), solve_ou_closed(k, SYS, grid)
 
 
 def test_ensemble_mean_approaches_master():
@@ -197,11 +185,8 @@ def test_ensemble_mean_approaches_master():
 
 
 def test_ensemble_is_deterministic_for_fixed_seed():
-    grid = TimeGrid(dt=0.05, t_final=1.0)
-    dims = (4, 4)
-    ops = build_operators(dims, SYS)
-    k = OUKernel(1.0, 0.8, 0.0)
-    F = solve_ou_closed(k, SYS, grid)
+    dims, k = (4, 4), OUKernel(1.0, 0.8, 0.0)
+    grid, ops, F = _small_ensemble(dims, k)
     psi0 = basis_state(dims)
     a = propagate_ensemble(F, ops, k, psi0, grid, 64, 99, batch_size=64)
     b = propagate_ensemble(F, ops, k, psi0, grid, 64, 99, batch_size=64)
@@ -256,10 +241,10 @@ def test_band_generator_matches_dense_formula(dims):
 @pytest.mark.parametrize("dims", [(2, 2), (3, 5), (10, 10)])
 def test_band_moment_readout_matches_trace_contraction(dims):
     rng = np.random.default_rng(7)
-    ops = build_operators(dims)
+    ops = build_operators(dims, SYS)
     rho = random_hermitian(ops.dim, rng)
     want = np.einsum("mij,ji->m", ops.moment_matrices, rho)
-    got = moments_from_rho(rho, ops, normalize=False)
+    got = ops.moment_vector(rho)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.linalg.norm(rho)
 
 
@@ -267,7 +252,7 @@ def test_moment_vector_is_the_ladder_traces_in_quadratures():
     # the truncated quadrature products differ from the ladder moments on
     # the top levels; the read-out keeps the ladder identities
     rng = np.random.default_rng(34)
-    ops = build_operators((3, 4))
+    ops = build_operators((3, 4), SYS)
     a, ad, b, bd = ops.a, ops.ad, ops.b, ops.bd
     ladder = [a, ad, b, bd, a @ a, a @ ad, a @ b, a @ bd,
               ad @ ad, ad @ b, ad @ bd, b @ b, b @ bd, bd @ bd]
@@ -356,32 +341,31 @@ def test_band_drift_march_matches_dense_drift_march(dims):
     ops = build_operators(dims, SYS)
     k = OUKernel(2.0, 0.6, 0.0)
     F = solve_ou_closed(k, SYS, grid)
-    noise = sample_noise_path(k, grid.refine(), path_seed(11, sum(dims)))
+    Z = sample_noise_batch(k, grid.refine(), [path_seed(11, sum(dims))])
     psi0 = (basis_state(dims) + basis_state(dims, 1, 1)) / np.sqrt(2)
-    path = propagate_trajectory(F, ops, noise, psi0, grid)
+    states = []
+    _propagate_states(F, ops, Z, psi0, grid, _store_nodes(grid.n_points, 1),
+                      lambda i, psi: states.append(psi[:, 0].copy()))
     nodes = (F.F1, F.F2, F.F3, F.F4)
     mids = [midpoint_values(r) for r in nodes]
-    z = noise.values
+    z = Z[:, 0]
     psi = psi0
-    worst = np.max(np.abs(path.states[0] - psi))
+    worst = np.max(np.abs(states[0] - psi))
     for s in range(grid.n_steps):
         psi = rk4_step(psi, grid.dt,
                        *(dense_trajectory_rhs(ops, [r[j] for r in rows], z[zi])
                          for rows, j, zi in ((nodes, s, 2 * s),
                                              (mids, s, 2 * s + 1),
                                              (nodes, s + 1, 2 * s + 2))))
-        worst = max(worst, np.max(np.abs(path.states[s + 1] - psi))
+        worst = max(worst, np.max(np.abs(states[s + 1] - psi))
                     / np.max(np.abs(psi)))
     assert grid.n_steps == 20
     assert worst < 1e-13
 
 
 def test_ensemble_mean_is_bitwise_independent_of_batch_width():
-    grid = TimeGrid(dt=0.05, t_final=1.0)
-    dims = (4, 4)
-    ops = build_operators(dims, SYS)
-    k = OUKernel(1.0, 0.8, 0.0)
-    F = solve_ou_closed(k, SYS, grid)
+    dims, k = (4, 4), OUKernel(1.0, 0.8, 0.0)
+    grid, ops, F = _small_ensemble(dims, k)
     psi0 = basis_state(dims)
     m = 96
     runs = [average_trajectories(propagate_paths(
@@ -395,29 +379,21 @@ def test_ensemble_mean_is_bitwise_independent_of_batch_width():
 
 def test_single_trajectory_equals_its_ensemble_path():
     # path j of an ensemble consumes the stream seeded by (master seed, j),
-    # whatever batch it falls in, so one trajectory on that stream is path j
-    grid = TimeGrid(dt=0.05, t_final=1.0)
-    dims = (3, 4)
-    ops = build_operators(dims, SYS)
-    k = OUKernel(2.0, 0.6, 0.0)
-    F = solve_ou_closed(k, SYS, grid)
+    # whatever batch it falls in, so path j marched alone is path j
+    dims, k = (3, 4), OUKernel(2.0, 0.6, 0.0)
+    grid, ops, F = _small_ensemble(dims, k)
     psi0 = basis_state(dims, 1, 0)
     paths = propagate_paths(F, ops, k, psi0, grid, 40, 5, batch_size=16,
                             store_every=4)
-    for j in (0, 15, 16, 39):
-        noise = sample_noise_path(k, grid.refine(), path_seed(5, j))
-        one = propagate_trajectory(F, ops, noise, psi0, grid, store_every=4)
-        assert np.array_equal(one.node_indices, paths.node_indices)
-        assert np.array_equal(one.states, paths.states[j])
-        assert np.array_equal(one.final, paths.final[j])
+    alone = propagate_paths(F, ops, k, psi0, grid, 40, 5, batch_size=1,
+                            store_every=4)
+    assert np.array_equal(alone.node_indices, paths.node_indices)
+    assert np.array_equal(alone.states, paths.states)
 
 
 def test_empty_ensemble_has_no_mean(monkeypatch):
-    grid = TimeGrid(dt=0.05, t_final=1.0)
-    dims = (3, 4)
-    ops = build_operators(dims, SYS)
-    k = OUKernel(2.0, 0.6, 0.0)
-    F = solve_ou_closed(k, SYS, grid)
+    dims, k = (3, 4), OUKernel(2.0, 0.6, 0.0)
+    grid, ops, F = _small_ensemble(dims, k)
     empty = propagate_paths(F, ops, k, basis_state(dims), grid, 0, 5)
     assert empty.states.shape == (0, 2, ops.dim)
     with pytest.raises(ValueError, match="at least one trajectory"):
@@ -432,24 +408,33 @@ def test_empty_ensemble_has_no_mean(monkeypatch):
 
 
 @pytest.mark.parametrize("route", [propagate_ensemble, propagate_paths])
-@pytest.mark.parametrize("batch_size", [0, -1])
-def test_ensemble_rejects_a_batch_width_below_one(route, batch_size):
-    # a negative width would march no batch and leave the result unset
-    grid = TimeGrid(dt=0.05, t_final=1.0)
+def test_ensemble_rejects_an_f_series_on_another_grid(route, monkeypatch):
+    grid = TimeGrid(dt=0.02, t_final=1.0)
     dims = (3, 4)
     ops = build_operators(dims, SYS)
     k = OUKernel(2.0, 0.6, 0.0)
-    F = solve_ou_closed(k, SYS, grid)
+    F = solve_ou_closed(k, SYS, TimeGrid(dt=0.01, t_final=1.0))
+    draws = []
+    monkeypatch.setattr(fock, "sample_noise_batch",
+                        lambda *args: draws.append(args))
+    with pytest.raises(ValueError, match="must share one grid"):
+        route(F, ops, k, basis_state(dims), grid, 8, 5)
+    assert draws == []
+
+
+@pytest.mark.parametrize("route", [propagate_ensemble, propagate_paths])
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_ensemble_rejects_a_batch_width_below_one(route, batch_size):
+    # a negative width would march no batch and leave the result unset
+    dims, k = (3, 4), OUKernel(2.0, 0.6, 0.0)
+    grid, ops, F = _small_ensemble(dims, k)
     with pytest.raises(ValueError, match="batch_size"):
         route(F, ops, k, basis_state(dims), grid, 8, 5, batch_size=batch_size)
 
 
 def test_ensemble_mean_matches_outer_product_mean():
-    grid = TimeGrid(dt=0.05, t_final=1.0)
-    dims = (3, 4)
-    ops = build_operators(dims, SYS)
-    k = OUKernel(2.0, 0.6, 0.0)
-    F = solve_ou_closed(k, SYS, grid)
+    dims, k = (3, 4), OUKernel(2.0, 0.6, 0.0)
+    grid, ops, F = _small_ensemble(dims, k)
     paths = propagate_paths(F, ops, k, basis_state(dims, 1, 0), grid, 50,
                             5, batch_size=16, store_every=4)
     avg = average_trajectories(paths)
@@ -465,11 +450,8 @@ def test_ensemble_mean_matches_outer_product_mean():
 
 
 def test_streamed_mean_matches_per_path_mean_at_any_batch_width():
-    grid = TimeGrid(dt=0.05, t_final=1.0)
-    dims = (4, 4)
-    ops = build_operators(dims, SYS)
-    k = OUKernel(1.0, 0.8, 0.0)
-    F = solve_ou_closed(k, SYS, grid)
+    dims, k = (4, 4), OUKernel(1.0, 0.8, 0.0)
+    grid, ops, F = _small_ensemble(dims, k)
     psi0 = basis_state(dims)
     m = 96
     want = average_trajectories(propagate_paths(F, ops, k, psi0, grid, m, 99,

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nmoptomech.gaussian_ent import (
-    log_negativity,
+from nmoptomech.gaussian_ent import log_negativity, symplectic_readout
+from oracles import (
     min_symplectic_eigenvalue,
     pt_min_symplectic_eigenvalue,
-    symplectic_readout,
+    random_physical_covariance,
     two_mode_squeezed_covariance,
 )
-from oracles import random_physical_covariance
 
 
 def pt_oracle_en(V):

@@ -5,11 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nmoptomech.gaussian_ent import (
-    log_negativity,
-    symplectic_readout,
-    two_mode_squeezed_covariance,
-)
+from nmoptomech.gaussian_ent import log_negativity, symplectic_readout
 from nmoptomech.kernel import OUKernel
 from nmoptomech.moments import (
     DIP_TOL,
@@ -26,7 +22,7 @@ from nmoptomech.moments import (
 from nmoptomech.ocoeff import OCoefficientSeries, markov_series, solve_ou_closed
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import TimeGrid
-from oracles import LADDER_LABELS, ladder_rhs, to_quadratures
+from oracles import LADDER_LABELS, ladder_rhs, to_quadratures, two_mode_squeezed_covariance
 
 lab = MOMENT_LABELS.index
 
@@ -159,7 +155,8 @@ def test_en_series_matches_pointwise():
     traj = integrate_moments(F, sys_, vacuum(), grid)
     en = traj.en_series()
     for idx in (0, 150, 599):
-        assert en[idx] == pytest.approx(traj.en_at(idx), abs=1e-12)
+        assert en[idx] == pytest.approx(log_negativity(traj.covariance(idx)).En,
+                                        abs=1e-12)
 
 
 def _scaled_vacuum(nu, grid):

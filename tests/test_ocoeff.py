@@ -15,7 +15,6 @@ from nmoptomech.errors import NumericalFailure
 from nmoptomech.kernel import DeltaKernel, OUKernel, TabulatedKernel
 from nmoptomech.ocoeff import (
     _SLAB_BUDGET,
-    consistency_residual,
     markov_series,
     solve_ocoeff,
     solve_ou_closed,
@@ -24,6 +23,7 @@ from nmoptomech.ocoeff import (
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import TimeGrid
 from nmoptomech.thermal import _solve_thermal_grid
+from oracles import consistency_residual
 
 SYS = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)
 OU = OUKernel(Gamma=2.0, gamma=0.6, Omega=0.0)

@@ -1,9 +1,12 @@
-"""The public surface: every name that an ``__all__`` lists exists, and
-every call that the benchmark tracer wraps is still there."""
+"""The public surface: every name that an ``__all__`` lists exists, every
+call that the benchmark tracer wraps is still there, and no oracle ships."""
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -15,6 +18,7 @@ import nmoptomech
 _MODULES = ["nmoptomech"] + [f"nmoptomech.{m.name}"
                              for m in pkgutil.iter_modules(nmoptomech.__path__)
                              if m.name != "__main__"]
+_SRC = Path(nmoptomech.__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", _MODULES)
@@ -48,3 +52,24 @@ def test_bench_tracer_targets_resolve():
         params = inspect.signature(targets[name]).parameters
         assert "grid" in params, f"{name} no longer takes grid"
         assert factor is None or factor in params, f"{name} no longer takes {factor}"
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only
+    code = ("import sys, nmoptomech; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(_SRC)})
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_single_path_route_and_oracles_are_gone(module):
+    # the oracles live in tests/oracles.py; propagate_paths gives one path
+    gone = ("propagate_trajectory", "NoisePath", "sample_noise_path", "integrate_lindblad",
+            "consistency_residual", "midpoint_values", "midpoint_derivative",
+            "min_symplectic_eigenvalue", "pt_min_symplectic_eigenvalue",
+            "two_mode_squeezed_covariance", "trace_distance")
+    module = importlib.import_module(module)
+    assert [n for n in gone if hasattr(module, n)] == []
+    assert not hasattr(getattr(module, "MomentTrajectory", None), "en_at")

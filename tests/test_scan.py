@@ -27,6 +27,13 @@ def _coefficients(F):
     return (F.F1, F.F2, F.F3, F.F4, F.F5)
 
 
+def _en(traj):
+    """En of a march; a physicality dip is not what these tests check."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "covariance physicality dip", RuntimeWarning)
+        return traj.en_series()
+
+
 def _assert_agrees(batched, points, grid):
     """``batched`` holds (F, moments, En) per point; ``points`` (kernel, system)."""
     for (F, moments, en), (k, s) in zip(batched, points, strict=True):
@@ -35,13 +42,13 @@ def _assert_agrees(batched, points, grid):
         for got, want in zip(_coefficients(F), _coefficients(Fp)):
             assert np.abs(got - want).max() <= TOL
         assert np.abs(moments - tp.values).max() <= TOL
-        assert np.abs(en - tp.en_series(monitor=False)).max() <= TOL
+        assert np.abs(en - _en(tp)).max() <= TOL
 
 
 def _batch(kernels, systems, grid):
     F = solve_ou_closed(kernels, systems, grid)
     traj = integrate_moments(F, systems, VAC, grid)
-    return [(F.point(p), traj.point(p).values, traj.point(p).en_series(monitor=False))
+    return [(F.point(p), traj.point(p).values, _en(traj.point(p)))
             for p in range(len(kernels))]
 
 

@@ -12,11 +12,10 @@ from nmoptomech.stepping import (
     half_node_values,
     march_doubled,
     march_driven,
-    midpoint_derivative,
-    midpoint_values,
     rk4_step,
     trapezoid_weights,
 )
+from oracles import midpoint_derivative, midpoint_values
 
 
 def test_grid_node_count_and_times():

@@ -17,7 +17,7 @@ from nmoptomech.fock import (
 from nmoptomech.kernel import DeltaKernel, OUKernel, TabulatedKernel
 from nmoptomech.ocoeff import solve_ou_closed
 from nmoptomech.params import LinearizedSystem
-from nmoptomech.stepping import TimeGrid, midpoint_values, rk4_step
+from nmoptomech.stepping import TimeGrid, rk4_step
 from nmoptomech.thermal import (
     _solve_thermal_closed,
     _solve_thermal_grid,
@@ -27,6 +27,7 @@ from nmoptomech.thermal import (
     solve_thermal_ocoeff,
     thermal_occupation,
 )
+from oracles import midpoint_values
 
 SYS = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)
 
