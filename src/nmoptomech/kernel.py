@@ -138,15 +138,37 @@ def path_seed(master_seed, index):
     return np.random.SeedSequence([int(master_seed), int(index)])
 
 
-def _standard_draws(grid, seeds):
-    """One column of circular standard complex normals per seed."""
-    n = grid.n_points
-    out = np.empty((n, len(seeds)), dtype=complex)
-    for j, s in enumerate(seeds):
-        rng = np.random.default_rng(s)
-        out[:, j] = np.sqrt(0.5) * (rng.standard_normal(n)
-                                    + 1j * rng.standard_normal(n))
-    return out
+def _standard_draws(seeds, sizes):
+    """The circular standard complex normals of each seed, as consecutive
+    blocks of ``sizes`` rows with one column per seed.
+
+    With n = sum(sizes) rows in all, row r of a seed's column has the
+    r-th of its stream's first n normals as real part and the r-th of the
+    next n as imaginary part, so each path keeps a second generator,
+    moved past the real parts at the start.
+    """
+    re = [np.random.default_rng(s) for s in seeds]
+    im = [np.random.default_rng(s) for s in seeds]
+    for rng in im:
+        rng.standard_normal(sum(sizes))
+    for rows in sizes:
+        # fresh arrays per refill, each freed as soon as it is done with:
+        # freeing them lifts glibc's mmap and trim thresholds above the
+        # march's stage temporaries (one buffer reused for every refill
+        # took 19 times the page faults)
+        out = np.empty((rows, len(seeds)), dtype=complex)
+        parts = np.empty((2, len(seeds), rows))
+        for j, (a, b) in enumerate(zip(re, im)):
+            a.standard_normal(out=parts[0, j])
+            b.standard_normal(out=parts[1, j])
+        # sqrt(1/2) * (re + 1j * im) with the operands in the order of the
+        # whole-array expression, so every value is bitwise the same
+        np.multiply(1j, parts[1].T, out=out)
+        np.add(parts[0].T, out, out=out)
+        np.multiply(np.sqrt(0.5), out, out=out)
+        del parts
+        yield out
+        del out
 
 
 def _cholesky_factor(k, grid):
@@ -161,34 +183,57 @@ def _cholesky_factor(k, grid):
         ) from exc
 
 
-def sample_noise_batch(k, grid: TimeGrid, seeds):
-    """Realizations of z*_t for each seed, as columns of an (n, m) array.
+# half-nodes of trajectory noise coloured at a time: 2 MB at 512 paths
+_NOISE_BLOCK = 256
+
+
+def _noise_blocks(k, grid: TimeGrid, seeds):
+    """Realizations of z*_t for each seed, as consecutive (rows, m) blocks
+    of at most ``_NOISE_BLOCK`` rows, coloured as they are asked for.
 
     Each path draws from its own counter-based generator, so any batch
     split yields the same per-path values.  The kernel picks the
     sampler: an exponential kernel takes the exact stationary
-    first-order recursion, a tabulated one colors the draws with a
-    covariance factorization, and the delta kernel draws independent
-    samples of variance Gamma/dt, the grid representation of
-    delta-correlated noise.
+    first-order recursion, carried from block to block; the delta kernel
+    draws independent samples of variance Gamma/dt, the grid
+    representation of delta-correlated noise; a tabulated one colours
+    the draws with a covariance factorization, which needs every draw,
+    so its noise comes as one block.
     """
     if not isinstance(grid, TimeGrid):
         raise TypeError("grid must be a TimeGrid")
-    n, m = grid.n_points, len(seeds)
+    n = grid.n_points
     if isinstance(k, TabulatedKernel):
-        return _cholesky_factor(k, grid) @ _standard_draws(grid, seeds)
+        yield _cholesky_factor(k, grid) @ next(_standard_draws(seeds, [n]))
+        return
+    sizes = [min(_NOISE_BLOCK, n - lo) for lo in range(0, n, _NOISE_BLOCK)]
     if k.Gamma == 0.0:
-        return np.zeros((n, m), dtype=complex)
+        yield from (np.zeros((rows, len(seeds)), dtype=complex) for rows in sizes)
+        return
+    draws = _standard_draws(seeds, sizes)
     if isinstance(k, DeltaKernel):
-        return np.sqrt(k.Gamma / grid.dt) * _standard_draws(grid, seeds)
-    w = _standard_draws(grid, seeds)
-    z = np.empty((n, m), dtype=complex)
-    z[0] = np.sqrt(k.alpha0) * w[0]
+        for w in draws:
+            yield np.multiply(np.sqrt(k.Gamma / grid.dt), w, out=w)
+            del w
+        return
     decay = np.exp(-k.mu * grid.dt)
     sigma = np.sqrt(k.alpha0 * (1.0 - np.exp(-2.0 * k.gamma * grid.dt)))
-    for kk in range(1, n):
-        z[kk] = decay * z[kk - 1] + sigma * w[kk]
-    return z
+    last = None
+    for z in draws:
+        # coloured in place: row kk of the block holds its draw until then
+        z[0] = (np.sqrt(k.alpha0) * z[0] if last is None
+                else decay * last + sigma * z[0])
+        for kk in range(1, len(z)):
+            z[kk] = decay * z[kk - 1] + sigma * z[kk]
+        last = z[-1].copy()
+        yield z
+        del z
+
+
+def sample_noise_batch(k, grid: TimeGrid, seeds):
+    """Realizations of z*_t for each seed, as columns of an (n, m) array:
+    the blocks of the trajectory march's sampler, joined."""
+    return np.concatenate(list(_noise_blocks(k, grid, seeds)))
 
 
 def write_kernel_table(path, lags, values):

@@ -128,15 +128,17 @@ def march_driven(rhs_at, y, grid, visit):
 
     ``rhs_at(j)`` is the right-hand side with its data at half-node ``j``
     of ``grid.refine()`` (node k is j = 2k, the midpoint past it 2k + 1);
-    each node's serves the steps on both sides of it.  ``visit(k, y)``
-    sees the state at every node k = 0..n_steps once, in order, before
-    the march goes on.  Returns the state at the last node.
+    it is built once per half-node, in increasing j, and each node's
+    serves the steps on both sides of it.  ``visit(k, y)`` sees the state
+    at every node k = 0..n_steps once, in order, before the march goes
+    on.  Returns the state at the last node.
     """
     visit(0, y)
     f_next = rhs_at(0)
     for k in range(grid.n_steps):
+        f_mid = rhs_at(2 * k + 1)
         f_node, f_next = f_next, rhs_at(2 * k + 2)
-        y = rk4_step(y, grid.dt, f_node, rhs_at(2 * k + 1), f_next)
+        y = rk4_step(y, grid.dt, f_node, f_mid, f_next)
         visit(k + 1, y)
     return y
 

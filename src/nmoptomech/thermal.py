@@ -139,11 +139,16 @@ def _gauss_nodes(edges, order):
     return nodes, weights
 
 
+# bytes of one chunk of e^{-i w tau} in _half_transforms
+_TRANSFORM_BUDGET = 4 << 20
+
+
 def _half_transforms(lags, omega, g1, g2):
     a1 = np.empty(len(lags), dtype=complex)
     a2 = np.empty(len(lags), dtype=complex)
-    for lo in range(0, len(lags), 256):
-        hi = lo + 256
+    step = max(1, _TRANSFORM_BUDGET // (16 * len(omega)))
+    for lo in range(0, len(lags), step):
+        hi = lo + step
         # in place, and g2 real: conj(e) @ g2 == conj(e @ g2)
         e = np.multiply.outer(lags[lo:hi], -1j * omega)
         np.exp(e, out=e)

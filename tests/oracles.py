@@ -6,7 +6,8 @@ package calls them.
 the moment engine; the eigenvalue routes cross-check the closed-form
 symplectic read-out, the whole-series midpoint stencils the step-wise
 ``stepping.half_node_values``, ``consistency_residual`` the stored
-two-time rows, and the dense ``integrate_lindblad`` the band generators.
+two-time rows, the dense ``integrate_lindblad`` the band generators, and
+the whole-array ``whole_noise_batch`` the blocked noise sampler.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from scipy.linalg import expm
 
 from nmoptomech.fock import FockOperators, _run_rho
 from nmoptomech.gaussian_ent import _as_covariance
+from nmoptomech.kernel import DeltaKernel, TabulatedKernel, _cholesky_factor
 from nmoptomech.ocoeff import OCoefficientSeries, TwoTimeField, _row_rhs
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import TimeGrid, _MID_INTERIOR, _MID_LEFT, _MID_RIGHT
@@ -230,3 +232,37 @@ def trace_distance(r1, r2):
     d = np.asarray(r1) - np.asarray(r2)
     d = 0.5 * (d + d.conj().T)
     return float(0.5 * np.abs(np.linalg.eigvalsh(d)).sum())
+
+
+def _standard_draws(grid, seeds):
+    """One column of circular standard complex normals per seed."""
+    n = grid.n_points
+    out = np.empty((n, len(seeds)), dtype=complex)
+    for j, s in enumerate(seeds):
+        rng = np.random.default_rng(s)
+        out[:, j] = np.sqrt(0.5) * (rng.standard_normal(n)
+                                    + 1j * rng.standard_normal(n))
+    return out
+
+
+def whole_noise_batch(k, grid: TimeGrid, seeds):
+    """Realizations of z*_t for each seed, as columns of an (n, m) array,
+    drawn and coloured over the whole grid at once (the reference for
+    ``kernel.sample_noise_batch``)."""
+    if not isinstance(grid, TimeGrid):
+        raise TypeError("grid must be a TimeGrid")
+    n, m = grid.n_points, len(seeds)
+    if isinstance(k, TabulatedKernel):
+        return _cholesky_factor(k, grid) @ _standard_draws(grid, seeds)
+    if k.Gamma == 0.0:
+        return np.zeros((n, m), dtype=complex)
+    if isinstance(k, DeltaKernel):
+        return np.sqrt(k.Gamma / grid.dt) * _standard_draws(grid, seeds)
+    w = _standard_draws(grid, seeds)
+    z = np.empty((n, m), dtype=complex)
+    z[0] = np.sqrt(k.alpha0) * w[0]
+    decay = np.exp(-k.mu * grid.dt)
+    sigma = np.sqrt(k.alpha0 * (1.0 - np.exp(-2.0 * k.gamma * grid.dt)))
+    for kk in range(1, n):
+        z[kk] = decay * z[kk - 1] + sigma * w[kk]
+    return z

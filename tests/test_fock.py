@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from nmoptomech import fock
+from nmoptomech import fock, kernel
 from nmoptomech.errors import NumericalFailure, TruncationError
 from nmoptomech.fock import (
     _master_generator,
@@ -22,12 +22,24 @@ from nmoptomech.fock import (
     propagate_ensemble,
     propagate_paths,
 )
-from nmoptomech.kernel import OUKernel, path_seed, sample_noise_batch
+from nmoptomech.kernel import (
+    DeltaKernel,
+    OUKernel,
+    TabulatedKernel,
+    _noise_blocks,
+    path_seed,
+)
 from nmoptomech.moments import MOMENT_LABELS
 from nmoptomech.ocoeff import markov_series, solve_ou_closed
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import TimeGrid, rk4_step
-from oracles import integrate_lindblad, midpoint_values, to_quadratures, trace_distance
+from oracles import (
+    integrate_lindblad,
+    midpoint_values,
+    to_quadratures,
+    trace_distance,
+    whole_noise_batch,
+)
 
 SYS = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)
 OU_MAIN = OUKernel(Gamma=2.0, gamma=0.6, Omega=0.0)
@@ -341,10 +353,11 @@ def test_band_drift_march_matches_dense_drift_march(dims):
     ops = build_operators(dims, SYS)
     k = OUKernel(2.0, 0.6, 0.0)
     F = solve_ou_closed(k, SYS, grid)
-    Z = sample_noise_batch(k, grid.refine(), [path_seed(11, sum(dims))])
+    Z = whole_noise_batch(k, grid.refine(), [path_seed(11, sum(dims))])
     psi0 = (basis_state(dims) + basis_state(dims, 1, 1)) / np.sqrt(2)
     states = []
-    _propagate_states(F, ops, Z, psi0, grid, _store_nodes(grid.n_points, 1),
+    _propagate_states(F, ops, [Z], psi0[:, None], grid,
+                      _store_nodes(grid.n_points, 1),
                       lambda i, psi: states.append(psi[:, 0].copy()))
     nodes = (F.F1, F.F2, F.F3, F.F4)
     mids = [midpoint_values(r) for r in nodes]
@@ -400,7 +413,7 @@ def test_empty_ensemble_has_no_mean(monkeypatch):
         average_trajectories(empty)
     # the streamed route fails before it draws any noise
     draws = []
-    monkeypatch.setattr(fock, "sample_noise_batch",
+    monkeypatch.setattr(fock, "_noise_blocks",
                         lambda *args: draws.append(args))
     with pytest.raises(ValueError, match="at least one trajectory"):
         propagate_ensemble(F, ops, k, basis_state(dims), grid, 0, 5)
@@ -415,7 +428,7 @@ def test_ensemble_rejects_an_f_series_on_another_grid(route, monkeypatch):
     k = OUKernel(2.0, 0.6, 0.0)
     F = solve_ou_closed(k, SYS, TimeGrid(dt=0.01, t_final=1.0))
     draws = []
-    monkeypatch.setattr(fock, "sample_noise_batch",
+    monkeypatch.setattr(fock, "_noise_blocks",
                         lambda *args: draws.append(args))
     with pytest.raises(ValueError, match="must share one grid"):
         route(F, ops, k, basis_state(dims), grid, 8, 5)
@@ -482,3 +495,49 @@ def test_streamed_ensemble_keeps_no_path_history():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+_LAGS = np.linspace(0.0, 2.0, 41)
+
+
+@pytest.mark.parametrize("k", [OU_MAIN, DeltaKernel(2.0),
+                               TabulatedKernel(_LAGS, OU_MAIN.alpha(_LAGS))],
+                         ids=["ou", "delta", "tabulated"])
+def test_march_on_noise_blocks_equals_march_on_the_whole_array(k, monkeypatch):
+    # blocks of 7 half-nodes against the oracle's whole array as one block
+    monkeypatch.setattr(kernel, "_NOISE_BLOCK", 7)
+    dims = (3, 3)
+    grid, ops, F = _small_ensemble(dims, OU_MAIN)
+    seeds = [path_seed(4, i) for i in range(5)]
+    psi0 = np.repeat(basis_state(dims, 1, 0)[:, None], len(seeds), axis=1)
+    store_idx = _store_nodes(grid.n_points, 3)
+    runs = []
+    for noise in (_noise_blocks(k, grid.refine(), seeds),
+                  [whole_noise_batch(k, grid.refine(), seeds)]):
+        states = []
+        _propagate_states(F, ops, noise, psi0, grid, store_idx,
+                          lambda i, psi: states.append(psi.copy()))
+        runs.append(np.array(states))
+    assert runs[0].shape == (len(store_idx), ops.dim, len(seeds))
+    assert np.array_equal(runs[0], runs[1])
+
+
+def test_streamed_ensemble_keeps_no_noise_history():
+    # the whole-grid noise of one 32-path batch on 2,001 half-nodes, drawn
+    # and coloured, would take 2 * 2001 * 32 * 16 B = 2.05 MB
+    grid = TimeGrid(dt=0.02, t_final=20.0)
+    dims = (2, 2)
+    ops = build_operators(dims, SYS)
+    F = solve_ou_closed(OU_MAIN, SYS, grid)
+    psi0 = basis_state(dims)
+    # a first short march, so that one-time set-up is not counted
+    short = TimeGrid(dt=0.02, t_final=0.1)
+    propagate_ensemble(solve_ou_closed(OU_MAIN, SYS, short), ops, OU_MAIN,
+                       psi0, short, 32, 3)
+    tracemalloc.start()
+    try:
+        propagate_ensemble(F, ops, OU_MAIN, psi0, grid, 32, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from nmoptomech import kernel
 from nmoptomech.kernel import (
     DeltaKernel,
     OUKernel,
     TabulatedKernel,
+    _noise_blocks,
     path_seed,
     read_kernel_table,
     sample_noise_batch,
@@ -14,6 +16,7 @@ from nmoptomech.kernel import (
     write_kernel_table,
 )
 from nmoptomech.stepping import TimeGrid
+from oracles import whole_noise_batch
 
 
 def test_ou_kernel_values():
@@ -152,3 +155,39 @@ def test_zero_strength_kernel_is_silent():
     grid = TimeGrid(dt=0.1, t_final=1.0)
     z = sample_noise_batch(k, grid, [path_seed(1, 0)])
     assert np.all(z == 0)
+
+
+_LAGS = np.linspace(0.0, 3.0, 31)
+SAMPLED_KERNELS = {
+    "ou": OUKernel(2.0, 0.6, 0.3),
+    "delta": DeltaKernel(1.5),
+    "zero": OUKernel(0.0, 0.5, 0.0),
+    "tabulated": TabulatedKernel(_LAGS, OUKernel(1.0, 0.8, 0.2).alpha(_LAGS)),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLED_KERNELS)
+@pytest.mark.parametrize("block", [1, 7, 256, 1000])
+def test_noise_blocks_join_to_the_whole_array_bitwise(name, block, monkeypatch):
+    # 41 nodes: blocks of one row, of a row count that leaves a short last
+    # block, and of more rows than the grid has
+    monkeypatch.setattr(kernel, "_NOISE_BLOCK", block)
+    k = SAMPLED_KERNELS[name]
+    grid = TimeGrid(dt=0.05, t_final=2.0)
+    seeds = [path_seed(31, i) for i in range(6)]
+    want = whole_noise_batch(k, grid, seeds)
+    blocks = list(_noise_blocks(k, grid, seeds))
+    rows = [len(b) for b in blocks]
+    if name == "tabulated":
+        assert rows == [grid.n_points]
+    else:
+        assert max(rows) <= block and all(r == block for r in rows[:-1])
+    assert np.array_equal(np.concatenate(blocks), want)
+    assert np.array_equal(sample_noise_batch(k, grid, seeds), want)
+    # a batch split draws the same columns; the tabulated kernel's product
+    # with the covariance factor rounds by the batch width, so it is held
+    # to the oracle's split instead
+    split = sample_noise_batch(k, grid, seeds[2:])
+    assert np.array_equal(split, whole_noise_batch(k, grid, seeds[2:]))
+    if name != "tabulated":
+        assert np.array_equal(split, want[:, 2:])
