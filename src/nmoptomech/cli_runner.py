@@ -38,8 +38,8 @@ from .fock import (
 # log_negativity is not called here; the benchmark tracer wraps this name
 from .gaussian_ent import log_negativity, symplectic_readout  # noqa: F401
 from .kernel import DeltaKernel, OUKernel, TabulatedKernel, read_kernel_table
-from .moments import covariances, integrate_moments, occupations, vacuum
-from .ocoeff import _SLAB_BUDGET, OCoefficientSeries, solve_ocoeff
+from .moments import EnReadout, covariances, integrate_moments, occupations, vacuum
+from .ocoeff import _SLAB_BUDGET, OCoefficientSeries, ou_closed_blocks, solve_ocoeff
 from .params import PhysicalParams, LinearizedSystem, linearize, solve_mean_field
 from .stepping import TimeGrid
 from .thermal import effective_kernels, frequency_window, solve_thermal_ocoeff
@@ -506,9 +506,13 @@ def _validate(scenario, v, src, resolved) -> RunConfig:
 
 @dataclass(frozen=True)
 class EngineResult:
+    """En and the occupations <a^dag a>, <b^dag b> at ``times``; a moments
+    scan that writes no occupations leaves them None."""
+
     times: np.ndarray
     en: np.ndarray
-    moments: np.ndarray
+    n_cavity: np.ndarray = None
+    n_mirror: np.ndarray = None
 
 
 def _warn_misfit(eff):
@@ -543,43 +547,82 @@ def _run_point(cfg: RunConfig, grid, sys, kernel, temperature):
         rho0 = projector(basis_state(cfg.dims))
         traj = (integrate_thermal_master(F, ops, rho0, grid) if temperature > 0
                 else integrate_master(F, ops, rho0, grid))
-        return F, EngineResult(grid.times(), traj.en_series(), traj.moments)
+        return F, EngineResult(grid.times(), traj.en_series(), *occupations(traj.moments))
     se = cfg.store_every or max(1, int(round(0.1 / grid.dt)))
     avg = propagate_ensemble(F, ops, kernel, basis_state(cfg.dims), grid,
                              cfg.paths, cfg.seed, store_every=se)
     rows = np.stack([moments_from_rho(r, ops) for r in avg.rhos])
     # sampling noise can push the estimated covariance slightly outside
     # the physical cone, hence the loose tolerance and nan fallback
-    return F, EngineResult(times=grid.times()[avg.node_indices],
-                           en=symplectic_readout(covariances(rows), tol=1e-6).en,
-                           moments=rows)
+    return F, EngineResult(grid.times()[avg.node_indices],
+                           symplectic_readout(covariances(rows), tol=1e-6).en,
+                           *occupations(rows))
 
 
-def _scan(cfg: RunConfig, grid, points):
+def _scan(cfg: RunConfig, grid, points, keep=False):
     """(coefficients, EngineResult) of each (system, kernel, temperature) point.
 
     On the moments engine the points march together, a single point as a
     batch of one: the exponential-kernel points in one closed coefficient
     march (the others get their own solve), then all of them in one
-    moment march, and a physicality dip is reported once.  The
-    number-basis engines go point by point through :func:`_run_point`.
+    moment march, read out block by block by :class:`moments.EnReadout`,
+    and a physicality dip is reported once.  With ``keep`` each point
+    keeps its coefficients and occupations, which a custom run writes.
+    Without it the closed march streams its node blocks into the moment
+    march, so no point keeps more than its En, and the coefficients come
+    back None.  The number-basis engines go point by point through
+    :func:`_run_point`.
     """
     if cfg.engine != "moments":
         return [_run_point(cfg, grid, *point) for point in points]
     systems = [s for s, _, _ in points]
     ou = [i for i, (_, k, _) in enumerate(points) if isinstance(k, OUKernel)]
-    if ou:
-        batch = solve_ocoeff([points[i][1] for i in ou], [systems[i] for i in ou],
-                             grid, include_f5=cfg.include_f5)
-    series = [batch.point(ou.index(i)) if i in ou
-              else solve_ocoeff(k, s, grid, include_f5=cfg.include_f5)
-              for i, (s, k, _) in enumerate(points)]
-    if len(ou) < len(points):
-        batch = OCoefficientSeries.batch(series)
-    traj = integrate_moments(batch, systems, vacuum(), grid)
-    en = traj.en_series()
-    return [(F, EngineResult(times=grid.times(), en=en[:, p], moments=traj.values[..., p]))
+    ou_args = ([points[i][1] for i in ou], [systems[i] for i in ou], grid, cfg.include_f5)
+
+    def solved(s, k):
+        return solve_ocoeff(k, s, grid, include_f5=cfg.include_f5)
+
+    if keep or not ou:
+        if ou:
+            batch = solve_ocoeff(*ou_args)
+        series = [batch.point(ou.index(i)) if i in ou else solved(s, k)
+                  for i, (s, k, _) in enumerate(points)]
+        if len(ou) < len(points):
+            batch = OCoefficientSeries.batch(series)
+    else:
+        try:
+            series = [None if i in ou else solved(s, k)
+                      for i, (s, k, _) in enumerate(points)]
+        except NumericalFailure:
+            for _ in ou_closed_blocks(*ou_args):  # a whole solve fails here first
+                pass
+            raise
+        batch = ou_closed_blocks(*ou_args)
+        if len(ou) < len(points):
+            batch = _widened(batch, ou, series)
+    readout = EnReadout(grid.n_points, len(points), occupations=keep)
+    integrate_moments(batch, systems, vacuum(), grid, sink=readout)
+    en = readout.finish()
+    occ = readout.occupations or ()
+    return [(F if keep else None, EngineResult(grid.times(), en[:, p], *(o[:, p] for o in occ)))
             for p, F in enumerate(series)]
+
+
+def _widened(blocks, ou, series):
+    """Closed-march node blocks widened to every point: (nodes, 4, points)
+    of F1..F4, where point ``ou[j]`` is column j of a block and every
+    point with a series (not None) in ``series`` reads its own."""
+    k0 = 0
+    for b in blocks:
+        k1 = k0 + len(b)
+        out = np.empty((k1 - k0, 4, len(series)), dtype=complex)
+        out[:, :, ou] = b[:, :4]
+        for i, F in enumerate(series):
+            if F is not None:
+                out[:, :, i] = np.stack([F.F1[k0:k1], F.F2[k0:k1], F.F3[k0:k1],
+                                         F.F4[k0:k1]], axis=1)
+        yield out
+        k0 = k1
 
 
 # ----------------------------------------------------------------- output
@@ -910,7 +953,7 @@ def _write_custom(cfg, outdir, manifest, coefficients, res):
             else "thermal_coefficients.csv")
     _write_series(outdir / name, coefficients.grid.times(), _coefficient_rows(coefficients))
     files = [name]
-    n_cav, n_mec = occupations(res.moments)
+    n_cav, n_mec = res.n_cavity, res.n_mirror
     _write_csv(outdir / "timeseries.csv",
                ["t", "en", "n_cavity", "n_mirror"],
                [res.times, res.en, n_cav, n_mec])
@@ -928,10 +971,10 @@ def _write_custom(cfg, outdir, manifest, coefficients, res):
 
 def _scenario_custom(cfg, outdir, manifest):
     if cfg.sweep is None:
-        ((coefficients, res),) = _scan(cfg, cfg.grid(), [_custom_point(cfg)])
+        ((coefficients, res),) = _scan(cfg, cfg.grid(), [_custom_point(cfg)], keep=True)
         return _write_custom(cfg, outdir, manifest, coefficients, res)
     param, pts = cfg.sweep
-    runs = _scan(cfg, cfg.grid(), [_custom_point(cfg, **{param: v}) for v in pts])
+    runs = _scan(cfg, cfg.grid(), [_custom_point(cfg, **{param: v}) for v in pts], keep=True)
     index = []
     for i, (value, (coefficients, res)) in enumerate(zip(pts, runs)):
         sub = outdir / f"run_{i:03d}_{param}_{_num_tag(value)}"

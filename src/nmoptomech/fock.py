@@ -57,6 +57,13 @@ def _ladder(n):
     return m
 
 
+def _modes(dims):
+    """Ladder matrices and identities, ((a, 1_a), (b, 1_b)), of the two
+    modes alone: every product operator is an ``np.kron`` of products of
+    these, so no d x d product is made."""
+    return [(_ladder(n), np.eye(n)) for n in dims]
+
+
 def _bands(m):
     """Nonzero diagonals of ``m`` as (offset, np.diagonal(m, offset))."""
     rows, cols = np.nonzero(m)
@@ -121,8 +128,10 @@ class FockOperators:
         A = -iH - sum_j F_j b^dag X_j, X = (b, b^dag, a, a^dag): row i of a
         band's diagonals is term i, so (1, -F1, ..., -F4) @ diagonals is
         A's band at that offset."""
-        terms = [self.bands["-iH"]] + [_bands(self.bd @ x) for x in
-                                       (self.b, self.bd, self.a, self.ad)]
+        (sa, ia), (sb, ib) = _modes(self.dims)
+        sad, sbd = sa.conj().T, sb.conj().T
+        terms = [self.bands["-iH"]] + [_bands(x) for x in (
+            np.kron(ia, sbd @ sb), np.kron(ia, sbd @ sbd), np.kron(sa, sbd), np.kron(sad, sbd))]
         basis = {}
         for i, t in enumerate(terms):
             for o, w in t:
@@ -136,15 +145,17 @@ class FockOperators:
         A mode's own second moments use a^dag a = a a^dag - 1 (as the
         ladder equations do), not products of the truncated quadratures.
         """
-        a, ad, b, bd = self.a, self.ad, self.b, self.bd
+        (sa, ia), (sb, ib) = _modes(self.dims)
+        sad, sbd = sa.conj().T, sb.conj().T
         one = np.eye(self.dim)
-        q1, p1, q2, p2 = a + ad, -1j * (a - ad), b + bd, -1j * (b - bd)
-        aa, adad, bb, bdbd = a @ a, ad @ ad, b @ b, bd @ bd
-        na, nb = 2.0 * a @ ad - one, 2.0 * b @ bd - one
+        qa, pa, qb, pb = sa + sad, -1j * (sa - sad), sb + sbd, -1j * (sb - sbd)
+        aa, adad = np.kron(sa @ sa, ib), np.kron(sad @ sad, ib)
+        bb, bdbd = np.kron(ia, sb @ sb), np.kron(ia, sbd @ sbd)
+        na, nb = np.kron(2.0 * sa @ sad, ib) - one, np.kron(ia, 2.0 * sb @ sbd) - one
         return np.stack([
-            q1, p1, q2, p2,
-            aa + adad + na, -1j * (aa - adad), q1 @ q2, q1 @ p2,
-            na - aa - adad, p1 @ q2, p1 @ p2,
+            np.kron(qa, ib), np.kron(pa, ib), np.kron(ia, qb), np.kron(ia, pb),
+            aa + adad + na, -1j * (aa - adad), np.kron(qa, qb), np.kron(qa, pb),
+            na - aa - adad, np.kron(pa, qb), np.kron(pa, pb),
             bb + bdbd + nb, -1j * (bb - bdbd), nb - bb - bdbd,
         ])
 
@@ -181,14 +192,13 @@ def build_operators(dims, sys: LinearizedSystem) -> FockOperators:
     na, nb = int(dims[0]), int(dims[1])
     if na < 2 or nb < 2:
         raise ValueError("need at least two levels per mode")
-    sa = _ladder(na)
-    sb = _ladder(nb)
-    a = np.kron(sa, np.eye(nb))
-    b = np.kron(np.eye(na), sb)
+    (sa, ia), (sb, ib) = _modes((na, nb))
+    sad, sbd = sa.conj().T, sb.conj().T
+    a, b = np.kron(sa, ib), np.kron(ia, sb)
     ad = a.conj().T.copy()
     bd = b.conj().T.copy()
-    H = (-sys.Delta * (ad @ a) + sys.omega_m * (bd @ b)
-         + sys.G * ((ad + a) @ (bd + b)))
+    H = (-sys.Delta * np.kron(sad @ sa, ib) + sys.omega_m * np.kron(ia, sbd @ sb)
+         + sys.G * np.kron(sad + sa, sbd + sb))
     return FockOperators(dims=(na, nb), a=a, ad=ad, b=b, bd=bd, H=H)
 
 
@@ -456,9 +466,12 @@ def propagate_paths(F: OCoefficientSeries, ops: FockOperators,
     """Propagate ``n_paths`` trajectories with per-path counter-based seeds
     and keep every path's states.
 
-    Returns one StatePath whose states have shape (paths, nodes, d),
-    bitwise the same for any ``batch_size`` (path i always consumes the
-    stream seeded by (master_seed, i)).  :func:`propagate_ensemble` gives
+    Returns one StatePath whose states have shape (paths, nodes, d).
+    Path i always consumes the stream seeded by (master_seed, i), so for
+    an exponential or delta kernel the states are bitwise the same for
+    any ``batch_size``; a tabulated kernel's noise colouring rounds with
+    the batch width (see :func:`kernel._noise_blocks`), so its states
+    agree across batch sizes to rounding.  :func:`propagate_ensemble` gives
     the mean with memory independent of the path count; this route and
     :func:`average_trajectories` are its independent check.
     """

@@ -192,13 +192,17 @@ def _noise_blocks(k, grid: TimeGrid, seeds):
     of at most ``_NOISE_BLOCK`` rows, coloured as they are asked for.
 
     Each path draws from its own counter-based generator, so any batch
-    split yields the same per-path values.  The kernel picks the
+    split yields the same per-path draws.  The kernel picks the
     sampler: an exponential kernel takes the exact stationary
     first-order recursion, carried from block to block; the delta kernel
     draws independent samples of variance Gamma/dt, the grid
     representation of delta-correlated noise; a tabulated one colours
     the draws with a covariance factorization, which needs every draw,
-    so its noise comes as one block.
+    so its noise comes as one block.  The first two colour each path
+    alone, so a path's values are bitwise the same in any batch split.
+    The factorization colours the whole batch in one product, whose
+    rounding depends on the batch width, so a tabulated path's values
+    agree across splits only to rounding (about 1e-16).
     """
     if not isinstance(grid, TimeGrid):
         raise TypeError("grid must be a TimeGrid")

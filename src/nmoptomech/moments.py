@@ -15,6 +15,8 @@ moments the Lyapunov equation dS/dt = A S + S A^T + D (see
 """
 
 import functools
+import inspect
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -23,12 +25,13 @@ import numpy as np
 from .errors import NumericalFailure
 from .gaussian_ent import symplectic_readout
 from .ocoeff import OCoefficientSeries
-from .stepping import TimeGrid, half_node_values, march_driven
+from .stepping import _BLOCK, TimeGrid, block_half_nodes, march_driven
 
 __all__ = [
     "DIP_TOL",
     "MOMENT_LABELS",
     "MomentTrajectory",
+    "EnReadout",
     "coherent",
     "vacuum",
     "integrate_moments",
@@ -111,7 +114,7 @@ class MomentTrajectory:
 
     def en_series(self):
         """Logarithmic negativity at every node, shape (n,), or (n, P) for
-        a batched march; read out point by point.
+        a batched march; read out by :class:`EnReadout`.
 
         Matches per-node :func:`gaussian_ent.log_negativity` results.
         The physicality monitor warns (never raises) when the smallest
@@ -120,25 +123,76 @@ class MomentTrajectory:
         """
         batch = self.values.ndim == 3
         values = self.values if batch else self.values[..., None]
-        en = np.empty((values.shape[0], values.shape[2]))
-        worst = []
-        for p in range(values.shape[2]):
-            r = symplectic_readout(covariances(values[..., p]))
-            if np.any(r.negative):
+        readout = EnReadout(values.shape[0], values.shape[2])
+        readout(0, np.moveaxis(values, 2, 1))
+        en = readout.finish()
+        return en if batch else en[:, 0]
+
+
+def _outside_stacklevel():
+    """``stacklevel`` of the first caller outside this package, for a
+    warning raised by the function that calls this one."""
+    inside = os.path.dirname(__file__) + os.sep
+    frame, level = inspect.currentframe().f_back.f_back, 2
+    while frame is not None and frame.f_code.co_filename.startswith(inside):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
+class EnReadout:
+    """Sink of a moment march (see :func:`integrate_moments`) that reads
+    out each block of states as it comes and keeps only En, shape
+    (n, P), and with ``occupations`` the pair of :func:`occupations`.
+
+    :meth:`finish` raises for the first point, in point order, whose
+    covariance left the physical cone (a negative discriminant in the
+    symplectic spectrum, reported at its first node, or a nonpositive
+    nu_minus^2), and otherwise warns once if the smallest symplectic
+    eigenvalue of V dipped below 1 by more than ``DIP_TOL`` at any node
+    of any point; the warning names the first caller outside this
+    package.
+    """
+
+    def __init__(self, n, points, occupations=False):
+        self.en = np.empty((n, points))
+        self.occupations = ((np.empty((n, points)), np.empty((n, points)))
+                            if occupations else None)
+        self._worst = np.full(points, np.inf)
+        self._negative = np.full(points, -1)  # first such node, -1 for none
+        self._nonpositive = np.zeros(points, dtype=bool)
+
+    def __call__(self, k0, states):
+        """Read out the states (nodes, P, 14) of nodes k0, k0 + 1, ..."""
+        r = symplectic_readout(covariances(states))
+        k1 = k0 + len(states)
+        self.en[k0:k1] = r.en
+        if self.occupations is not None:
+            for out, occ in zip(self.occupations, occupations(states)):
+                out[k0:k1] = occ
+        first = k0 + np.argmax(r.negative, axis=0)
+        fresh = (self._negative < 0) & r.negative.any(axis=0)
+        self._negative[fresh] = first[fresh]
+        self._nonpositive |= (r.nu_pt_sq <= 0.0).any(axis=0)
+        np.minimum(self._worst, r.nu.min(axis=0), out=self._worst)
+
+    def finish(self):
+        """Raise or warn as the class describes; returns En."""
+        for node, nonpositive in zip(self._negative, self._nonpositive):
+            if node >= 0:
                 raise NumericalFailure(
-                    f"unphysical covariance matrix at node {int(np.argmax(r.negative))} "
+                    f"unphysical covariance matrix at node {node} "
                     "(negative discriminant in the symplectic spectrum)"
                 )
-            if np.any(r.nu_pt_sq <= 0.0):
+            if nonpositive:
                 raise NumericalFailure("nonpositive nu_minus^2 along the trajectory")
-            en[:, p] = r.en
-            worst.append(float(r.nu.min()))
-        dips = [w for w in worst if w < 1.0 - DIP_TOL]
-        if dips:
-            where = f" at {len(dips)} of {len(worst)} scan points" if len(worst) > 1 else ""
+        dips = self._worst[self._worst < 1.0 - DIP_TOL]
+        if len(dips):
+            where = (f" at {len(dips)} of {len(self._worst)} scan points"
+                     if len(self._worst) > 1 else "")
             warnings.warn(f"covariance physicality dip{where}: min symplectic "
-                          f"eigenvalue {min(dips):.8f} < 1", RuntimeWarning, stacklevel=2)
-        return en if batch else en[:, 0]
+                          f"eigenvalue {dips.min():.8f} < 1", RuntimeWarning,
+                          stacklevel=_outside_stacklevel())
+        return self.en
 
 
 @functools.cache
@@ -158,52 +212,83 @@ def _affine_basis():
     return basis
 
 
-def integrate_moments(F: OCoefficientSeries, sys, init,
-                      grid: TimeGrid) -> MomentTrajectory:
+def integrate_moments(F, sys, init, grid: TimeGrid, sink=None):
     """Integrate the 14 real mean-value equations with the shared
     4th-order step from the real (14,) moment vector ``init`` (e.g.
     :func:`vacuum`).
 
-    The F series must live on the same grid; its half-node values come
+    ``F`` is an :class:`OCoefficientSeries` on the same grid, or node
+    blocks of one: an iterable of (nodes, >= 4, P) complex arrays whose
+    rows 0..3 hold F1..F4 of consecutive nodes, such as
+    :func:`ocoeff.ou_closed_blocks` yields.  Its half-node values come
     from the 4th-order midpoint stencil (exact for the constant
-    delta-kernel series).  A batched F series (see
-    :func:`ocoeff.solve_ou_closed`) with a sequence of systems, one per
-    point, marches every point at once; the values then carry a trailing
-    point axis (see :meth:`MomentTrajectory.point`).  A single point is a
-    batch of one: every stage is one product with the affine basis and
-    one batched 14 x 14 matrix-vector product.
+    delta-kernel series), through a sliding window for blocks.  A
+    batched F series (see :func:`ocoeff.solve_ou_closed`) or blocks with
+    a sequence of systems, one per point, march every point at once; the
+    values then carry a trailing point axis (see
+    :meth:`MomentTrajectory.point`).  A single point is a batch of one:
+    every stage is one product with the affine basis and one batched
+    14 x 14 matrix-vector product.
+
+    Without ``sink`` the states are kept and returned as a
+    :class:`MomentTrajectory`.  With it nothing is kept and None is
+    returned: each block of up to ``stepping._BLOCK`` nodes goes to
+    ``sink(k0, states)`` as soon as it is marched, states (nodes, P, 14)
+    of nodes k0, k0 + 1, ... in a buffer that the next block overwrites
+    (see :class:`EnReadout`).  A march that blows up stops feeding the
+    sink and raises once it has reached the last node.
     """
-    if not grid.matches(F.grid):
-        raise ValueError("F series and moment integration must share one grid")
     init = np.asarray(init)
     if np.iscomplexobj(init):
         raise ValueError("the moment vector is real; got a complex initial vector")
     if init.shape != (14,):
         raise ValueError(f"need a (14,) initial moment vector, got shape {init.shape}")
     n = grid.n_points
-    batch = F.F1.ndim == 2
+    if isinstance(F, OCoefficientSeries):
+        if not grid.matches(F.grid):
+            raise ValueError("F series and moment integration must share one grid")
+        batch = F.F1.ndim == 2
+        blocks = [[r.reshape(n, -1) for r in (F.F1, F.F2, F.F3, F.F4)]]
+    else:
+        batch = True
+        blocks = ([b[:, j] for j in range(4)] for b in F)
     systems = list(sys) if batch else [sys]
-    rows = [r.reshape(n, -1) for r in (F.F1, F.F2, F.F3, F.F4)]
-    if len(systems) != rows[0].shape[1]:
-        raise ValueError("need one system per point of the F series")
     basis = _affine_basis()
     par = np.empty((len(systems), 11))
     par[:, 8:] = [(s.omega_m, s.Delta, s.G) for s in systems]
+    half_node = block_half_nodes(blocks, n)
+    vals = None
+    if sink is None:
+        vals = np.empty((n, 14, len(systems)))
+
+        def sink(k0, states):
+            vals[k0:k0 + len(states)] = np.moveaxis(states, 2, 1)
+
     # the state marches as (P, 14); midpoints step by step, so no stage
     # arrays are stored for every point
-    vals = np.empty((n, 14, len(systems)))
+    buf = np.empty((min(_BLOCK, n), len(systems), 14))
+    finite = True
 
     def rhs_at(j):
-        f = np.transpose(half_node_values(rows, j))
+        f = np.transpose(half_node(j))
+        if len(f) != len(systems):
+            raise ValueError("need one system per point of the F series")
         par[:, :4], par[:, 4:8] = f.real, f.imag
         op = par @ basis
         M, c = op[:, :196].reshape(-1, 14, 14), op[:, 196:]
         return lambda y: (M @ y[..., None])[..., 0] + c
 
     def visit(k, y):
-        vals[k] = y.T
+        nonlocal finite
+        i = k % _BLOCK
+        buf[i] = y
+        if i == len(buf) - 1 or k == n - 1:
+            finite = finite and bool(np.all(np.isfinite(buf[:i + 1])))
+            if finite:
+                sink(k - i, buf[:i + 1])
 
     march_driven(rhs_at, np.tile(init.astype(float), (len(systems), 1)), grid, visit)
-    if not np.all(np.isfinite(vals)):
+    if not finite:
         raise NumericalFailure("moment integration blew up; refine the grid")
-    return MomentTrajectory(grid=grid, values=vals if batch else vals[..., 0])
+    if vals is not None:
+        return MomentTrajectory(grid=grid, values=vals if batch else vals[..., 0])

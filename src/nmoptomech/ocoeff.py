@@ -35,7 +35,7 @@ from .kernel import DeltaKernel, OUKernel
 from .params import LinearizedSystem
 from .stepping import (
     TimeGrid,
-    march_doubled,
+    doubled_blocks,
     rk4_step,
     trapezoid_weights,
 )
@@ -44,6 +44,7 @@ __all__ = [
     "OCoefficientSeries",
     "TwoTimeField",
     "solve_two_time_grid",
+    "ou_closed_blocks",
     "solve_ou_closed",
     "solve_ocoeff",
     "markov_series",
@@ -273,7 +274,9 @@ def _two_time_march(row_rhs, bc, kernels, grid, with_slab=False,
         for kk in range(n - 1):
             L = kk + 1
             lo = max(0, L - m)
-            w = trapezoid_weights(L, dt, lo)
+            if lo <= 1:
+                # past the first full window (lo > 1) the weights repeat
+                w, w1 = trapezoid_weights(L, dt, lo), trapezoid_weights(L + 1, dt, lo)
             kw2 = [np.append(w[:-1], w[-1] + 0.25 * dt) * h[kk - lo::-1] for h in half]
             kw4 = [np.append(w[:-1], w[-1] + 0.5 * dt) * a[kk + 1 - lo:0:-1] for a in lag]
             us, vs = [], []
@@ -311,7 +314,7 @@ def _two_time_march(row_rhs, bc, kernels, grid, with_slab=False,
                 S[lo - base:L - base, L - base] = step[0, 1]
             Y[:, :, lo:L] = step
             Y[:, :, L] = bc
-            kw1 = [trapezoid_weights(L + 1, dt, lo) * a[kk + 1 - lo::-1] for a in lag]
+            kw1 = [w1 * a[kk + 1 - lo::-1] for a in lag]
             X[kk + 1] = average(Y[:, :, lo:L + 1], kw1)
             if store_fields:
                 rows_hist[:, :, kk + 1, :L + 1] = Y[:, :, :L + 1]
@@ -346,6 +349,29 @@ def solve_two_time_grid(k, sys: LinearizedSystem, grid: TimeGrid,
     )
 
 
+def ou_closed_blocks(k, sys, grid: TimeGrid, include_f5=True):
+    """The closed OU march of :func:`solve_ou_closed` on sequences of
+    kernels and systems, one pair per scan point, as it goes: node blocks
+    (nodes, dim, P) of (F1..F4[, F5]) from :func:`stepping.doubled_blocks`.
+    """
+    pairs = list(zip(k, sys, strict=True))
+    if not all(isinstance(q, OUKernel) for q, _ in pairs):
+        raise TypeError("closed path needs an exponential kernel")
+    dim = 5 if include_f5 else 4
+    c = np.zeros((dim, len(pairs)), dtype=complex)
+    K = np.zeros((dim, dim, len(pairs)), dtype=complex)
+    for p, (q, s) in enumerate(pairs):
+        a0, mu, ig, w, d = complex(q.alpha0), q.mu, 1j * s.G, s.omega_m, s.Delta
+        c[0, p] = a0
+        K[:4, :4, p] = [[1j * w - mu, 0, ig, -ig], [0, -1j * w - mu, ig, -ig],
+                        [ig, -ig, -1j * d - mu, 0], [ig, -ig, 0, 1j * d - mu]]
+        if include_f5:
+            K[[1, 4, 4], [4, 1, 4], p] = (-1.0, a0, -2.0 * mu)
+    return doubled_blocks(
+        lambda y: c + np.einsum("ijp,...jp->...ip", K, y) + y[..., :1, :] * y,
+        np.zeros_like(c), grid, "closed coefficient system")
+
+
 def solve_ou_closed(k, sys, grid: TimeGrid, include_f5=True) -> OCoefficientSeries:
     """Closed ODE fast path for exponential kernels.
 
@@ -360,24 +386,12 @@ def solve_ou_closed(k, sys, grid: TimeGrid, include_f5=True) -> OCoefficientSeri
     gets its own (c, K), and all march on one (dim, P) state with one
     ``einsum`` per stage, so a point's series is bitwise the same alone or
     in any batch.  For a sequence the F arrays carry a trailing point
-    axis (see :meth:`OCoefficientSeries.point`).
+    axis (see :meth:`OCoefficientSeries.point`).  The series is the join
+    of the blocks of :func:`ou_closed_blocks`.
     """
     batch = isinstance(k, (list, tuple))
-    pairs = list(zip(k, sys, strict=True)) if batch else [(k, sys)]
-    if not all(isinstance(q, OUKernel) for q, _ in pairs):
-        raise TypeError("closed path needs an exponential kernel")
-    dim = 5 if include_f5 else 4
-    c = np.zeros((dim, len(pairs)), dtype=complex)
-    K = np.zeros((dim, dim, len(pairs)), dtype=complex)
-    for p, (q, s) in enumerate(pairs):
-        a0, mu, ig, w, d = complex(q.alpha0), q.mu, 1j * s.G, s.omega_m, s.Delta
-        c[0, p] = a0
-        K[:4, :4, p] = [[1j * w - mu, 0, ig, -ig], [0, -1j * w - mu, ig, -ig],
-                        [ig, -ig, -1j * d - mu, 0], [ig, -ig, 0, 1j * d - mu]]
-        if include_f5:
-            K[[1, 4, 4], [4, 1, 4], p] = (-1.0, a0, -2.0 * mu)
-    F = march_doubled(lambda y: c + np.einsum("ijp,jp->ip", K, y) + y[0] * y,
-                      np.zeros_like(c), grid, "closed coefficient system")
+    F = np.concatenate(list(ou_closed_blocks(k if batch else [k], sys if batch else [sys],
+                                             grid, include_f5)))
     F = np.moveaxis(F if batch else F[..., 0], 1, 0)
     return OCoefficientSeries(
         grid=grid, F1=F[0], F2=F[1], F3=F[2], F4=F[3],

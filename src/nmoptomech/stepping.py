@@ -17,7 +17,9 @@ __all__ = [
     "trapezoid_weights",
     "half_node_values",
     "rk4_step",
+    "block_half_nodes",
     "march_driven",
+    "doubled_blocks",
     "march_doubled",
 ]
 
@@ -88,6 +90,22 @@ _MID_INTERIOR = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
 _MID_LEFT = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
 _MID_RIGHT = np.array([1.0, -5.0, 15.0, 5.0]) / 16.0
 
+# nodes per block of a streamed march
+_BLOCK = 256
+
+
+def _half_node(nodes, n, j):
+    """Half-node ``j`` of an ``n``-node grid from ``nodes(lo, hi)``, the
+    rows of nodes lo..hi-1."""
+    k, odd = divmod(j, 2)
+    if not odd:
+        return [r[0] for r in nodes(k, k + 1)]
+    if n < 4:
+        return [0.5 * (r[0] + r[1]) for r in nodes(k, k + 2)]
+    w = _MID_LEFT if k == 0 else _MID_RIGHT if k == n - 2 else _MID_INTERIOR
+    i = min(max(k - 1, 0), n - 4)
+    return [w @ r for r in nodes(i, i + 4)]
+
 
 def half_node_values(rows, j):
     """Values of each coefficient row at half-node ``j`` of the refined
@@ -96,15 +114,36 @@ def half_node_values(rows, j):
 
     Grids with fewer than four nodes fall back to the two-node average.
     """
-    k, odd = divmod(j, 2)
-    if not odd:
-        return [r[k] for r in rows]
-    n = rows[0].shape[0]
-    if n < 4:
-        return [0.5 * (r[k] + r[k + 1]) for r in rows]
-    w = _MID_LEFT if k == 0 else _MID_RIGHT if k == n - 2 else _MID_INTERIOR
-    i = min(max(k - 1, 0), n - 4)
-    return [w @ r[i : i + 4] for r in rows]
+    return _half_node(lambda lo, hi: [r[lo:hi] for r in rows], rows[0].shape[0], j)
+
+
+def block_half_nodes(blocks, n):
+    """:func:`half_node_values` of rows that arrive as node blocks.
+
+    ``blocks`` yields lists of row arrays over consecutive nodes of an
+    ``n``-node grid.  Returns ``values(j)``, to be asked in increasing j:
+    only the current block and the stencil's older nodes (at most three)
+    are held.
+    """
+    blocks = iter(blocks)
+    held, base = None, 0
+
+    def nodes(lo, hi):
+        nonlocal held, base
+        while held is None or base + len(held[0]) < hi:
+            new = next(blocks, None)
+            if new is None:
+                raise ValueError(f"the coefficient blocks end before node {hi - 1}")
+            if held is None:
+                held = list(new)
+            else:
+                # no stencil to come reaches back past node hi - 4
+                keep = min(max(hi - 4, base), base + len(held[0]))
+                held = [np.concatenate([r[keep - base:], b]) for r, b in zip(held, new)]
+                base = keep
+        return [r[lo - base:hi - base] for r in held]
+
+    return lambda j: _half_node(nodes, n, j)
 
 
 def rk4_step(y, h, f, f_mid=None, f_next=None):
@@ -143,30 +182,46 @@ def march_driven(rhs_at, y, grid, visit):
     return y
 
 
-def march_doubled(rhs, y0, grid, what):
-    """March the autonomous ``rhs`` over ``grid`` with step doubling.
+def doubled_blocks(rhs, y0, grid, what):
+    """March the autonomous ``rhs`` over ``grid`` with step doubling,
+    yielding the states in blocks of ``_BLOCK`` consecutive nodes.
 
     Each step is taken twice (one full, two halves) and the finer result
     is kept.  The march stops with :class:`NumericalFailure`, naming
-    ``what``, once the two differ by more than 1e-2 of the state scale.
-    The guard reduces over the leading axis only, so each point of a
-    trailing point axis (the closed OU march always has one) is held to
-    its own scale.  Returns the states stacked along a leading time axis.
+    ``what`` and the time of the first failing step, once the two differ
+    by more than 1e-2 of the state scale.  The guard reduces over the
+    state's leading axis only, so each point of a trailing point axis
+    (the closed OU march always has one) is held to its own scale.
+
+    The fine steps of a block are taken first; its guard is then one
+    full step from every fine node of the block at once, so ``rhs`` must
+    broadcast over a leading node axis.  The first block starts at node
+    0; each block is a new (nodes,) + y0.shape array.
     """
-    dt = grid.dt
+    dt, n = grid.dt, grid.n_points
     y = np.asarray(y0, dtype=complex)
-    out = np.empty((grid.n_points,) + y.shape, dtype=complex)
-    out[0] = y
-    for kk in range(grid.n_steps):
-        coarse = rk4_step(y, dt, rhs)
-        y = rk4_step(rk4_step(y, 0.5 * dt, rhs), 0.5 * dt, rhs)
-        err = np.abs(coarse - y).max(axis=0)
-        scale = np.maximum(1.0, np.abs(y).max(axis=0))
-        if not np.all(np.isfinite(err)) or np.any(err > 1e-2 * scale):
+    for lo in range(0, n, _BLOCK):
+        first = max(lo, 1)  # the first node a step of this block reaches
+        Y = np.empty((min(lo + _BLOCK, n) - first + 1,) + y.shape, dtype=complex)
+        Y[0] = y
+        # a failing step may overflow the rest of its block: it is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(1, len(Y)):
+                Y[i] = rk4_step(rk4_step(Y[i - 1], 0.5 * dt, rhs), 0.5 * dt, rhs)
+            err = np.abs(rk4_step(Y[:-1], dt, rhs) - Y[1:]).max(axis=1)
+            scale = np.maximum(1.0, np.abs(Y[1:]).max(axis=1))
+            bad = ~np.isfinite(err) | (err > 1e-2 * scale)
+        bad = bad.any(axis=tuple(range(1, bad.ndim)))
+        if bad.any():
             raise NumericalFailure(
-                f"{what} is stiff at t={dt * (kk + 1):.3f} "
+                f"{what} is stiff at t={dt * (first + int(np.argmax(bad))):.3f} "
                 "for this step size; refine dt"
             )
-        out[kk + 1] = y
-    return out
+        y = Y[-1].copy()
+        yield Y if lo == 0 else Y[1:]
 
+
+def march_doubled(rhs, y0, grid, what):
+    """The blocks of :func:`doubled_blocks`, joined: the states stacked
+    along a leading time axis."""
+    return np.concatenate(list(doubled_blocks(rhs, y0, grid, what)))

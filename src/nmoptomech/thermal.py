@@ -265,11 +265,11 @@ class ThermalOCoefficients:
 
 def _coupling_matrix(X, wm, delta, g):
     """Shared evolution matrix of the coefficient rows; both baths' rows
-    see the same matrix, only their boundary rows differ."""
-    x11, x12, x13, x14 = X[0]
-    x21, x22, x23, x24 = X[1]
+    see the same matrix, only their boundary rows differ.  ``X`` (..., 2, 4)
+    gives matrices (..., 4, 4)."""
+    (x11, x12, x13, x14), (x21, x22, x23, x24) = np.moveaxis(X, (-2, -1), (0, 1))
     ig = 1j * g
-    return np.array([
+    return np.moveaxis(np.array([
         [-1j * delta + x11 + x22, -2.0 * x21,
          ig + x11 + x24, -ig - x21 - x23],
         [2.0 * x12, 1j * delta - x11 - x22,
@@ -278,7 +278,7 @@ def _coupling_matrix(X, wm, delta, g):
          1j * wm + x13 + x24, -2.0 * x23],
         [ig + x12 + x14, -ig - x11 - x24,
          2.0 * x14, -1j * wm - x13 - x24],
-    ])
+    ]), (0, 1), (-2, -1))
 
 
 def _solve_thermal_closed(pair, sys, grid):
@@ -302,7 +302,7 @@ def _solve_thermal_closed(pair, sys, grid):
 
     def rhs(x):
         kmat = _coupling_matrix(x, wm, delta, g)
-        d = a0[:, None] * _BC - mu[:, None] * x + x @ kmat.T
+        d = a0[:, None] * _BC - mu[:, None] * x + x @ np.swapaxes(kmat, -1, -2)
         return live[:, None] * d
 
     out = march_doubled(rhs, X, grid, "closed thermal system")

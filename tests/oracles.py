@@ -6,19 +6,23 @@ package calls them.
 the moment engine; the eigenvalue routes cross-check the closed-form
 symplectic read-out, the whole-series midpoint stencils the step-wise
 ``stepping.half_node_values``, ``consistency_residual`` the stored
-two-time rows, the dense ``integrate_lindblad`` the band generators, and
-the whole-array ``whole_noise_batch`` the blocked noise sampler.
+two-time rows, the dense ``integrate_lindblad`` the band generators,
+the whole-array ``whole_noise_batch`` the blocked noise sampler,
+``dense_operator_products`` the single-mode set-up of the number basis,
+and the step-by-step guard of ``stepwise_doubled`` the block guard of
+``stepping.doubled_blocks``.
 """
 
 import numpy as np
 from scipy.linalg import expm
 
+from nmoptomech.errors import NumericalFailure
 from nmoptomech.fock import FockOperators, _run_rho
 from nmoptomech.gaussian_ent import _as_covariance
 from nmoptomech.kernel import DeltaKernel, TabulatedKernel, _cholesky_factor
 from nmoptomech.ocoeff import OCoefficientSeries, TwoTimeField, _row_rhs
 from nmoptomech.params import LinearizedSystem
-from nmoptomech.stepping import TimeGrid, _MID_INTERIOR, _MID_LEFT, _MID_RIGHT
+from nmoptomech.stepping import TimeGrid, _MID_INTERIOR, _MID_LEFT, _MID_RIGHT, rk4_step
 
 LADDER_LABELS = (
     "a", "ad", "b", "bd",
@@ -266,3 +270,42 @@ def whole_noise_batch(k, grid: TimeGrid, seeds):
     for kk in range(1, n):
         z[kk] = decay * z[kk - 1] + sigma * w[kk]
     return z
+
+
+def dense_operator_products(ops: FockOperators, sys_: LinearizedSystem):
+    """H, the 14 moment matrices and the four drift products b^dag X_j,
+    X = (b, b^dag, a, a^dag), as dense d x d products of the product-space
+    ladders: the set-up that ``fock`` builds from single-mode products."""
+    a, ad, b, bd = ops.a, ops.ad, ops.b, ops.bd
+    one = np.eye(ops.dim)
+    H = (-sys_.Delta * (ad @ a) + sys_.omega_m * (bd @ b)
+         + sys_.G * ((ad + a) @ (bd + b)))
+    q1, p1, q2, p2 = a + ad, -1j * (a - ad), b + bd, -1j * (b - bd)
+    aa, adad, bb, bdbd = a @ a, ad @ ad, b @ b, bd @ bd
+    na, nb = 2.0 * a @ ad - one, 2.0 * b @ bd - one
+    moments = np.stack([
+        q1, p1, q2, p2,
+        aa + adad + na, -1j * (aa - adad), q1 @ q2, q1 @ p2,
+        na - aa - adad, p1 @ q2, p1 @ p2,
+        bb + bdbd + nb, -1j * (bb - bdbd), nb - bb - bdbd,
+    ])
+    return H, moments, [bd @ x for x in (b, bd, a, ad)]
+
+
+def stepwise_doubled(rhs, y0, grid: TimeGrid, what):
+    """Step-doubling march with its guard taken after every step: the full
+    step and two half steps from the same node, the finer one kept."""
+    dt = grid.dt
+    y = np.asarray(y0, dtype=complex)
+    out = np.empty((grid.n_points,) + y.shape, dtype=complex)
+    out[0] = y
+    for kk in range(grid.n_steps):
+        coarse = rk4_step(y, dt, rhs)
+        y = rk4_step(rk4_step(y, 0.5 * dt, rhs), 0.5 * dt, rhs)
+        err = np.abs(coarse - y).max(axis=0)
+        scale = np.maximum(1.0, np.abs(y).max(axis=0))
+        if not np.all(np.isfinite(err)) or np.any(err > 1e-2 * scale):
+            raise NumericalFailure(f"{what} is stiff at t={dt * (kk + 1):.3f} "
+                                   "for this step size; refine dt")
+        out[kk + 1] = y
+    return out

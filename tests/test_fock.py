@@ -34,6 +34,7 @@ from nmoptomech.ocoeff import markov_series, solve_ou_closed
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import TimeGrid, rk4_step
 from oracles import (
+    dense_operator_products,
     integrate_lindblad,
     midpoint_values,
     to_quadratures,
@@ -248,6 +249,26 @@ def test_band_generator_matches_dense_formula(dims):
         got = _master_generator(ops, fv)(rho)
         want = dense_master_generator(ops, fv)(rho)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.linalg.norm(rho)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 5), (6, 4), (10, 10)])
+@pytest.mark.parametrize("sys_", [SYS, LinearizedSystem(omega_m=1.3, Delta=-0.7, G=0.45)])
+def test_single_mode_setup_equals_dense_products(dims, sys_):
+    # H, the moment matrices and the drift products are krons of
+    # single-mode products: against the dense d x d products only the signs
+    # of zeros may differ (array_equal counts -0 as 0), and the band and
+    # gather tables, which read nonzeros only, see the same entries
+    ops = build_operators(dims, sys_)
+    H, moments, drift = dense_operator_products(ops, sys_)
+    for got, want in ((ops.H, H), (ops.moment_matrices, moments)):
+        assert np.array_equal(got, want)
+        assert all(np.array_equal(a, b) for a, b in zip(np.nonzero(got), np.nonzero(want)))
+    basis = dict(ops._drift_basis)
+    for term, m in enumerate(drift, start=1):
+        rows, cols = np.nonzero(m)
+        assert set(np.unique(cols - rows).tolist()) <= set(basis)
+        for o, diagonals in basis.items():
+            assert np.array_equal(diagonals[term], np.diagonal(m, o))
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 5), (10, 10)])
@@ -541,3 +562,16 @@ def test_streamed_ensemble_keeps_no_noise_history():
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+def test_number_basis_dip_warning_names_the_caller():
+    # RhoTrajectory.en_series reads out through the moment engine; the
+    # warning's location is the caller of the public read-out, not the package
+    grid = TimeGrid(dt=0.1, t_final=1.0)
+    moments = np.zeros((grid.n_points, 14))
+    moments[:, [MOMENT_LABELS.index(x) for x in ("q1q1", "p1p1", "q2q2", "p2p2")]] = 0.9
+    traj = fock.RhoTrajectory(grid=grid, store_idx=np.array([0]), rhos=np.zeros((1, 1, 1)),
+                              moments=moments, traces=np.ones(grid.n_points))
+    with pytest.warns(RuntimeWarning, match="physicality dip") as caught:
+        traj.en_series()
+    assert [w.filename for w in caught] == [__file__]

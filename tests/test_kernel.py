@@ -191,3 +191,21 @@ def test_noise_blocks_join_to_the_whole_array_bitwise(name, block, monkeypatch):
     assert np.array_equal(split, whole_noise_batch(k, grid, seeds[2:]))
     if name != "tabulated":
         assert np.array_equal(split, want[:, 2:])
+
+
+@pytest.mark.parametrize("name", SAMPLED_KERNELS)
+def test_noise_of_a_batch_split_is_bitwise_only_where_each_path_is_coloured_alone(name):
+    # the guarantee the docstrings state: the recursion and white-noise
+    # samplers colour each path alone, so any split gives the columns of
+    # the whole batch bit for bit; the tabulated kernel's one L @ W product
+    # per batch rounds with the batch width, within 1e-15
+    k = SAMPLED_KERNELS[name]
+    grid = TimeGrid(dt=0.05, t_final=2.0)
+    seeds = [path_seed(31, i) for i in range(9)]
+    whole = sample_noise_batch(k, grid, seeds)
+    parts = np.concatenate([sample_noise_batch(k, grid, seeds[lo:hi])
+                            for lo, hi in ((0, 1), (1, 5), (5, 9))], axis=1)
+    if name == "tabulated":
+        assert np.abs(parts - whole).max() <= 1e-15
+    else:
+        assert np.array_equal(parts, whole)

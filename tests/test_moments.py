@@ -5,11 +5,15 @@ import warnings
 import numpy as np
 import pytest
 
+from nmoptomech import moments
+from nmoptomech.errors import NumericalFailure
 from nmoptomech.gaussian_ent import log_negativity, symplectic_readout
 from nmoptomech.kernel import OUKernel
 from nmoptomech.moments import (
+    _TRIU,
     DIP_TOL,
     MOMENT_LABELS,
+    EnReadout,
     MomentTrajectory,
     _affine_basis,
     _moment_rhs,
@@ -258,3 +262,99 @@ def test_trajectory_readout_is_nan_where_log_negativity_raises():
     for k in np.flatnonzero(np.arange(len(rows)) != bad):
         assert en[k] == log_negativity(covariances(rows[k]), tol=1e-6).En
     assert np.max(en[1:bad]) > 0.0
+
+
+def _node_blocks(F, size):
+    """(nodes, 4, P) blocks of F1..F4 of a batched series, ``size`` nodes each."""
+    rows = np.stack([F.F1, F.F2, F.F3, F.F4], axis=1)
+    return [rows[lo:lo + size] for lo in range(0, len(rows), size)]
+
+
+@pytest.mark.parametrize("t_final", [0.02, 6.0])
+@pytest.mark.parametrize("size", [1, 7, 256])
+def test_moment_march_on_node_blocks_equals_the_stored_march(t_final, size):
+    # 3 nodes (the two-node midpoint) and 601 (a short last block of the
+    # sink); coefficient blocks of 1, 7 and 256 nodes
+    grid = TimeGrid(dt=0.01, t_final=t_final)
+    systems = [LinearizedSystem(omega_m=1.0, Delta=d, G=0.1) for d in (1.0, 1.7)]
+    F = solve_ou_closed([OUKernel(2.0, 0.6, 0.0), OUKernel(1.0, 1.2, 0.4)], systems, grid)
+    stored = integrate_moments(F, systems, vacuum(), grid)
+    got = []
+    out = integrate_moments(_node_blocks(F, size), systems, vacuum(), grid,
+                            sink=lambda k0, states: got.append((k0, states.copy())))
+    assert out is None
+    assert [k0 for k0, _ in got] == list(range(0, grid.n_points, moments._BLOCK))
+    states = np.concatenate([x for _, x in got])
+    assert np.array_equal(np.moveaxis(states, 1, 2), stored.values)
+
+
+def test_moment_march_that_blows_up_stops_feeding_the_sink():
+    # a nan coefficient at node 300 spoils the second block of states: both
+    # routes raise once the march is through, and the sink saw block 0 only
+    grid = TimeGrid(dt=0.01, t_final=6.0)
+    sys_ = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)
+    F = solve_ou_closed([OUKernel(2.0, 0.6)], [sys_], grid)
+    F.F1[300] = np.nan
+    with pytest.raises(NumericalFailure, match="moment integration blew up") as stored:
+        integrate_moments(F, [sys_], vacuum(), grid)
+    seen = []
+    with pytest.raises(NumericalFailure) as streamed:
+        integrate_moments(_node_blocks(F, 7), [sys_], vacuum(), grid,
+                          sink=lambda k0, states: seen.append(k0))
+    assert str(streamed.value) == str(stored.value)
+    assert seen == [0]
+
+
+# a covariance whose partial transpose has a negative discriminant, and one
+# with det V < 0 (nonpositive nu_minus^2)
+_NEGATIVE = np.array([[0.126, -0.334, -0.032, -1.11], [-0.334, 0.362, 0.019, 0.364],
+                      [-0.032, 0.019, -0.623, -0.602], [-1.11, 0.364, -0.602, -0.732]])
+_NONPOSITIVE = np.diag([1.0, 1.0, 1.0, -1.0])
+
+
+@pytest.mark.parametrize("defects, message", [
+    ([], None),
+    ([(1, 520, _NONPOSITIVE), (2, 300, _NEGATIVE)], "nonpositive nu_minus^2"),
+    ([(2, 700, _NEGATIVE), (2, 300, _NONPOSITIVE), (2, 450, _NEGATIVE)],
+     "unphysical covariance matrix at node 450 "),
+    ([(0, 255, _NEGATIVE), (0, 256, _NEGATIVE)], "unphysical covariance matrix at node 255 "),
+    ([(1, 256, 0.5 * np.eye(4)), (2, 3, 0.9 * np.eye(4))], "dip at 2 of 3"),
+])
+def test_readout_in_blocks_raises_and_warns_as_the_whole_read_out(defects, message):
+    # the first point in point order with a failure decides the message, a
+    # negative discriminant (at its first node) before a nonpositive
+    # nu_minus^2, whatever block each defect falls in
+    n, P = 800, 3
+    values = np.zeros((n, 14, P))
+    values[:, 4:] = np.eye(4)[_TRIU][:, None]
+    for p, node, V in defects:
+        values[node, 4:, p] = V[_TRIU]
+    states = np.moveaxis(values, 2, 1)
+
+    def outcome(read):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                en = read()
+            except NumericalFailure as exc:
+                return str(exc), [], None
+        return None, [(str(w.message), w.filename) for w in caught], en
+
+    def blocks():
+        readout = EnReadout(n, P)
+        for lo in range(0, n, 256):
+            readout(lo, states[lo:lo + 256])
+        return readout.finish()
+
+    whole = outcome(MomentTrajectory(TimeGrid(dt=0.01, t_final=7.99), values).en_series)
+    streamed = outcome(blocks)
+    assert whole[:2] == streamed[:2]
+    failure, caught, en = whole
+    if message is None:
+        assert failure is None and caught == []
+        assert np.array_equal(en, streamed[2])
+    elif message.startswith("dip"):
+        ((text, filename),) = caught
+        assert message in text and filename == __file__
+    else:
+        assert failure.startswith(message)

@@ -304,3 +304,19 @@ def test_grid_march_divergence_guard(Gamma, dt, t_final, diverges_at):
                                match=f"coefficient march diverged at t={diverges_at};"):
                 solve_two_time_grid(k, SYS, grid)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_window_weights_are_built_once_per_window(monkeypatch):
+    # past the first full window (lo > 1) the trapezoid weights repeat
+    # every step: they are built twice a step only until then, and once
+    # more for the last node, however long the grid
+    real, calls = oc.trapezoid_weights, []
+    monkeypatch.setattr(oc, "trapezoid_weights", lambda *a: calls.append(a) or real(*a))
+    for t_final in (4.0, 8.0):
+        grid = TimeGrid(dt=0.02, t_final=t_final)
+        k = _support_table(grid.t_final, grid.dt, 1.0)
+        m = _memory_nodes(k, grid)
+        calls.clear()
+        solve_two_time_grid(k, SYS, grid)
+        assert m + 1 < grid.n_steps
+        assert len(calls) == 2 * (m + 1) + 1

@@ -3,6 +3,7 @@ coefficient march and one moment march, and agree with the same points
 solved one at a time."""
 
 import functools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmoptomech.cli_runner import _scan, main, parse_config
-from nmoptomech.kernel import DeltaKernel, OUKernel
-from nmoptomech.moments import integrate_moments, vacuum
-from nmoptomech.ocoeff import solve_ocoeff, solve_ou_closed
+from nmoptomech.errors import NumericalFailure
+from nmoptomech.kernel import DeltaKernel, OUKernel, TabulatedKernel
+from nmoptomech.moments import integrate_moments, occupations, vacuum
+from nmoptomech.ocoeff import OCoefficientSeries, solve_ocoeff, solve_ou_closed
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import TimeGrid
 
@@ -94,9 +96,16 @@ def test_memory_rate_scan_with_markov_point_matches_per_point():
     kernels.append(DeltaKernel(cfg.decay))
     points = [(s, k, 0.0) for k in kernels]
     with pytest.warns(RuntimeWarning, match="dip at 1 of 4 scan points"):
-        got = [(F, res.moments, res.en) for F, res in _scan(cfg, GRID, points)]
+        got = _scan(cfg, GRID, points, keep=True)
     assert got[-1][0].provenance == "markov-delta"
-    _assert_agrees(got, [(k, s) for k in kernels], GRID)
+    for (F, res), k in zip(got, kernels, strict=True):
+        Fp = solve_ocoeff(k, s, GRID)
+        tp = integrate_moments(Fp, s, VAC, GRID)
+        for a, b in zip(_coefficients(F), _coefficients(Fp)):
+            assert np.abs(a - b).max() <= TOL
+        for a, b in zip((res.n_cavity, res.n_mirror), occupations(tp.values)):
+            assert np.abs(a - b).max() <= TOL
+        assert np.abs(res.en - _en(tp)).max() <= TOL
 
 
 _SPLIT_GRID = TimeGrid(dt=0.01, t_final=2.0)
@@ -163,3 +172,90 @@ def test_scan_reports_a_physicality_dip_once(tmp_path):
     cfg.write_text(_DIP.format(out=tmp_path / "single"))
     (msg,) = _dip_warnings(["run", "--scenario", "custom", "--config", str(cfg)])
     assert msg.startswith("covariance physicality dip: min symplectic eigenvalue 0.99998")
+
+
+_CUSTOM = "[system]\ndelta = 1.0\ncoupling = 0.1\n"
+_LAGS = np.round(np.arange(0.0, 1.0, 0.01), 10)
+_BATCHES = {
+    # the bath of the dip test above dips at every point; the other points
+    # keep the closed march in the stream
+    "ou": [OUKernel(Gamma=2.0, gamma=0.6, Omega=w) for w in (0.0, 0.2, 0.4)],
+    "tabulated": [OUKernel(Gamma=2.0, gamma=0.6),
+                  TabulatedKernel(_LAGS, OUKernel(2.0, 0.6).alpha(_LAGS))],
+    "delta": [OUKernel(Gamma=2.0, gamma=0.6), DeltaKernel(2.0),
+              OUKernel(Gamma=1.0, gamma=1.2, Omega=0.3)],
+}
+
+
+def _recorded(run):
+    """(result, [(message, filename) of each physicality-dip warning])."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = run()
+    return out, [(str(w.message), w.filename) for w in caught
+                 if "physicality dip" in str(w.message)]
+
+
+@pytest.mark.parametrize("batch", _BATCHES)
+@pytest.mark.parametrize("t_final", [0.02, 30.0])
+def test_streamed_scan_equals_the_stored_route(batch, t_final):
+    # 3 nodes (fewer than the 4-node stencil) and 3,001 (not a multiple of
+    # the block length, and long enough to dip); the stored route keeps
+    # every point's series and moments and reads En out at the end
+    grid = TimeGrid(dt=0.01, t_final=t_final)
+    cfg = parse_config(_CUSTOM, scenario="custom")
+    kernels = _BATCHES[batch]
+    systems = [LinearizedSystem(omega_m=1.0, Delta=1.0 + 0.3 * p, G=0.1)
+               for p in range(len(kernels))]
+    points = [(s, k, 0.0) for s, k in zip(systems, kernels)]
+    series = OCoefficientSeries.batch([solve_ocoeff(k, s, grid) for k, s in zip(kernels, systems)])
+    traj = integrate_moments(series, systems, VAC, grid)
+    want, want_dips = _recorded(traj.en_series)
+    n_cav, n_mec = occupations(np.moveaxis(traj.values, 1, 2))
+    assert (len(want_dips) == 1) == (t_final > 1.0)
+    for keep in (False, True):
+        got, dips = _recorded(lambda: _scan(cfg, grid, points, keep=keep))
+        assert dips == [(msg, __file__) for msg, _ in want_dips]
+        for p, (F, res) in enumerate(got):
+            assert np.array_equal(res.times, grid.times())
+            assert np.array_equal(res.en, want[:, p])
+            if keep:
+                assert np.array_equal(F.F1, series.F1[:, p])
+                assert np.array_equal(res.n_cavity, n_cav[:, p])
+                assert np.array_equal(res.n_mirror, n_mec[:, p])
+            else:
+                assert F is res.n_cavity is res.n_mirror is None
+
+
+def test_streamed_scan_raises_the_closed_failure_before_a_solved_point_fails():
+    # as in a whole solve, the closed march's stiffness comes first; a
+    # tabulated point on a grid it diverges on fails alone otherwise
+    grid = TimeGrid(dt=0.01, t_final=4.0)
+    cfg = parse_config(_CUSTOM, scenario="custom")
+    s = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)
+    lags = np.round(np.arange(0.0, 4.0, 0.01), 10)
+    wild = TabulatedKernel(lags, 2e4 * OUKernel(2.0, 0.6).alpha(lags))
+    with pytest.raises(NumericalFailure) as alone:
+        solve_ocoeff(wild, s, grid)
+    for stiff, message in ((OUKernel(2.0, 1.0, Omega=1.0), "closed coefficient system is stiff"),
+                           (OUKernel(2.0, 0.6), str(alone.value))):
+        for keep in (False, True):
+            with pytest.raises(NumericalFailure, match=message):
+                _scan(cfg, grid, [(s, wild, 0.0), (s, stiff, 0.0)], keep=keep)
+
+
+def test_streamed_fig4_scan_keeps_no_per_point_history():
+    # 21 points x 3,001 nodes: the stored route held 192 B a node a point
+    # (12.1 MB); the streamed scan holds En and a block of each stage
+    cfg = parse_config("", scenario="fig4")
+    grid, s = cfg.grid(), cfg.system()
+    points = [(s, cfg.bath_kernel(omega_env=w), 0.0)
+              for w in np.round(np.arange(0.0, 2.0001, 0.1), 10)]
+    assert (len(points), grid.n_points) == (21, 3001)
+    tracemalloc.start()
+    try:
+        _scan(cfg, grid, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

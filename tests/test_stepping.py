@@ -3,19 +3,22 @@
 import numpy as np
 import pytest
 
+from nmoptomech import ocoeff, stepping, thermal
 from nmoptomech.errors import NumericalFailure
 from nmoptomech.kernel import OUKernel
 from nmoptomech.ocoeff import solve_ou_closed
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import (
     TimeGrid,
+    block_half_nodes,
+    doubled_blocks,
     half_node_values,
     march_doubled,
     march_driven,
     rk4_step,
     trapezoid_weights,
 )
-from oracles import midpoint_derivative, midpoint_values
+from oracles import midpoint_derivative, midpoint_values, stepwise_doubled
 
 
 def test_grid_node_count_and_times():
@@ -231,3 +234,89 @@ def test_closed_batch_with_one_stiff_point_raises():
         with pytest.raises(NumericalFailure) as exc:
             solve_ou_closed(batch, [sys_, sys_], grid)
         assert str(exc.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 13])
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 300])
+def test_block_half_nodes_equal_the_whole_rows(n, block):
+    # the sliding window holds the stencil's older nodes across block edges
+    rng = np.random.default_rng(n * block)
+    rows = [rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+            for _ in range(2)]
+    values = block_half_nodes(([r[lo:lo + block] for r in rows]
+                               for lo in range(0, n, block)), n)
+    for j in range(2 * n - 1):
+        for got, want in zip(values(j), half_node_values(rows, j), strict=True):
+            assert np.array_equal(got, want)
+
+
+def test_block_half_nodes_need_every_node():
+    rows = [np.arange(5.0)]
+    values = block_half_nodes([[rows[0][:3]]], 5)
+    values(2)
+    with pytest.raises(ValueError, match="end before node 3"):
+        values(3)
+
+
+def _spy(monkeypatch, module, name, seen):
+    """Wrap ``module.name`` (a doubling march) to record its arguments."""
+    real = getattr(module, name)
+
+    def spy(rhs, y0, grid, what):
+        seen.update(rhs=rhs, y0=y0, what=what)
+        return real(rhs, y0, grid, what)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+@pytest.mark.parametrize("block", [1, 7, 256])
+def test_doubled_blocks_join_to_the_stepwise_march(block, monkeypatch):
+    # the fine path is the step-by-step march's, bit for bit, in blocks of
+    # `block` nodes (the last one short: 401 nodes), the first from node 0
+    monkeypatch.setattr(stepping, "_BLOCK", block)
+    grid = TimeGrid(dt=0.01, t_final=4.0)
+    kernels = [OUKernel(2.0, 0.6, w) for w in (0.0, 0.3, 1.1)]
+    systems = [LinearizedSystem(omega_m=1.0, Delta=d, G=0.1) for d in (1.0, 1.4, 2.0)]
+    seen = {}
+    _spy(monkeypatch, ocoeff, "doubled_blocks", seen)
+    F = solve_ou_closed(kernels, systems, grid)
+    want = stepwise_doubled(seen["rhs"], seen["y0"], grid, seen["what"])
+    assert np.array_equal(np.moveaxis(want, 1, 0)[0], F.F1)
+    blocks = list(doubled_blocks(seen["rhs"], seen["y0"], grid, seen["what"]))
+    assert [len(b) for b in blocks] == [min(block, grid.n_points - lo)
+                                        for lo in range(0, grid.n_points, block)]
+    assert np.array_equal(np.concatenate(blocks), want)
+
+
+def test_thermal_closed_march_broadcasts_over_nodes(monkeypatch):
+    # the thermal right-hand side takes a stack of nodes for the block
+    # guard, and its fine path stays the step-by-step march's
+    pair = thermal.effective_kernels(OUKernel(Gamma=2.0, gamma=1.0, Omega=0.3), 0.0)
+    grid = TimeGrid(dt=0.01, t_final=3.0)
+    seen = {}
+    _spy(monkeypatch, thermal, "march_doubled", seen)
+    X = thermal.solve_thermal_ocoeff(pair, LinearizedSystem(1.0, 1.0, 0.1), grid)
+    want = stepwise_doubled(seen["rhs"], seen["y0"], grid, seen["what"])
+    assert np.array_equal(X.X, want)
+    stack = seen["rhs"](want[::50])
+    for got, y in zip(stack, want[::50]):
+        assert np.abs(got - seen["rhs"](y)).max() <= 1e-15 * max(1.0, np.abs(got).max())
+
+
+@pytest.mark.parametrize("block", [241, 242, 256])
+def test_block_guard_stops_where_the_stepwise_guard_does(block, monkeypatch):
+    # the stiff point's first failing step reaches node 241 (t = 2.41): in
+    # blocks of 241 nodes it is the first step of the second block, in
+    # blocks of 242 the last step of the first
+    monkeypatch.setattr(stepping, "_BLOCK", block)
+    grid = TimeGrid(dt=0.01, t_final=4.0)
+    sys_ = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)
+    seen = {}
+    _spy(monkeypatch, ocoeff, "doubled_blocks", seen)
+    with pytest.raises(NumericalFailure) as got:
+        solve_ou_closed([OUKernel(2.0, 0.6), OUKernel(2.0, 1.0, Omega=1.0)],
+                        [sys_, sys_], grid)
+    with pytest.raises(NumericalFailure) as want:
+        stepwise_doubled(seen["rhs"], seen["y0"], grid, seen["what"])
+    assert str(got.value) == str(want.value) == (
+        "closed coefficient system is stiff at t=2.410 for this step size; refine dt")
