@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericalFailure
+from .errors import ConfigError, NumericalFailure, _outside_stacklevel
 from .fock import (
     # not called here; the benchmark tracer wraps this name
     average_trajectories,  # noqa: F401
@@ -527,7 +527,7 @@ def _warn_misfit(eff):
         warnings.warn(
             f"single-exponential reduction of the thermal kernels misfits "
             f"by {misfit:.1%}; results are approximate for this bath",
-            RuntimeWarning, stacklevel=3)
+            RuntimeWarning, stacklevel=_outside_stacklevel())
 
 
 def _run_point(cfg: RunConfig, grid, sys, kernel, temperature):

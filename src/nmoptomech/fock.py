@@ -15,6 +15,13 @@ whose unnormalized projectors average to rho, streamed
 (:func:`propagate_ensemble`) or path by path (:func:`propagate_paths`).
 States live on a (N_a, N_b) product of truncated ladders; a leakage
 monitor guards the truncation.
+
+Both density-matrix equations keep the excitation parity
+(-1)^(n_a + n_b) as a weak symmetry: H keeps it and every jump or O
+operator flips it, so entries of rho whose row and column parities
+differ stay zero from a start without them (the vacuum, say).  The
+marches hold rho in the compact :class:`_ParityLayout`, which keeps
+only the half the start allows, and expand it at the stored nodes.
 """
 
 from dataclasses import dataclass
@@ -87,11 +94,6 @@ def _lmul(bands, x, out=None):
         else:
             out[lo:hi] += w * x[lo + o:hi + o]
     return out
-
-
-def _dagger(x):
-    """Conjugate transpose, C-ordered: adding ``x.conj().T`` is slow."""
-    return np.conjugate(x.T, out=np.empty_like(x))
 
 
 @dataclass
@@ -174,14 +176,112 @@ class FockOperators:
         return np.bincount(m, (w * rho.ravel()[idx]).real, 14)
 
     @cached_property
-    def _leak_mask(self):
-        na, nb = self.dims
-        ia, ib = np.divmod(np.arange(self.dim), nb)
-        return (ia == na - 1) | (ib == nb - 1)
+    def _parity(self):
+        """Excitation parity (n_a + n_b) % 2 of each product index."""
+        ia, ib = np.divmod(np.arange(self.dim), self.dims[1])
+        return (ia + ib) % 2
 
-    def leakage(self, rho):
+    @cached_property
+    def _layouts(self):
+        return {}
+
+    def _parity_layout(self, k):
+        """The :class:`_ParityLayout` with ``k`` slots, built on first use."""
+        if k not in self._layouts:
+            self._layouts[k] = _ParityLayout(self, k)
+        return self._layouts[k]
+
+
+class _ParityLayout:
+    """Compact storage of a density matrix under the excitation parity.
+
+    H keeps the parity (-1)^(n_a + n_b); a, a^dag, b and b^dag flip it.
+    So the generators map the block (p, q) of rho (row parity p, column
+    parity q) to (p, q) or (p + 1, q + 1): the same-parity entries
+    (p = q) and the cross-parity ones never mix.  A compact array keeps
+    the rows of rho in the product index; row r, of parity pi(r), holds
+    ``k`` slots of m = ceil(d/2) columns, slot s the columns of parity
+    pi(r) ^ tau ^ s in increasing order, zero-padded at odd d.  rho has
+    pattern tau = 0 (slot 0 is its same-parity half); a left factor that
+    flips the parity flips tau, so :func:`_lmul` acts on compact arrays
+    as on full ones.  One slot serves a rho without cross-parity
+    entries, which then stay zero and are not stored.
+
+    The read-outs are gathers: the diagonal and the second moments sit
+    in the same-parity slot, the first moments in the cross-parity one.
+    """
+
+    def __init__(self, ops: FockOperators, k):
+        d, par = ops.dim, ops._parity
+        m = (d + 1) // 2
+        width = k * m
+        pos = np.empty(d, dtype=np.intp)
+        lists = np.full((2, m), -1, dtype=np.intp)
+        for p in (0, 1):
+            c = np.flatnonzero(par == p)
+            pos[c] = np.arange(len(c))
+            lists[p, :len(c)] = c
+        rows = np.arange(d)[:, None]
+        slot_base = np.repeat(np.arange(k) * m, m)
+        own = rows * width + np.arange(width)
+
+        def cols(tau):  # full column of each compact entry, -1 at padding
+            return lists[par[:, None] ^ tau ^ np.arange(k)].reshape(d, width)
+
+        def dagger_index(tau):
+            # entry (r, c) of x^dag is conj x[c, r], in the same slot of row c
+            c = cols(tau)
+            return np.where(c >= 0, c * width + slot_base + pos[rows], own)
+
+        self.shape = (d, width)
+        self._dagger = (dagger_index(0), dagger_index(1))
+        c0 = cols(0)
+        valid = c0 >= 0
+        self._stored = own[valid]
+        self._full = (rows * d + c0)[valid]
+        to_compact = np.full(d * d, -1, dtype=np.intp)
+        to_compact[self._full] = self._stored
+        self._diag = np.arange(d) * width + pos
+        na, nb = ops.dims
+        ia, ib = np.divmod(np.arange(d), nb)
+        self._leak = self._diag[(ia == na - 1) | (ib == nb - 1)]
+        label, idx, w = ops._moment_gather
+        idx = to_compact[idx]
+        keep = idx >= 0
+        self._moments = label[keep], idx[keep], w[keep]
+
+    def compact(self, rho):
+        """The compact array of the full ``rho`` (entries not stored are
+        dropped)."""
+        x = np.zeros(self.shape, dtype=complex)
+        x.reshape(-1)[self._stored] = np.asarray(rho).reshape(-1)[self._full]
+        return x
+
+    def expand(self, x, out=None):
+        """The full d x d matrix of the compact ``x``, into a zeroed ``out``
+        if given."""
+        if out is None:
+            out = np.zeros((self.shape[0],) * 2, dtype=complex)
+        out.reshape(-1)[self._full] = x.reshape(-1)[self._stored]
+        return out
+
+    def dagger(self, x, tau):
+        """Compact conjugate transpose of ``x``, whose slot 0 has pattern
+        ``tau``; padding reads its own (zero) entry."""
+        y = x.reshape(-1)[self._dagger[tau]]
+        return np.conjugate(y, out=y)
+
+    def trace(self, x):
+        return x.reshape(-1)[self._diag].sum().real
+
+    def leakage(self, x):
         """Population sitting in the top level of either mode."""
-        return float(np.einsum("ii->i", rho).real[self._leak_mask].sum())
+        return float(x.reshape(-1)[self._leak].real.sum())
+
+    def moment_vector(self, x):
+        """:meth:`FockOperators.moment_vector` of the compact ``x``."""
+        label, idx, w = self._moments
+        return np.bincount(label, (w * x.reshape(-1)[idx]).real, 14)
 
 
 def build_operators(dims, sys: LinearizedSystem) -> FockOperators:
@@ -244,23 +344,15 @@ class RhoTrajectory:
     def final(self):
         return self.rhos[-1]
 
-    def rho_at(self, node):
-        pos = np.searchsorted(self.store_idx, node)
-        if pos == len(self.store_idx) or self.store_idx[pos] != node:
-            raise KeyError(f"node {node} was not stored")
-        return self.rhos[pos]
-
     def en_series(self):
         return MomentTrajectory(grid=self.grid, values=self.moments).en_series()
 
 
-def _check_rho(rho, ops, t, trace_tol, leak_tol):
-    tr = np.trace(rho).real
+def _check_rho(tr, leak, ops, t, trace_tol, leak_tol):
     if not np.isfinite(tr) or abs(tr - 1.0) > trace_tol:
         raise NumericalFailure(
             f"trace drifted to {tr:.10f} at t={t:.3f}; reduce the step size"
         )
-    leak = ops.leakage(rho)
     if leak > leak_tol:
         na, nb = ops.dims
         raise TruncationError(
@@ -276,11 +368,13 @@ def _store_nodes(n, store_every):
 
 
 def _run_rho(rhs_at, grid, rho0, ops, store_every, trace_tol, leak_tol):
-    """Shared 4th-order density-matrix march.
+    """Shared 4th-order density-matrix march on the compact parity layout.
 
-    ``rhs_at(j)`` returns the generator, a function of rho, with its
-    coefficients at half-node ``j`` (see :func:`stepping.march_driven`).
-    ``rho0`` must be Hermitian, as the band generators assume.
+    ``rhs_at(lay, j)`` returns the generator, a function of compact
+    arrays of the :class:`_ParityLayout` ``lay``, with its coefficients at
+    half-node ``j`` (see :func:`stepping.march_driven`).  The layout holds
+    one slot when ``rho0`` has no cross-parity entry, else two.  ``rho0``
+    must be Hermitian, as the band generators assume.
     """
     n = grid.n_points
     rho = np.array(rho0, dtype=complex)
@@ -288,30 +382,35 @@ def _run_rho(rhs_at, grid, rho0, ops, store_every, trace_tol, leak_tol):
         raise ValueError("initial state has wrong dimension")
     if np.abs(rho - rho.conj().T).max() > 1e-12 * max(1.0, np.abs(rho).max()):
         raise ValueError("initial state must be Hermitian")
+    par = ops._parity
+    lay = ops._parity_layout(2 if rho[par[:, None] != par].any() else 1)
     store_idx = _store_nodes(n, store_every)
     slot = {k: i for i, k in enumerate(store_idx.tolist())}
-    rhos = np.empty((len(store_idx), ops.dim, ops.dim), dtype=complex)
+    rhos = np.zeros((len(store_idx), ops.dim, ops.dim), dtype=complex)
     moments = np.empty((n, 14))
     traces = np.empty(n)
 
-    def visit(k, rho):
-        traces[k] = np.trace(rho).real
-        moments[k] = ops.moment_vector(rho)
+    def visit(k, x):
+        traces[k] = lay.trace(x)
+        moments[k] = lay.moment_vector(x)
         if k in slot:
-            rhos[slot[k]] = rho
-        _check_rho(rho, ops, grid.dt * k, trace_tol, leak_tol)
+            lay.expand(x, rhos[slot[k]])
+        _check_rho(traces[k], lay.leakage(x), ops, grid.dt * k, trace_tol, leak_tol)
 
-    march_driven(rhs_at, rho, grid, visit)
+    march_driven(partial(rhs_at, lay), lay.compact(rho), grid, visit)
     return RhoTrajectory(grid=grid, store_idx=store_idx, rhos=rhos,
                          moments=moments, traces=traces)
 
 
-def _band_generator(ops, lb, o1, o2=()):
+def _band_generator(ops, lay, lb, o1, o2=()):
     """drho/dt = E + E^dag, E = -iH rho + L S - L^dag S^dag with
-    S = (O1 rho)^dag - O2 rho, from the band lists of L, O1 and O2.
+    S = (O1 rho)^dag - O2 rho, from the band lists of L, O1 and O2, on
+    compact arrays of the layout ``lay``.
 
     For Hermitian rho this is -i[H, rho] + [L, rho O1^dag]
-    + [L^dag, rho O2^dag] + h.c. with left band products only.
+    + [L^dag, rho O2^dag] + h.c. with left band products only.  Without
+    O2, S^dag is O1 rho itself; with O2 it stays the dagger of S, so that
+    S and S^dag round alike.
     """
     hb = ops.bands["-iH"]
     neg_ld = [(-o, -w.conj()) for o, w in lb]
@@ -319,11 +418,14 @@ def _band_generator(ops, lb, o1, o2=()):
 
     def gen(rho):
         e = _lmul(hb, rho)
-        s = _dagger(_lmul(o1, rho))
-        _lmul(neg_o2, rho, s)
+        sd = _lmul(o1, rho)  # O1 flips the parity: pattern 1
+        s = lay.dagger(sd, 1)
+        if neg_o2:
+            _lmul(neg_o2, rho, s)
+            sd = lay.dagger(s, 1)
         _lmul(lb, s, e)
-        _lmul(neg_ld, _dagger(s), e)
-        e += _dagger(e)
+        _lmul(neg_ld, sd, e)
+        e += lay.dagger(e, 0)
         return e
 
     return gen
@@ -334,12 +436,13 @@ def _weighted(coeffs, bands):
     return [(o, c * w) for c, (o, w) in zip(coeffs, bands)]
 
 
-def _master_generator(ops: FockOperators, fv):
+def _master_generator(ops: FockOperators, lay, fv):
     """Generator of the memory-carrying master equation at one stage with
-    F1..F4 = ``fv``: -i[H, rho] + [b, rho Obar^dag] + h.c."""
+    F1..F4 = ``fv``: -i[H, rho] + [b, rho Obar^dag] + h.c., on compact
+    arrays of the layout ``lay``."""
     bd = ops.bands
     obar = _weighted(fv, (bd["b"], bd["bd"], bd["a"], bd["ad"]))
-    return _band_generator(ops, [bd["b"]], obar)
+    return _band_generator(ops, lay, [bd["b"]], obar)
 
 
 def integrate_master(F: OCoefficientSeries, ops: FockOperators, rho0,
@@ -354,17 +457,18 @@ def integrate_master(F: OCoefficientSeries, ops: FockOperators, rho0,
     if not grid.matches(F.grid):
         raise ValueError("F series and master integration must share one grid")
     rows = (F.F1, F.F2, F.F3, F.F4)
-    return _run_rho(lambda j: _master_generator(ops, half_node_values(rows, j)),
+    return _run_rho(lambda lay, j: _master_generator(ops, lay, half_node_values(rows, j)),
                     grid, rho0, ops, store_every, trace_tol, leak_tol)
 
 
-def _thermal_generator(ops: FockOperators, x):
+def _thermal_generator(ops: FockOperators, lay, x):
     """Two-bath generator at one stage with X11..X14, X21..X24 = ``x``:
     -i[H, rho] + [L, rho Obar1^dag] + [L^dag, rho Obar2^dag] + h.c. with
-    L = a + b (the q_i = Obar_i rho terms are the daggers p_i^dag)."""
+    L = a + b (the q_i = Obar_i rho terms are the daggers p_i^dag), on
+    compact arrays of the layout ``lay``."""
     bd = ops.bands
     basis = (bd["a"], bd["ad"], bd["b"], bd["bd"])
-    return _band_generator(ops, [bd["a"], bd["b"]], _weighted(x[0:4], basis),
+    return _band_generator(ops, lay, [bd["a"], bd["b"]], _weighted(x[0:4], basis),
                            _weighted(x[4:8], basis))
 
 
@@ -377,7 +481,7 @@ def integrate_thermal_master(Xij: ThermalOCoefficients, ops: FockOperators,
     if not grid.matches(Xij.grid):
         raise ValueError("coefficients and integration must share one grid")
     rows = [Xij.X[:, i, j] for i in range(2) for j in range(4)]
-    return _run_rho(lambda j: _thermal_generator(ops, half_node_values(rows, j)),
+    return _run_rho(lambda lay, j: _thermal_generator(ops, lay, half_node_values(rows, j)),
                     grid, rho0, ops, store_every, trace_tol, leak_tol)
 
 

@@ -15,14 +15,12 @@ moments the Lyapunov equation dS/dt = A S + S A^T + D (see
 """
 
 import functools
-import inspect
-import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import NumericalFailure, _outside_stacklevel
 from .gaussian_ent import symplectic_readout
 from .ocoeff import OCoefficientSeries
 from .stepping import _BLOCK, TimeGrid, block_half_nodes, march_driven
@@ -127,16 +125,6 @@ class MomentTrajectory:
         readout(0, np.moveaxis(values, 2, 1))
         en = readout.finish()
         return en if batch else en[:, 0]
-
-
-def _outside_stacklevel():
-    """``stacklevel`` of the first caller outside this package, for a
-    warning raised by the function that calls this one."""
-    inside = os.path.dirname(__file__) + os.sep
-    frame, level = inspect.currentframe().f_back.f_back, 2
-    while frame is not None and frame.f_code.co_filename.startswith(inside):
-        frame, level = frame.f_back, level + 1
-    return level
 
 
 class EnReadout:

@@ -6,18 +6,20 @@ package calls them.
 the moment engine; the eigenvalue routes cross-check the closed-form
 symplectic read-out, the whole-series midpoint stencils the step-wise
 ``stepping.half_node_values``, ``consistency_residual`` the stored
-two-time rows, the dense ``integrate_lindblad`` the band generators,
-the whole-array ``whole_noise_batch`` the blocked noise sampler,
+two-time rows, the dense ``integrate_lindblad`` (run through the compact
+parity layout of the march) the band generators, the whole-array
+``whole_noise_batch`` the blocked noise sampler,
 ``dense_operator_products`` the single-mode set-up of the number basis,
 and the step-by-step guard of ``stepwise_doubled`` the block guard of
-``stepping.doubled_blocks``.
+``stepping.doubled_blocks``.  ``rho_at`` reads a stored node of a
+density-matrix march.
 """
 
 import numpy as np
 from scipy.linalg import expm
 
 from nmoptomech.errors import NumericalFailure
-from nmoptomech.fock import FockOperators, _run_rho
+from nmoptomech.fock import FockOperators, RhoTrajectory, _run_rho
 from nmoptomech.gaussian_ent import _as_covariance
 from nmoptomech.kernel import DeltaKernel, TabulatedKernel, _cholesky_factor
 from nmoptomech.ocoeff import OCoefficientSeries, TwoTimeField, _row_rhs
@@ -227,8 +229,19 @@ def integrate_lindblad(ops: FockOperators, Gamma, rho0, grid: TimeGrid,
         return (-1j * (H @ rho - rho @ H)
                 + half * ((b @ p - p @ b) + (q @ bd - bd @ q)))
 
-    return _run_rho(lambda _: gen, grid, rho0, ops, store_every, trace_tol,
-                    leak_tol)
+    def rhs_at(lay, _):
+        # the march state is compact; the formula sees the full matrix
+        return lambda x: lay.compact(gen(lay.expand(x)))
+
+    return _run_rho(rhs_at, grid, rho0, ops, store_every, trace_tol, leak_tol)
+
+
+def rho_at(traj: RhoTrajectory, node):
+    """The stored density matrix of ``traj`` at grid node ``node``."""
+    pos = np.searchsorted(traj.store_idx, node)
+    if pos == len(traj.store_idx) or traj.store_idx[pos] != node:
+        raise KeyError(f"node {node} was not stored")
+    return traj.rhos[pos]
 
 
 def trace_distance(r1, r2):

@@ -296,6 +296,17 @@ def test_resolved_config_reproduces_every_csv(tmp_path, scenario, text, flags):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
+def test_misfit_warning_names_the_caller(tmp_path):
+    # the fitted thermal kernels of this bath misfit; the warning's
+    # location is the caller of main, not the package
+    p = tmp_path / "c.cfg"
+    p.write_text(MINIMAL + "temperature = 0.1\n[run]\nengine = fock-master\ndims = 3,3\n")
+    with pytest.warns(RuntimeWarning, match="misfits") as caught:
+        assert main(["run", "--scenario", "custom", "--config", str(p),
+                     "--out", str(tmp_path / "o"), "--tfinal", "0.2"]) == 0
+    assert [w.filename for w in caught if "misfits" in str(w.message)] == [__file__]
+
+
 def test_gamma_flag_narrows_multi_gamma_scenario(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("")

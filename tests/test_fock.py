@@ -10,6 +10,7 @@ from scipy.linalg import expm
 from nmoptomech import fock, kernel
 from nmoptomech.errors import NumericalFailure, TruncationError
 from nmoptomech.fock import (
+    _lmul,
     _master_generator,
     _propagate_states,
     _store_nodes,
@@ -37,6 +38,7 @@ from oracles import (
     dense_operator_products,
     integrate_lindblad,
     midpoint_values,
+    rho_at,
     to_quadratures,
     trace_distance,
     whole_noise_batch,
@@ -190,7 +192,7 @@ def test_ensemble_mean_approaches_master():
     psi0 = basis_state(dims)
     avg = propagate_ensemble(F, ops, k, psi0, grid, 600, 4242, store_every=50)
     ref = integrate_master(F, ops, projector(psi0), grid, store_every=50)
-    pairs = zip(avg.rhos, (ref.rho_at(i) for i in avg.node_indices))
+    pairs = zip(avg.rhos, (rho_at(ref, i) for i in avg.node_indices))
     dists = [trace_distance(a, b) for a, b in pairs]
     assert dists[0] < 1e-12
     assert dists[-1] < 0.06
@@ -241,14 +243,47 @@ def random_hermitian(d, rng):
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 5), (10, 10)])
 def test_band_generator_matches_dense_formula(dims):
+    # with one slot the state has no cross-parity entries, which the
+    # compact round trip drops
     rng = np.random.default_rng(sum(dims))
     ops = build_operators(dims, SYS)
-    for _ in range(3):
-        rho = random_hermitian(ops.dim, rng)
+    for lay in (ops._parity_layout(k) for k in (1, 2) for _ in range(3)):
+        rho = lay.expand(lay.compact(random_hermitian(ops.dim, rng)))
         fv = rng.normal(size=4) + 1j * rng.normal(size=4)
-        got = _master_generator(ops, fv)(rho)
+        got = lay.expand(_master_generator(ops, lay, fv)(lay.compact(rho)))
         want = dense_master_generator(ops, fv)(rho)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.linalg.norm(rho)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("dims", [(2, 2), (3, 5), (4, 3), (5, 5)])
+def test_parity_layout_round_trip_and_dagger(dims, k):
+    rng = np.random.default_rng(sum(dims) + k)
+    ops = build_operators(dims, SYS)
+    lay = ops._parity_layout(k)
+    par = ops._parity
+    cross = par[:, None] != par
+    m = rng.normal(size=(ops.dim,) * 2) + 1j * rng.normal(size=(ops.dim,) * 2)
+    if k == 1:
+        m[cross] = 0.0
+    x = lay.compact(m)
+    assert x.shape == (ops.dim, k * ((ops.dim + 1) // 2))
+    assert np.array_equal(lay.expand(x), m)
+    # the padding of an odd d holds a true zero, and so does its dagger
+    pad = np.setdiff1d(np.arange(x.size), lay._stored)
+    assert len(pad) == x.size - np.count_nonzero(m)
+    assert not x.reshape(-1)[pad].any()
+    assert not lay.dagger(x, 0).reshape(-1)[pad].any()
+    assert np.array_equal(lay.expand(lay.dagger(x, 0)), m.conj().T)
+    # b flips the parity: b m sits in pattern 1, and b^dag (b m)^dag back in 0
+    bm = _lmul([ops.bands["b"]], x)
+    back = _lmul([ops.bands["bd"]], lay.dagger(bm, 1))
+    assert np.allclose(lay.expand(back), ops.bd @ (ops.b @ m).conj().T, atol=1e-13)
+    # read-outs of the compact array equal those of the full matrix
+    h = m + m.conj().T
+    y = lay.compact(h)
+    assert lay.trace(y) == pytest.approx(np.trace(h).real, abs=1e-12)
+    assert np.array_equal(lay.moment_vector(y), ops.moment_vector(h))
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 5), (6, 4), (10, 10)])
@@ -299,25 +334,52 @@ def test_moment_vector_is_the_ladder_traces_in_quadratures():
 
 
 def test_master_march_matches_dense_generator_march():
+    # (|0,0> + |1,2>)/sqrt 2 marches in two slots; (|0,0> + |1,1>)/sqrt 2 in
+    # one; the odd d = 15 pads its parity lists (it leaks, as such a small
+    # basis must)
+    for dims, leak_tol, start in (((6, 6), 1e-4, (1, 2)), ((6, 6), 1e-4, (1, 1)),
+                                  ((3, 5), 1.0, (1, 2)), ((3, 5), 1.0, (1, 1))):
+        _master_march_against_dense(dims, leak_tol, start)
+
+
+def _master_march_against_dense(dims, leak_tol, start):
     grid = TimeGrid(dt=0.01, t_final=2.0)
-    dims = (6, 6)
     ops = build_operators(dims, SYS)
     F = solve_ou_closed(OU_MAIN, SYS, grid)
-    rho0 = projector((basis_state(dims) + basis_state(dims, 1, 2)) / np.sqrt(2))
-    rt = integrate_master(F, ops, rho0, grid, store_every=50)
+    rho0 = projector((basis_state(dims) + basis_state(dims, *start)) / np.sqrt(2))
+    rt = integrate_master(F, ops, rho0, grid, store_every=50, leak_tol=leak_tol)
+    assert set(ops._layouts) == {1 if start == (1, 1) else 2}
     nodes = (F.F1, F.F2, F.F3, F.F4)
     mids = [midpoint_values(r) for r in nodes]
     rho = rho0
     worst = 0.0
     for k in range(grid.n_steps):
         if k in rt.store_idx:
-            worst = max(worst, np.max(np.abs(rt.rho_at(k) - rho)))
+            worst = max(worst, np.max(np.abs(rho_at(rt, k) - rho)))
         rho = rk4_step(rho, grid.dt,
                        *(dense_master_generator(ops, [r[j] for r in rows])
                          for rows, j in ((nodes, k), (mids, k), (nodes, k + 1))))
     worst = max(worst, np.max(np.abs(rt.final - rho)))
     assert grid.n_steps == 200
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("dims", [(4, 4), (3, 5)])
+def test_vacuum_march_keeps_one_slot_and_exact_zeros(dims):
+    grid = TimeGrid(dt=0.01, t_final=1.0)
+    ops = build_operators(dims, SYS)
+    F = solve_ou_closed(OU_MAIN, SYS, grid)
+    rt = integrate_master(F, ops, projector(basis_state(dims)), grid,
+                          store_every=20, leak_tol=1.0)
+    assert set(ops._layouts) == {1}
+    par = ops._parity
+    cross = par[:, None] != par
+    assert len(rt.rhos) == 6
+    assert np.all(rt.rhos[:, cross] == 0.0)
+    assert np.abs(rt.rhos[-1][~cross]).max() > 0.0
+    # no first moment is ever nonzero
+    first = [MOMENT_LABELS.index(x) for x in ("q1", "p1", "q2", "p2")]
+    assert np.all(rt.moments[:, first] == 0.0)
 
 
 def _mixture(dims, p, na, nb):

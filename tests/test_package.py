@@ -73,3 +73,4 @@ def test_single_path_route_and_oracles_are_gone(module):
     module = importlib.import_module(module)
     assert [n for n in gone if hasattr(module, n)] == []
     assert not hasattr(getattr(module, "MomentTrajectory", None), "en_at")
+    assert not hasattr(getattr(module, "RhoTrajectory", None), "rho_at")

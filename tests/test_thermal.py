@@ -27,7 +27,7 @@ from nmoptomech.thermal import (
     solve_thermal_ocoeff,
     thermal_occupation,
 )
-from oracles import midpoint_values
+from oracles import midpoint_values, rho_at
 
 SYS = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)
 
@@ -222,13 +222,15 @@ def dense_thermal_generator(ops, x):
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 5), (10, 10)])
 def test_band_thermal_generator_matches_dense_formula(dims):
+    # with one slot the state has no cross-parity entries, which the
+    # compact round trip drops
     rng = np.random.default_rng(sum(dims))
     ops = build_operators(dims, SYS)
-    for _ in range(3):
+    for lay in (ops._parity_layout(k) for k in (1, 2) for _ in range(3)):
         m = rng.normal(size=(ops.dim, ops.dim)) + 1j * rng.normal(size=(ops.dim, ops.dim))
-        rho = m + m.conj().T
+        rho = lay.expand(lay.compact(m + m.conj().T))
         x = rng.normal(size=8) + 1j * rng.normal(size=8)
-        got = _thermal_generator(ops, x)(rho)
+        got = lay.expand(_thermal_generator(ops, lay, x)(lay.compact(rho)))
         want = dense_thermal_generator(ops, x)(rho)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.linalg.norm(rho)
 
@@ -239,20 +241,29 @@ def _two_bath_coefficients(grid):
 
 
 def test_thermal_march_matches_dense_generator_march():
+    # (|0,0> + |1,1>)/sqrt 2 marches in one slot; (|0,0> + |1,2>)/sqrt 2, a
+    # mixed-parity start, in two; the odd d = 15 pads its parity lists (it
+    # leaks, as such a small basis must)
+    for dims, leak_tol, start in (((6, 6), 1e-2, (1, 1)), ((6, 6), 1e-2, (1, 2)),
+                                  ((3, 5), 1.0, (1, 1)), ((3, 5), 1.0, (1, 2))):
+        _thermal_march_against_dense(dims, leak_tol, start)
+
+
+def _thermal_march_against_dense(dims, leak_tol, start):
     grid = TimeGrid(dt=0.01, t_final=2.0)
     X = _two_bath_coefficients(grid)
-    dims = (6, 6)
     ops = build_operators(dims, SYS)
-    rho0 = projector((basis_state(dims) + basis_state(dims, 1, 1)) / np.sqrt(2))
+    rho0 = projector((basis_state(dims) + basis_state(dims, *start)) / np.sqrt(2))
     rt = integrate_thermal_master(X, ops, rho0, grid, store_every=50,
-                                  leak_tol=1e-2)
+                                  leak_tol=leak_tol)
+    assert set(ops._layouts) == {1 if start == (1, 1) else 2}
     nodes = [X.X[:, i, j] for i in range(2) for j in range(4)]
     mids = [midpoint_values(r) for r in nodes]
     rho = rho0
     worst = 0.0
     for k in range(grid.n_steps):
         if k in rt.store_idx:
-            worst = max(worst, np.max(np.abs(rt.rho_at(k) - rho)))
+            worst = max(worst, np.max(np.abs(rho_at(rt, k) - rho)))
         rho = rk4_step(rho, grid.dt,
                        *(dense_thermal_generator(ops, [r[j] for r in rows])
                          for rows, j in ((nodes, k), (mids, k), (nodes, k + 1))))
