@@ -139,18 +139,24 @@ def _gauss_nodes(edges, order):
     return nodes, weights
 
 
-# bytes of one chunk of e^{-i w tau} in _half_transforms
-_TRANSFORM_BUDGET = 4 << 20
+# most lags in one chunk of e^{-i w tau} in _half_transforms.  OpenBLAS
+# splits a matrix-vector product over threads only from 5 rows on; the
+# split bought no wall time here, and its idle worker then spun on the
+# other core, doubling the CPU and sometimes adding 0.7 s of wall time
+_TRANSFORM_ROWS = 4
 
 
 def _half_transforms(lags, omega, g1, g2):
     a1 = np.empty(len(lags), dtype=complex)
     a2 = np.empty(len(lags), dtype=complex)
-    step = max(1, _TRANSFORM_BUDGET // (16 * len(omega)))
-    for lo in range(0, len(lags), step):
-        hi = lo + step
+    iw = -1j * omega
+    # chunks of 2..4 lags: a one-row product takes another BLAS kernel,
+    # which would round that lag differently
+    n = len(lags)
+    cuts = np.linspace(0, n, -(-n // _TRANSFORM_ROWS) + 1).round().astype(int).tolist()
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
         # in place, and g2 real: conj(e) @ g2 == conj(e @ g2)
-        e = np.multiply.outer(lags[lo:hi], -1j * omega)
+        e = np.multiply.outer(lags[lo:hi], iw)
         np.exp(e, out=e)
         a1[lo:hi] = e @ g1
         a2[lo:hi] = np.conj(e @ g2)

@@ -1,10 +1,16 @@
 """Finite-temperature layer: occupation law, effective kernel pair,
 two-bath coefficient system, and the two-bath master equation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import nmoptomech
 from nmoptomech.errors import NumericalFailure, TruncationError
 from nmoptomech.fock import (
     _thermal_generator,
@@ -19,6 +25,7 @@ from nmoptomech.ocoeff import solve_ou_closed
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import TimeGrid, rk4_step
 from nmoptomech.thermal import (
+    _half_transforms,
     _solve_thermal_closed,
     _solve_thermal_grid,
     EffectiveKernels,
@@ -30,6 +37,7 @@ from nmoptomech.thermal import (
 from oracles import midpoint_values, rho_at
 
 SYS = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)
+_SRC = Path(nmoptomech.__file__).resolve().parents[1]
 
 
 def test_occupation_values():
@@ -87,6 +95,38 @@ def test_effective_kernels_hermitian():
     for k in ek:
         v = k.alpha(0.3 - 0.7)
         assert abs(v - np.conj(k.alpha(0.7 - 0.3))) == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9, 17, 41])
+def test_lag_transform_rounds_every_lag_as_one_product(n):
+    # chunks of 2..4 lags: no lag goes through a one-row product
+    rng = np.random.default_rng(n)
+    omega = np.sort(rng.uniform(0.01, 40.0, 300))
+    g1, g2 = rng.random(300), rng.random(300)
+    lags = np.linspace(0.0, 6.0, n)
+    e = np.exp(np.multiply.outer(lags, -1j * omega))
+    a1, a2 = _half_transforms(lags, omega, g1, g2)
+    np.testing.assert_array_equal(a1, e @ g1)
+    np.testing.assert_array_equal(a2, np.conj(e @ g2))
+
+
+def test_effective_kernels_leave_no_blas_worker_busy():
+    # in a fresh process: CPU of threads other than the caller's, which an
+    # OpenBLAS worker spends on a split product and on spinning after it
+    code = ("import resource, time\n"
+            "from nmoptomech import OUKernel\n"
+            "from nmoptomech.thermal import effective_kernels\n"
+            "def cpu():\n"
+            "    r = resource.getrusage(resource.RUSAGE_SELF)\n"
+            "    return r.ru_utime + r.ru_stime\n"
+            "p, t = cpu(), time.thread_time()\n"
+            "effective_kernels(OUKernel(Gamma=0.4, gamma=2.0), 0.1, fit=True)\n"
+            "t = time.thread_time() - t\n"
+            "print(cpu() - p - t, t)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(_SRC)})
+    other, own = map(float, out.stdout.split())
+    assert other < 0.02 + 0.1 * own, (other, own)
 
 
 def test_exponential_fit_recovers_detuned_bath():
