@@ -41,7 +41,7 @@ from .kernel import DeltaKernel, OUKernel, TabulatedKernel, read_kernel_table
 from .moments import EnReadout, covariances, integrate_moments, occupations, vacuum
 from .ocoeff import _SLAB_BUDGET, OCoefficientSeries, ou_closed_blocks, solve_ocoeff
 from .params import PhysicalParams, LinearizedSystem, linearize, solve_mean_field
-from .stepping import TimeGrid
+from .stepping import _BLOCK, TimeGrid
 from .thermal import effective_kernels, frequency_window, solve_thermal_ocoeff
 
 __all__ = ["RunConfig", "parse_config", "run_scenario", "main"]
@@ -133,10 +133,11 @@ _FIG5_DELTAS = tuple(np.round(np.arange(1.0, 3.0001, 0.05), 10))
 _ONSET_LEVEL = 0.1
 # every sweep point is a full run; a longer range is a typo, not a plan
 _MAX_SWEEP_POINTS = 10_000
-# every point of a run or scan keeps a history of 5 coefficient and 14 moment
-# rows, counted at 16 bytes a value (the real moment rows take 8, so the
-# bound is conservative); all of them must fit the coefficient solve's
-# storage budget
+# the histories of a run's or scan's points must fit the coefficient solve's
+# storage budget; each point is counted as 5 coefficient and 14 moment rows
+# at 16 bytes a value, which is conservative: the real moment rows of a
+# fock-master point take 8, and a moments point keeps no moment rows (En,
+# and on a custom run its coefficients and 2 occupations)
 _MAX_NODES = _SLAB_BUDGET // (16 * (5 + 14))
 
 
@@ -564,54 +565,70 @@ def _scan(cfg: RunConfig, grid, points, keep=False):
 
     On the moments engine the points march together, a single point as a
     batch of one: the exponential-kernel points in one closed coefficient
-    march (the others get their own solve), then all of them in one
-    moment march, read out block by block by :class:`moments.EnReadout`,
-    and a physicality dip is reported once.  With ``keep`` each point
-    keeps its coefficients and occupations, which a custom run writes.
-    Without it the closed march streams its node blocks into the moment
-    march, so no point keeps more than its En, and the coefficients come
-    back None.  The number-basis engines go point by point through
-    :func:`_run_point`.
+    march, whose node blocks stream into one moment march of all the
+    points (the others get their own solve first, cut into the same
+    blocks by :func:`_widened`), read out block by block by
+    :class:`moments.EnReadout`; a physicality dip is reported once.
+    Without ``keep`` no point keeps more than its En, and the
+    coefficients come back None.  With it each point keeps its
+    coefficients and occupations, which a custom run writes: the closed
+    march's blocks are also written into one array as they pass, and
+    each exponential point's series is a view of it.  The number-basis
+    engines go point by point through :func:`_run_point`.
     """
     if cfg.engine != "moments":
         return [_run_point(cfg, grid, *point) for point in points]
     systems = [s for s, _, _ in points]
     ou = [i for i, (_, k, _) in enumerate(points) if isinstance(k, OUKernel)]
-    ou_args = ([points[i][1] for i in ou], [systems[i] for i in ou], grid, cfg.include_f5)
-
-    def solved(s, k):
-        return solve_ocoeff(k, s, grid, include_f5=cfg.include_f5)
-
-    if keep or not ou:
-        if ou:
-            batch = solve_ocoeff(*ou_args)
-        series = [batch.point(ou.index(i)) if i in ou else solved(s, k)
+    closed = None
+    if ou:  # an empty closed march would still take every step
+        closed = ou_closed_blocks([points[i][1] for i in ou], [systems[i] for i in ou],
+                                  grid, cfg.include_f5)
+    try:
+        series = [None if i in ou else solve_ocoeff(k, s, grid, include_f5=cfg.include_f5)
                   for i, (s, k, _) in enumerate(points)]
-        if len(ou) < len(points):
-            batch = OCoefficientSeries.batch(series)
-    else:
-        try:
-            series = [None if i in ou else solved(s, k)
-                      for i, (s, k, _) in enumerate(points)]
-        except NumericalFailure:
-            for _ in ou_closed_blocks(*ou_args):  # a whole solve fails here first
-                pass
-            raise
-        batch = ou_closed_blocks(*ou_args)
-        if len(ou) < len(points):
-            batch = _widened(batch, ou, series)
+    except NumericalFailure:
+        for _ in closed or ():  # as in a whole solve, the closed march fails first
+            pass
+        raise
+    blocks = closed
+    if keep and ou:
+        kept = np.empty((grid.n_points, 5 if cfg.include_f5 else 4, len(ou)), complex)
+        blocks = _kept(closed, kept)
+    if len(ou) < len(points):
+        blocks = _widened(blocks, ou, series, grid.n_points)
     readout = EnReadout(grid.n_points, len(points), occupations=keep)
-    integrate_moments(batch, systems, vacuum(), grid, sink=readout)
+    integrate_moments(blocks, systems, vacuum(), grid, sink=readout)
     en = readout.finish()
+    if keep and ou:
+        rows = np.moveaxis(kept, 1, 0)
+        joined = OCoefficientSeries(grid, *rows[:4], F5=rows[4] if cfg.include_f5 else None,
+                                    provenance="closed-ou")
+        for j, i in enumerate(ou):
+            series[i] = joined.point(j)
     occ = readout.occupations or ()
     return [(F if keep else None, EngineResult(grid.times(), en[:, p], *(o[:, p] for o in occ)))
             for p, F in enumerate(series)]
 
 
-def _widened(blocks, ou, series):
+def _kept(blocks, out):
+    """The node blocks, passed on as they come, each also written into
+    ``out`` at its nodes."""
+    k0 = 0
+    for b in blocks:
+        out[k0:k0 + len(b)] = b
+        k0 += len(b)
+        yield b
+
+
+def _widened(blocks, ou, series, n):
     """Closed-march node blocks widened to every point: (nodes, 4, points)
     of F1..F4, where point ``ou[j]`` is column j of a block and every
-    point with a series (not None) in ``series`` reads its own."""
+    point with a series (not None) in ``series`` reads its own.  With no
+    exponential point ``blocks`` is None, and the ``n`` nodes of the
+    series are cut into blocks of ``stepping._BLOCK``."""
+    if blocks is None:
+        blocks = (np.empty((min(_BLOCK, n - k0), 4, 0)) for k0 in range(0, n, _BLOCK))
     k0 = 0
     for b in blocks:
         k1 = k0 + len(b)

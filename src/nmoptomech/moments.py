@@ -224,7 +224,8 @@ def integrate_moments(F, sys, init, grid: TimeGrid, sink=None):
     ``sink(k0, states)`` as soon as it is marched, states (nodes, P, 14)
     of nodes k0, k0 + 1, ... in a buffer that the next block overwrites
     (see :class:`EnReadout`).  A march that blows up stops feeding the
-    sink and raises once it has reached the last node.
+    sink and raises once it has reached the last node.  Every moments run
+    of the command line takes this route: node blocks in, a sink out.
     """
     init = np.asarray(init)
     if np.iscomplexobj(init):

@@ -80,14 +80,6 @@ class OCoefficientSeries:
     provenance: str
     fields: "TwoTimeField" = None
 
-    @classmethod
-    def batch(cls, series):
-        """Per-point series stacked along a trailing point axis (a copy)."""
-        def stack(f):
-            rows = [getattr(F, f) for F in series]
-            return None if rows[0] is None else np.stack(rows, axis=-1)
-        return cls(grid=series[0].grid, provenance="batch", **{f: stack(f) for f in _ROWS})
-
     def point(self, p):
         """Series of point ``p`` of a batched solve, as views."""
         return replace(self, **{f: None if getattr(self, f) is None
@@ -111,22 +103,6 @@ class TwoTimeField:
     f4: np.ndarray
     f5_prime: np.ndarray
     f5_slab: np.ndarray
-
-    def boundary_residual(self):
-        """Max deviation of the enforced boundary rows; zero by construction."""
-        n = self.grid.n_points
-        d = np.diag_indices(n)
-        r = max(
-            np.abs(self.f1[d] - 1.0).max(),
-            np.abs(self.f2[d]).max(),
-            np.abs(self.f3[d]).max(),
-            np.abs(self.f4[d]).max(),
-        )
-        if self.f5_slab is not None:
-            # last slab: row s = t vanishes, column s' = t equals f2(t, s)
-            r = max(r, np.abs(self.f5_slab[-1, :]).max())
-            r = max(r, np.abs(self.f5_slab[:, -1] - self.f2[-1, :]).max())
-        return float(r)
 
 
 def markov_series(Gamma, grid: TimeGrid, include_f5=True) -> OCoefficientSeries:
@@ -400,13 +376,9 @@ def solve_ou_closed(k, sys, grid: TimeGrid, include_f5=True) -> OCoefficientSeri
 
 
 def solve_ocoeff(k, sys, grid: TimeGrid, include_f5=True) -> OCoefficientSeries:
-    """Coefficient series of the kernel: an exponential kernel takes the
-    closed system, any other the two-time grid march.
-
-    Sequences of exponential kernels and systems march together on the
-    closed solver (see :func:`solve_ou_closed`).
-    """
-    if isinstance(k, (list, tuple, OUKernel)):
+    """Coefficient series of one kernel: an exponential kernel takes the
+    closed system, any other the two-time grid march."""
+    if isinstance(k, OUKernel):
         return solve_ou_closed(k, sys, grid, include_f5=include_f5)
     return solve_two_time_grid(k, sys, grid, include_f5=include_f5)
 

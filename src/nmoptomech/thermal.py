@@ -257,14 +257,6 @@ class ThermalOCoefficients:
     X: np.ndarray
     provenance: str
 
-    @property
-    def X1(self):
-        return self.X[:, 0, :]
-
-    @property
-    def X2(self):
-        return self.X[:, 1, :]
-
     def series(self, i, j):
         return self.X[:, i - 1, j - 1]
 

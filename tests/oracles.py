@@ -5,9 +5,10 @@ package calls them.
 ``to_quadratures`` is a second route to the real Lyapunov equations of
 the moment engine; the eigenvalue routes cross-check the closed-form
 symplectic read-out, the whole-series midpoint stencils the step-wise
-``stepping.half_node_values``, ``consistency_residual`` the stored
-two-time rows, the dense ``integrate_lindblad`` (run through the compact
-parity layout of the march) the band generators, the whole-array
+``stepping.half_node_values``, ``consistency_residual`` and
+``boundary_residual`` the stored two-time rows, the dense
+``integrate_lindblad`` (run through the compact parity layout of the
+march) the band generators, the whole-array
 ``whole_noise_batch`` the blocked noise sampler,
 ``dense_operator_products`` the single-mode set-up of the number basis,
 and the step-by-step guard of ``stepwise_doubled`` the block guard of
@@ -213,6 +214,23 @@ def consistency_residual(series: OCoefficientSeries, fields: TwoTimeField,
         rhs = _row_rhs(mids, fj, f5p_mid, wm, delta, g)
         worst = max(worst, np.abs(dots - rhs).max())
     return float(worst)
+
+
+def boundary_residual(fields: TwoTimeField) -> float:
+    """Max deviation of the enforced boundary rows; zero by construction."""
+    n = fields.grid.n_points
+    d = np.diag_indices(n)
+    r = max(
+        np.abs(fields.f1[d] - 1.0).max(),
+        np.abs(fields.f2[d]).max(),
+        np.abs(fields.f3[d]).max(),
+        np.abs(fields.f4[d]).max(),
+    )
+    if fields.f5_slab is not None:
+        # last slab: row s = t vanishes, column s' = t equals f2(t, s)
+        r = max(r, np.abs(fields.f5_slab[-1, :]).max())
+        r = max(r, np.abs(fields.f5_slab[:, -1] - fields.f2[-1, :]).max())
+    return float(r)
 
 
 def integrate_lindblad(ops: FockOperators, Gamma, rho0, grid: TimeGrid,

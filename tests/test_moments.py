@@ -23,7 +23,7 @@ from nmoptomech.moments import (
     occupations,
     vacuum,
 )
-from nmoptomech.ocoeff import OCoefficientSeries, markov_series, solve_ou_closed
+from nmoptomech.ocoeff import markov_series, solve_ou_closed
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import TimeGrid
 from oracles import LADDER_LABELS, ladder_rhs, to_quadratures, two_mode_squeezed_covariance
@@ -237,10 +237,10 @@ def test_affine_basis_is_the_ladder_equations_in_quadratures():
 def test_single_point_march_is_a_batch_of_one():
     grid = TimeGrid(dt=0.01, t_final=5.0)
     sys_ = LinearizedSystem(omega_m=1.0, Delta=1.3, G=0.1)
-    F = solve_ou_closed(OUKernel(Gamma=2.0, gamma=0.6, Omega=0.2), sys_, grid)
+    k = OUKernel(Gamma=2.0, gamma=0.6, Omega=0.2)
     init = coherent(0.2 - 0.1j, 0.3j)
-    one = integrate_moments(F, sys_, init, grid)
-    batch = integrate_moments(OCoefficientSeries.batch([F]), [sys_], init, grid)
+    one = integrate_moments(solve_ou_closed(k, sys_, grid), sys_, init, grid)
+    batch = integrate_moments(solve_ou_closed([k], [sys_], grid), [sys_], init, grid)
     assert one.values.dtype == batch.values.dtype == np.float64
     assert batch.values.shape == one.values.shape + (1,) == (grid.n_points, 14, 1)
     assert np.array_equal(one.values, batch.values[..., 0])

@@ -23,7 +23,7 @@ from nmoptomech.ocoeff import (
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import TimeGrid
 from nmoptomech.thermal import _solve_thermal_grid
-from oracles import consistency_residual
+from oracles import boundary_residual, consistency_residual
 
 SYS = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)
 OU = OUKernel(Gamma=2.0, gamma=0.6, Omega=0.0)
@@ -108,7 +108,7 @@ def test_two_time_field_boundary_conditions():
     grid = TimeGrid(dt=0.02, t_final=3.0)
     F = solve_two_time_grid(OU, SYS, grid,
                             store_fields=True)
-    res = F.fields.boundary_residual()
+    res = boundary_residual(F.fields)
     assert res < 1e-12
 
 
@@ -213,7 +213,7 @@ def test_delayed_slab_update_matches_per_step_fold(monkeypatch, steps, finite):
     # the column writes, which both runs share: the last slab column is f2,
     # and F5 follows the closed route (1.5% apart at 15 steps; without the
     # writes F5 stays zero)
-    assert Fs.fields.boundary_residual() < 1e-12
+    assert boundary_residual(Fs.fields) < 1e-12
     if not finite:
         Fc = solve_ou_closed(OU, SYS, grid)
         assert np.max(np.abs(F.F5 - Fc.F5)) < 0.05 * np.max(np.abs(Fc.F5))

@@ -74,3 +74,7 @@ def test_single_path_route_and_oracles_are_gone(module):
     assert [n for n in gone if hasattr(module, n)] == []
     assert not hasattr(getattr(module, "MomentTrajectory", None), "en_at")
     assert not hasattr(getattr(module, "RhoTrajectory", None), "rho_at")
+    assert not hasattr(getattr(module, "OCoefficientSeries", None), "batch")
+    assert not hasattr(getattr(module, "TwoTimeField", None), "boundary_residual")
+    thermal = getattr(module, "ThermalOCoefficients", None)
+    assert not hasattr(thermal, "X1") and not hasattr(thermal, "X2")

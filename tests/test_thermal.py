@@ -160,8 +160,8 @@ def test_zero_temperature_coefficients_have_silent_second_bath():
     grid = TimeGrid(dt=0.01, t_final=4.0)
     pair = effective_kernels(OUKernel(Gamma=1.0, gamma=0.8, Omega=0.0), 0.0)
     X = solve_thermal_ocoeff(pair, SYS, grid)
-    assert np.max(np.abs(X.X2)) == 0.0
-    assert np.max(np.abs(X.X1)) > 0.01
+    assert np.max(np.abs(X.X[:, 1])) == 0.0
+    assert np.max(np.abs(X.X[:, 0])) > 0.01
 
 
 def test_closed_stiffness_guard_raises_and_refining_clears_it():
