@@ -59,6 +59,10 @@ _SLAB_BUDGET = 2_000_000_000  # bytes
 # before they fold into the f5 slab (16, 32 and 64 ran alike; 32 was fastest)
 _DELAY = 32
 
+# slab reads per fold block: each reads S + U @ V for its steps at once
+# (2 and 4 ran alike; 4 holds the smaller read buffers, 0.4 MB at m = 501)
+_READS = 4
+
 _ROWS = ("F1", "F2", "F3", "F4", "F5")
 
 
@@ -119,40 +123,47 @@ def markov_series(Gamma, grid: TimeGrid, include_f5=True) -> OCoefficientSeries:
                               F4=z.copy(), F5=f5, provenance="markov-delta")
 
 
-def _row_rhs(rows, fj, f5p, wm, delta, g):
-    f1, f2, f3, f4 = rows
-    F1v, F2v, F3v, F4v = fj
-    c34 = 1j * g * (f3 - f4)
-    c12 = 1j * g * (f1 - f2)
-    d1 = 1j * wm * f1 + c34 + f1 * F1v
-    d2 = -1j * wm * f2 + c34 - f2 * F1v + 2.0 * f1 * F2v - f4 * F3v + f3 * F4v
-    if f5p is not None:
-        d2 = d2 - f5p
-    d3 = -1j * delta * f3 + c12 + f1 * F3v
-    d4 = 1j * delta * f4 + c12 + f1 * F4v
-    return np.stack([d1, d2, d3, d4])
+def _row_matrix(F, wm, delta, g):
+    """The matrix K(F) of the single-bath row equations at the averages
+    F = (F1..F4): d/dt (f1..f4) = K(F) (f1..f4), less F5' on the f2 row.
+    ``F`` (4,) gives one matrix, ``F`` (rows, 4) one (rows, 4, 4) matrix a row."""
+    F1, F2, F3, F4 = np.asarray(F).T
+    iw, ig, z = 1j * wm, 1j * g, 0.0 * F1  # z: zeros of F1's shape
+    K = np.array([
+        [iw + F1, z, z + ig, z - ig],
+        [2.0 * F2, -iw - F1, ig + F4, -ig - F3],
+        [ig + F3, z - ig, z - 1j * delta, z],
+        [ig + F4, z - ig, z, z + 1j * delta],
+    ])
+    return K if K.ndim == 2 else np.moveaxis(K, (0, 1), (-2, -1))
 
 
-def _two_time_march(row_rhs, bc, kernels, grid, with_slab=False,
+def _two_time_march(coupling, bc, kernels, grid, with_slab=False,
                     store_fields=False, what="coefficient march"):
     """The two-time grid march of B baths with boundary rows ``bc`` (B, 4).
 
-    ``row_rhs(y, x, v)`` is the time derivative of the s-rows ``y``
-    (B, 4, rows) at the kernel averages ``x`` (B, 4) and the F5' row ``v``.
-    Each step is one :func:`rk4_step` over the s-rows; the stage averages
-    are re-quadratured from the stage rows with half-node kernel weights
-    plus the exact boundary-node contribution.  Only the last m rows are
+    The s-rows y (B, 4, rows) of every bath evolve under one 4 x 4 matrix
+    ``coupling(x)`` of the kernel averages x (B, 4): dy/dt is one product
+    of it with y, less the F5' row on the f2 row with the slab.  Each step
+    is one :func:`rk4_step` over the s-rows; the stage averages are
+    re-quadratured from the stage rows with half-node kernel weights plus
+    the exact boundary-node contribution.  Only the last m rows are
     marched: m is one past the last lag at which a sampled kernel value
     (node or half-node) is nonzero, so older rows carry zero weight at
     every later step (m = n for an exponential kernel, for a table without
     a zero tail, and with ``store_fields``).
 
-    With ``with_slab`` (one bath) the f5 slab S gives the node F5' row and
-    the step's two stage F5' products in one (3, m) @ S product at the
-    start of each step.  The stages' weighted (f1 row, F5' row) pairs of
-    the last ``_DELAY`` steps wait as one low-rank update U @ V, added to
-    each product, and fold into S every ``_DELAY`` steps and at the end, a
-    block of rows at a time.  S, U and V keep M = min(n, m + _DELAY + 1)
+    With ``with_slab`` (one bath) the f5 slab S gives, at each step, the
+    node F5' row and the step's two stage F5' products, W @ S with the
+    step's (3, m) weights W.  The stages' weighted (f1 row, F5' row) pairs
+    of the last ``_DELAY`` steps wait as one low-rank update U @ V and fold
+    into S every ``_DELAY`` steps and at the end, a block of rows at a
+    time.  Between two folds S changes only by the column s' = t_L written
+    after each step, and the weights depend on the grid and the kernel
+    alone.  So each of the ``_READS`` read blocks of a fold block reads
+    S + U @ V once, as one (3 * steps, m) product at its start, and each
+    step adds its W times the columns written and the pairs held since.
+    S, U and V keep M = min(n, m + _DELAY + 1)
     rows and columns, slot i for node ``base + i``: right after a fold,
     when nothing is pending, the window [L - m, L] moves to slot 0, so a
     kernel of finite support needs O(n + m²) memory.  The storage guard
@@ -185,6 +196,7 @@ def _two_time_march(row_rhs, bc, kernels, grid, with_slab=False,
     bw2 = np.array([0.25 * dt * a[0] * b for a, b in zip(lag, bc)])
     bw4 = np.array([0.5 * dt * a[0] * b for a, b in zip(lag, bc)])
     wgt = (dt / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
+    reads = -(-_DELAY // _READS)  # steps per slab read
 
     def average(y, kw):
         return np.array([y[i] @ kw[i] for i in range(nb)])
@@ -200,23 +212,69 @@ def _two_time_march(row_rhs, bc, kernels, grid, with_slab=False,
     Y[:, :, 0] = bc
     X = np.zeros((n, nb, 4), dtype=complex)
     F5 = S = f5p_hist = None
+    held, held_lo = 0, 0  # pending pairs, and the first row or column they touch
     if with_slab:
         F5, S = np.zeros(n, complex), np.zeros((M, M), complex)
         U, V = np.zeros((M, 4 * _DELAY), complex), np.zeros((4 * _DELAY, M), complex)
-        held, held_lo = 0, 0  # pending pairs, and the first row or column they touch
+        Wbuf, Rbuf = np.empty((2, 3 * reads, M), complex)
         base = 0  # the node of buffer slot 0
     if store_fields:
         rows_hist = np.zeros((nb, 4, n, n), dtype=complex)
         rows_hist[:, :, 0, 0] = bc
         f5p_hist = np.zeros((n, n), dtype=complex) if with_slab else None
+    w = w1 = None
 
-    def node_f5(k, lo, W):
-        # W @ (S + U @ V) over the window [lo, k], one read of S: the F5'
-        # row at node k (W[0] holds its weights) and the stage products
-        a, b = lo - base, k + 1 - base
-        P = W @ S[a:b, a:b]
+    def weights(kk):
+        # window start, window and next-node trapezoid weights, and the
+        # kernel-weighted stage rows of step kk
+        nonlocal w, w1
+        L = kk + 1
+        lo = max(0, L - m)
+        if lo <= 1:
+            # past the first full window (lo > 1) the weights repeat
+            w, w1 = trapezoid_weights(L, dt, lo), trapezoid_weights(L + 1, dt, lo)
+        kw2 = [np.append(w[:-1], w[-1] + 0.25 * dt) * h[kk - lo::-1] for h in half]
+        kw4 = [np.append(w[:-1], w[-1] + 0.5 * dt) * a[kk + 1 - lo:0:-1] for a in lag]
+        return lo, w, w1, kw2, kw4
+
+    def read(k0, lo0, W):
+        # W @ (S + U @ V) over the columns [lo0, k0] that exist before step
+        # k0, into the read buffer; no row from k0 on is written yet, in S
+        # or in U
+        a, b = lo0 - base, k0 - base
+        R = np.matmul(W[:, :b - a], S[a:b, a:b + 1], out=Rbuf[:len(W), :b + 1 - a])
         if held:
-            P += (W @ U[a:b, :held]) @ V[:held, a:b]
+            R += (W[:, :b - a] @ U[a:b, :held]) @ V[:held, a:b + 1]
+        return R
+
+    def read_block(k0, lo0):
+        # the weights of the read block's steps, from k0 to the next fold at
+        # most; with the slab also their weight rows Wb, zero outside each
+        # step's window, and the read at k0.  Wb and the read reuse two
+        # buffers, so no block allocates them anew
+        steps = range(k0, min(k0 + reads, (k0 // _DELAY + 1) * _DELAY, n - 1))
+        block = [weights(k) for k in steps]
+        if not with_slab:
+            return block, None, None
+        Wb = Wbuf[:3 * len(steps), :steps[-1] + 1 - lo0]
+        Wb[:] = 0
+        for j, (k, (lo, w_, _, kw2, kw4)) in enumerate(zip(steps, block)):
+            Wk = Wb[3 * j:3 * j + 3, lo - lo0:k + 1 - lo0]
+            Wk[:] = w_ * lag[0][k - lo::-1], kw2[0], kw4[0]
+            kw2[0], kw4[0] = Wk[1], Wk[2]  # the same rows, held once
+        return block, Wb, read(k0, lo0, Wb)
+
+    def node_f5(k, lo, W, k0, lo0, R):
+        # W @ (S + U @ V) over the window [lo, k]: the F5' row at node k
+        # (W[0] holds its weights) and the stage products.  R, the read at
+        # step k0, gives the columns up to k0; the columns written and the
+        # pairs held since are added here
+        a, c, b = lo - base, max(lo, k0 + 1) - base, k + 1 - base
+        P = np.empty((len(W), b - a), complex)
+        P[:, :c - a] = R[:, lo - lo0:]
+        P[:, c - a:] = W @ S[a:b, c:b]
+        if held > held0:
+            P += (W @ U[a:b, held0:held]) @ V[held0:held, a:b]
         F5[k] = P[0] @ W[0]
         check(k)
         if store_fields:
@@ -249,28 +307,28 @@ def _two_time_march(row_rhs, bc, kernels, grid, with_slab=False,
     with np.errstate(over="ignore", invalid="ignore"):
         for kk in range(n - 1):
             L = kk + 1
-            lo = max(0, L - m)
-            if lo <= 1:
-                # past the first full window (lo > 1) the weights repeat
-                w, w1 = trapezoid_weights(L, dt, lo), trapezoid_weights(L + 1, dt, lo)
-            kw2 = [np.append(w[:-1], w[-1] + 0.25 * dt) * h[kk - lo::-1] for h in half]
-            kw4 = [np.append(w[:-1], w[-1] + 0.5 * dt) * a[kk + 1 - lo:0:-1] for a in lag]
+            if kk % _DELAY % reads == 0:
+                k0, lo0, held0 = kk, max(0, L - m), held
+                block, Wb, R = read_block(k0, lo0)
+            j = kk - k0
+            lo, _, w_next, kw2, kw4 = block[j]
             us, vs = [], []
             f5p = b_half = b_end = None
             if with_slab:
-                f5p, b_half, b_end = node_f5(
-                    kk, lo, np.vstack([w * lag[0][kk - lo::-1], kw2[0], kw4[0]]))
+                f5p, b_half, b_end = node_f5(kk, lo, Wb[3 * j:3 * j + 3, lo - lo0:L - lo0],
+                                             k0, lo0, R[3 * j:3 * j + 3])
 
             def stage(kw=None, bw=None, b=None, c=None):
                 # kw None: the step's first stage, at the node
                 def f(y):
                     x = X[kk] if kw is None else average(y, kw) + bw
-                    v = None
+                    d = np.einsum("jk,ikl->ijl", coupling(x), y)
                     if with_slab:
                         v = f5p if kw is None else b + c * (kw[0] @ us[-1]) * vs[-1]
                         us.append(y[0, 0])
                         vs.append(v)
-                    return row_rhs(y, x, v)
+                        d[0, 1] -= v
+                    return d
                 return f
 
             step = rk4_step(Y[:, :, lo:L], dt, stage(), stage(kw2, bw2, b_half, 0.5 * dt),
@@ -290,7 +348,7 @@ def _two_time_march(row_rhs, bc, kernels, grid, with_slab=False,
                 S[lo - base:L - base, L - base] = step[0, 1]
             Y[:, :, lo:L] = step
             Y[:, :, L] = bc
-            kw1 = [w1 * a[kk + 1 - lo::-1] for a in lag]
+            kw1 = [w_next * a[kk + 1 - lo::-1] for a in lag]
             X[kk + 1] = average(Y[:, :, lo:L + 1], kw1)
             if store_fields:
                 rows_hist[:, :, kk + 1, :L + 1] = Y[:, :, :L + 1]
@@ -298,7 +356,8 @@ def _two_time_march(row_rhs, bc, kernels, grid, with_slab=False,
         if with_slab:
             fold(L)
             lo = max(0, n - m)
-            node_f5(n - 1, lo, (trapezoid_weights(n, dt, lo) * lag[0][n - 1 - lo::-1])[None])
+            W = (trapezoid_weights(n, dt, lo) * lag[0][n - 1 - lo::-1])[None]
+            node_f5(n - 1, lo, W, n - 1, lo, read(n - 1, lo, W))
     return X, F5, (*rows_hist.reshape(4 * nb, n, n), f5p_hist, S) if store_fields else None
 
 
@@ -314,9 +373,8 @@ def solve_two_time_grid(k, sys: LinearizedSystem, grid: TimeGrid,
     if isinstance(k, DeltaKernel):
         return markov_series(k.Gamma, grid, include_f5=include_f5)
     wm, delta, g = sys.omega_m, sys.Delta, sys.G
-    X, F5, stored = _two_time_march(
-        lambda y, x, v: _row_rhs(y[0], x[0], v, wm, delta, g)[None],
-        _BC[None], [k], grid, include_f5, store_fields)
+    X, F5, stored = _two_time_march(lambda x: _row_matrix(x[0], wm, delta, g),
+                                    _BC[None], [k], grid, include_f5, store_fields)
     F = np.ascontiguousarray(X[:, 0].T)
     fields = TwoTimeField(grid, *stored) if store_fields else None
     return OCoefficientSeries(

@@ -93,6 +93,10 @@ _MID_RIGHT = np.array([1.0, -5.0, 15.0, 5.0]) / 16.0
 # nodes per block of a streamed march
 _BLOCK = 256
 
+# nodes per step of a block's guard: a full step from every node of a block
+# at once would hold several block-sized temporaries
+_GUARD = 64
+
 
 def _half_node(nodes, n, j):
     """Half-node ``j`` of an ``n``-node grid from ``nodes(lo, hi)``, the
@@ -182,6 +186,15 @@ def march_driven(rhs_at, y, grid, visit):
     return y
 
 
+def _refused(Y, dt, rhs):
+    """Per step of the states ``Y``: whether one full step from its first
+    node misses the kept state by more than 1e-2 of the state scale."""
+    err = np.abs(rk4_step(Y[:-1], dt, rhs) - Y[1:]).max(axis=1)
+    scale = np.maximum(1.0, np.abs(Y[1:]).max(axis=1))
+    bad = ~np.isfinite(err) | (err > 1e-2 * scale)
+    return bad.any(axis=tuple(range(1, bad.ndim)))
+
+
 def doubled_blocks(rhs, y0, grid, what):
     """March the autonomous ``rhs`` over ``grid`` with step doubling,
     yielding the states in blocks of ``_BLOCK`` consecutive nodes.
@@ -194,9 +207,9 @@ def doubled_blocks(rhs, y0, grid, what):
     (the closed OU march always has one) is held to its own scale.
 
     The fine steps of a block are taken first; its guard is then one
-    full step from every fine node of the block at once, so ``rhs`` must
-    broadcast over a leading node axis.  The first block starts at node
-    0; each block is a new (nodes,) + y0.shape array.
+    full step from every fine node of ``_GUARD`` nodes at once, so
+    ``rhs`` must broadcast over a leading node axis.  The first block
+    starts at node 0; each block is a new (nodes,) + y0.shape array.
     """
     dt, n = grid.dt, grid.n_points
     y = np.asarray(y0, dtype=complex)
@@ -208,10 +221,9 @@ def doubled_blocks(rhs, y0, grid, what):
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(1, len(Y)):
                 Y[i] = rk4_step(rk4_step(Y[i - 1], 0.5 * dt, rhs), 0.5 * dt, rhs)
-            err = np.abs(rk4_step(Y[:-1], dt, rhs) - Y[1:]).max(axis=1)
-            scale = np.maximum(1.0, np.abs(Y[1:]).max(axis=1))
-            bad = ~np.isfinite(err) | (err > 1e-2 * scale)
-        bad = bad.any(axis=tuple(range(1, bad.ndim)))
+            bad = np.zeros(len(Y) - 1, dtype=bool)
+            for i in range(0, len(bad), _GUARD):
+                bad[i:i + _GUARD] = _refused(Y[i:i + _GUARD + 1], dt, rhs)
         if bad.any():
             raise NumericalFailure(
                 f"{what} is stiff at t={dt * (first + int(np.argmax(bad))):.3f} "

@@ -201,8 +201,14 @@ def effective_kernels(J: OUKernel, T, fit=False) -> EffectiveKernels:
         return EffectiveKernels(alpha1=J, alpha2=silent)
     lo, hi = frequency_window(J.gamma, J.Omega)
     lags = np.linspace(0.0, _LAG_SPAN / J.gamma, _LAG_SAMPLES)
-
     edges = _frequency_panels(lo, hi, J.gamma, lags[-1])
+    probe = np.arange(0, _LAG_SAMPLES, _LAG_SAMPLES // 16)
+    t_end = _FIT_SPAN / J.gamma
+    if fit:
+        # the fit reads the lags up to t_end, the probe its own
+        keep = np.union1d(np.flatnonzero(lags <= t_end), probe)
+        lags, probe = lags[keep], np.searchsorted(keep, probe)
+
     omega, wq = _gauss_nodes(edges, _GAUSS_ORDER)
     occ = thermal_occupation(omega, T)
     dens = spectral_density(J, omega)
@@ -212,11 +218,10 @@ def effective_kernels(J: OUKernel, T, fit=False) -> EffectiveKernels:
     om_c, wq_c = _gauss_nodes(edges, _PROBE_ORDER)
     occ_c = thermal_occupation(om_c, T)
     dens_c = spectral_density(J, om_c)
-    stride = _LAG_SAMPLES // 16
-    b1, b2 = _half_transforms(lags[::stride], om_c, wq_c * dens_c * (occ_c + 1.0),
+    b1, b2 = _half_transforms(lags[probe], om_c, wq_c * dens_c * (occ_c + 1.0),
                               wq_c * dens_c * occ_c)
     scale = max(abs(a1[0]), 1e-300)
-    drift = max(np.abs(a1[::stride] - b1).max(), np.abs(a2[::stride] - b2).max())
+    drift = max(np.abs(a1[probe] - b1).max(), np.abs(a2[probe] - b2).max())
     if drift > 1e-8 * scale:
         raise NumericalFailure(
             f"frequency quadrature drifted by {drift/scale:.2e} between "
@@ -230,8 +235,8 @@ def effective_kernels(J: OUKernel, T, fit=False) -> EffectiveKernels:
             alpha2=TabulatedKernel(lags, a2),
             omega_window=(lo, hi),
         )
-    t_end = _FIT_SPAN / J.gamma
     k1, r1 = _fit_exponential(lags, a1, t_end, "alpha1")
+    # |alpha2| peaks at lag 0, which every lag set holds
     if np.abs(a2).max() <= 1e-12 * scale:
         k2 = OUKernel(Gamma=0.0, gamma=J.gamma, Omega=-J.Omega)
         r2 = float(np.abs(a2).max() / scale)
@@ -318,12 +323,8 @@ def _solve_thermal_grid(pair, sys, grid):
     the march rejects it.
     """
     wm, delta, g = sys.omega_m, sys.Delta, sys.G
-
-    def row_rhs(rows, x, _):
-        return np.einsum("jk,ikl->ijl", _coupling_matrix(x, wm, delta, g), rows)
-
-    X, _, _ = _two_time_march(row_rhs, _BC, pair, grid,
-                              what="thermal coefficient march")
+    X, _, _ = _two_time_march(lambda x: _coupling_matrix(x, wm, delta, g), _BC, pair,
+                              grid, what="thermal coefficient march")
     return ThermalOCoefficients(grid=grid, X=X, provenance="two-time-grid")
 
 

@@ -6,7 +6,8 @@ package calls them.
 the moment engine; the eigenvalue routes cross-check the closed-form
 symplectic read-out, the whole-series midpoint stencils the step-wise
 ``stepping.half_node_values``, ``consistency_residual`` and
-``boundary_residual`` the stored two-time rows, the dense
+``boundary_residual`` the stored two-time rows, the elementwise row
+equations of ``_row_rhs`` the coupling product of the grid march, the dense
 ``integrate_lindblad`` (run through the compact parity layout of the
 march) the band generators, the whole-array
 ``whole_noise_batch`` the blocked noise sampler,
@@ -23,7 +24,7 @@ from nmoptomech.errors import NumericalFailure
 from nmoptomech.fock import FockOperators, RhoTrajectory, _run_rho
 from nmoptomech.gaussian_ent import _as_covariance
 from nmoptomech.kernel import DeltaKernel, TabulatedKernel, _cholesky_factor
-from nmoptomech.ocoeff import OCoefficientSeries, TwoTimeField, _row_rhs
+from nmoptomech.ocoeff import OCoefficientSeries, TwoTimeField
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import TimeGrid, _MID_INTERIOR, _MID_LEFT, _MID_RIGHT, rk4_step
 
@@ -178,6 +179,20 @@ def midpoint_values(values):
 def midpoint_derivative(values, h):
     """Fourth-order derivative of a grid series at step midpoints."""
     return _apply_mid_stencil(values, _DMID_INTERIOR, _DMID_LEFT, _DMID_RIGHT) / h
+
+
+def _row_rhs(rows, fj, f5p, wm, delta, g):
+    f1, f2, f3, f4 = rows
+    F1v, F2v, F3v, F4v = fj
+    c34 = 1j * g * (f3 - f4)
+    c12 = 1j * g * (f1 - f2)
+    d1 = 1j * wm * f1 + c34 + f1 * F1v
+    d2 = -1j * wm * f2 + c34 - f2 * F1v + 2.0 * f1 * F2v - f4 * F3v + f3 * F4v
+    if f5p is not None:
+        d2 = d2 - f5p
+    d3 = -1j * delta * f3 + c12 + f1 * F3v
+    d4 = 1j * delta * f4 + c12 + f1 * F4v
+    return np.stack([d1, d2, d3, d4])
 
 
 def consistency_residual(series: OCoefficientSeries, fields: TwoTimeField,

@@ -15,6 +15,7 @@ from nmoptomech.errors import NumericalFailure
 from nmoptomech.kernel import DeltaKernel, OUKernel, TabulatedKernel
 from nmoptomech.ocoeff import (
     _SLAB_BUDGET,
+    _row_matrix,
     markov_series,
     solve_ocoeff,
     solve_ou_closed,
@@ -23,7 +24,7 @@ from nmoptomech.ocoeff import (
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import TimeGrid
 from nmoptomech.thermal import _solve_thermal_grid
-from oracles import boundary_residual, consistency_residual
+from oracles import _row_rhs, boundary_residual, consistency_residual
 
 SYS = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)
 OU = OUKernel(Gamma=2.0, gamma=0.6, Omega=0.0)
@@ -217,6 +218,49 @@ def test_delayed_slab_update_matches_per_step_fold(monkeypatch, steps, finite):
     if not finite:
         Fc = solve_ou_closed(OU, SYS, grid)
         assert np.max(np.abs(F.F5 - Fc.F5)) < 0.05 * np.max(np.abs(Fc.F5))
+
+
+def test_row_coupling_product_matches_the_elementwise_equations():
+    # the march's derivative K(F) @ rows, less F5' on the f2 row, against
+    # the elementwise row equations, with F varying from row to row and
+    # with one F for all rows through the march's own product
+    rng = np.random.default_rng(11)
+    rows, F = (rng.normal(size=s) + 1j * rng.normal(size=s) for s in ((4, 300), (300, 4)))
+    f5p = rng.normal(size=300) + 1j * rng.normal(size=300)
+    wm, delta, g = 1.3, 0.7, 0.2
+    d = np.einsum("ljk,kl->jl", _row_matrix(F, wm, delta, g), rows)
+    d[1] -= f5p
+    ref = _row_rhs(rows, F.T, f5p, wm, delta, g)
+    assert np.max(np.abs(d - ref)) <= 1e-15 * np.max(np.abs(ref))
+    d = np.einsum("jk,ikl->ijl", _row_matrix(F[0], wm, delta, g), rows[None])[0]
+    d[1] -= f5p
+    ref = _row_rhs(rows, F[0], f5p, wm, delta, g)
+    assert np.max(np.abs(d - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("support, blocks, extra", [(0.1, 2, 5), (0.4, 3, 23), (1.0, 4, 9)])
+def test_block_slab_reads_match_per_step_reads(monkeypatch, support, blocks, extra):
+    # each read block (a quarter of a fold block) reads the slab once; one
+    # step per block (_DELAY = 1) is the per-step read.  The windows: m
+    # shorter than a read block (every window column of a step is written
+    # inside its block), between a read block and a fold block, and longer
+    # than a fold block.  Every run slides its window after a fold, and its
+    # last read block is only partly full
+    grid = TimeGrid(dt=0.02, t_final=0.02 * (blocks * oc._DELAY + extra))
+    k = _support_table(grid.t_final, grid.dt, support)
+    n, m, read = grid.n_points, _memory_nodes(k, grid), oc._DELAY // oc._READS
+    assert [m < read, read < m < oc._DELAY, oc._DELAY < m] == [support == s for s in (0.1, 0.4, 1.0)]
+    assert sum(L > m for L in range(oc._DELAY, n, oc._DELAY)) >= 2
+    assert extra % read
+    runs = []
+    for delay in (oc._DELAY, 1):
+        monkeypatch.setattr(oc, "_DELAY", delay)
+        runs.append(solve_two_time_grid(k, SYS, grid))
+    # relative to each series' scale: F5 of the shortest window is 1e-9
+    for name in ("F1", "F2", "F3", "F4", "F5"):
+        a, b = getattr(runs[0], name), getattr(runs[1], name)
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+    assert np.max(np.abs(runs[0].F5)) > 0.0
 
 
 def _memory_nodes(k, grid):

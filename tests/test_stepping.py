@@ -1,12 +1,14 @@
 """Grid construction, quadrature weights, stencil helpers and the RK4 step."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nmoptomech import ocoeff, stepping, thermal
 from nmoptomech.errors import NumericalFailure
 from nmoptomech.kernel import OUKernel
-from nmoptomech.ocoeff import solve_ou_closed
+from nmoptomech.ocoeff import ou_closed_blocks, solve_ou_closed
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import (
     TimeGrid,
@@ -320,3 +322,35 @@ def test_block_guard_stops_where_the_stepwise_guard_does(block, monkeypatch):
         stepwise_doubled(seen["rhs"], seen["y0"], grid, seen["what"])
     assert str(got.value) == str(want.value) == (
         "closed coefficient system is stiff at t=2.410 for this step size; refine dt")
+
+
+@pytest.mark.parametrize("guard", [1, 7])
+def test_block_guard_in_sub_blocks_keeps_the_stepwise_verdict(guard, monkeypatch):
+    # the guard of a block steps from a few nodes at a time; any count of
+    # nodes a guard step gives the step-by-step guard's verdict and time
+    monkeypatch.setattr(stepping, "_GUARD", guard)
+    grid = TimeGrid(dt=0.01, t_final=4.0)
+    sys_ = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)
+    with pytest.raises(NumericalFailure, match="stiff at t=2.410 for this step size"):
+        solve_ou_closed([OUKernel(2.0, 0.6), OUKernel(2.0, 1.0, Omega=1.0)],
+                        [sys_, sys_], grid)
+    seen = {}
+    _spy(monkeypatch, ocoeff, "doubled_blocks", seen)
+    F = solve_ou_closed([OUKernel(0.4, 1.0, Omega=w) for w in (0.0, 1.0)], [sys_, sys_], grid)
+    want = stepwise_doubled(seen["rhs"], seen["y0"], grid, seen["what"])
+    assert np.array_equal(np.moveaxis(want, 1, 0)[0], F.F1)
+
+
+def test_block_guard_holds_no_block_sized_temporaries():
+    # 21 points x 3,001 nodes: a block of states is 0.43 MB; a guard step
+    # from all 256 nodes of a block at once peaked at 3.7 MB
+    kernels = [OUKernel(0.4, 1.0, Omega=w) for w in np.linspace(0.0, 2.0, 21)]
+    systems = [LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)] * 21
+    tracemalloc.start()
+    try:
+        for block in ou_closed_blocks(kernels, systems, TimeGrid(dt=0.01, t_final=30.0)):
+            del block
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000

@@ -11,6 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 import nmoptomech
+from nmoptomech import thermal
 from nmoptomech.errors import NumericalFailure, TruncationError
 from nmoptomech.fock import (
     _thermal_generator,
@@ -25,6 +26,7 @@ from nmoptomech.ocoeff import solve_ou_closed
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import TimeGrid, rk4_step
 from nmoptomech.thermal import (
+    _fit_exponential,
     _half_transforms,
     _solve_thermal_closed,
     _solve_thermal_grid,
@@ -143,6 +145,24 @@ def test_exponential_fit_recovers_detuned_bath():
     # absorption kernel weight stays at the occupation scale
     a2 = ek.alpha2
     assert a2.Gamma * a2.gamma / 2 < 0.02
+
+
+def test_fit_transforms_only_the_lags_it_reads(monkeypatch):
+    # the fit reads the lags up to 5/gamma and the probe 17 strided lags:
+    # only those are transformed, and the fitted pair keeps every bit of
+    # the fit of the whole table
+    J, T = OUKernel(Gamma=0.4, gamma=2.0), 0.1
+    counts = []
+    monkeypatch.setattr(thermal, "_half_transforms",
+                        lambda lags, *a: counts.append(len(lags)) or _half_transforms(lags, *a))
+    full = effective_kernels(J, T)
+    ek = effective_kernels(J, T, fit=True)
+    lags = full.alpha1.lags
+    read = np.count_nonzero(lags <= 5.0 / J.gamma)
+    assert counts == [len(lags), 17, read + np.count_nonzero(lags[::250] > 5.0 / J.gamma), 17]
+    assert read < 0.5 * len(lags)
+    for got, table, r, label in zip(ek, full, ek.fit_residuals, ("alpha1", "alpha2")):
+        assert (got, r) == _fit_exponential(lags, table.values, 5.0 / J.gamma, label)
 
 
 def test_kernel_pair_rejects_unphysical_zero_lag():
