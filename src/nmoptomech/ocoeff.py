@@ -26,6 +26,9 @@ valid for every kernel with pointwise values).  The grid route takes a
 every other coefficient zero.
 """
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,6 +67,54 @@ _DELAY = 32
 _READS = 4
 
 _ROWS = ("F1", "F2", "F3", "F4", "F5")
+
+
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count calls of every OpenBLAS loaded in this
+    process at the first call (numpy's among them, since this module
+    imports numpy); none where /proc/self/maps is missing or numpy uses
+    another BLAS."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
+                            if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        return ()
+    calls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)  # already loaded: dlopen returns its handle
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            put = getattr(lib, name.format("set"), None)
+            if get is not None and put is not None:
+                calls.append((get, put))
+                break
+    return tuple(calls)
+
+
+@contextmanager
+def _blas_on_caller():
+    """Run the block with OpenBLAS products on the calling thread.
+
+    The grid march's slab products are large enough for OpenBLAS to split
+    them over its threads.  The split bought no wall time on an idle
+    2-core host, doubled the CPU time, and with the other core busy made
+    a march take 2-3 times as long.
+    """
+    calls = _openblas_threads()
+    before = [get() for get, _ in calls]
+    for _, put in calls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(calls, before):
+            put(count)
 
 
 @dataclass(frozen=True)
@@ -304,7 +355,7 @@ def _two_time_march(coupling, bc, kernels, grid, with_slab=False,
         S[:w, w:] = 0
         base = lo
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), _blas_on_caller():
         for kk in range(n - 1):
             L = kk + 1
             if kk % _DELAY % reads == 0:

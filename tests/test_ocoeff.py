@@ -2,9 +2,13 @@
 Markov constants, and the defining integro-differential relations."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from scipy.integrate import solve_ivp
 import nmoptomech.ocoeff as oc
 from nmoptomech.errors import NumericalFailure
 from nmoptomech.kernel import DeltaKernel, OUKernel, TabulatedKernel
+import nmoptomech
 from nmoptomech.ocoeff import (
     _SLAB_BUDGET,
     _row_matrix,
@@ -28,6 +33,7 @@ from oracles import _row_rhs, boundary_residual, consistency_residual
 
 SYS = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)
 OU = OUKernel(Gamma=2.0, gamma=0.6, Omega=0.0)
+_SRC = Path(nmoptomech.__file__).resolve().parents[1]
 
 
 def ivp_oracle(k, sys_, grid):
@@ -364,3 +370,52 @@ def test_window_weights_are_built_once_per_window(monkeypatch):
         solve_two_time_grid(k, SYS, grid)
         assert m + 1 < grid.n_steps
         assert len(calls) == 2 * (m + 1) + 1
+
+
+def test_grid_march_leaves_no_blas_worker_busy():
+    # in a fresh process: CPU of threads other than the caller's.  The
+    # march's slab reads and folds are products OpenBLAS would split over
+    # its threads; they run on the caller, and no worker spins after them
+    code = ("import resource, time\n"
+            "import numpy as np\n"
+            "from nmoptomech import LinearizedSystem, OUKernel, TabulatedKernel, TimeGrid\n"
+            "from nmoptomech.ocoeff import solve_two_time_grid\n"
+            "def cpu():\n"
+            "    r = resource.getrusage(resource.RUSAGE_SELF)\n"
+            "    return r.ru_utime + r.ru_stime\n"
+            "lags = np.arange(1001) * 0.005\n"
+            "k = TabulatedKernel(lags, OUKernel(Gamma=2.0, gamma=0.6).alpha(lags))\n"
+            "sys_ = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)\n"
+            "p, t = cpu(), time.thread_time()\n"
+            "solve_two_time_grid(k, sys_, TimeGrid(dt=0.01, t_final=6.0))\n"
+            "t = time.thread_time() - t\n"
+            "print(cpu() - p - t, t)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(_SRC)})
+    other, own = map(float, out.stdout.split())
+    assert other < 0.02 + 0.1 * own, (other, own)
+
+
+def test_grid_march_restores_the_blas_thread_count(monkeypatch):
+    # one thread while the march runs, in every OpenBLAS loaded (numpy's
+    # and scipy's); the caller's counts after it, also when the march fails
+    calls = oc._openblas_threads()
+    if not calls:
+        pytest.skip("no OpenBLAS is loaded")
+
+    def counts():
+        return [get() for get, _ in calls]
+
+    before, seen = counts(), []
+    real = oc._row_matrix
+    monkeypatch.setattr(oc, "_row_matrix", lambda *a: seen.append(counts()) or real(*a))
+    grid = TimeGrid(dt=0.1, t_final=20.0)
+    lags = np.arange(2 * grid.n_steps + 1) * (0.5 * grid.dt)
+    for Gamma in (25.0, 200.0):  # marches through; diverges at t = 0.5
+        k = TabulatedKernel(lags, OUKernel(Gamma, 0.6).alpha(lags))
+        try:
+            solve_two_time_grid(k, SYS, grid)
+        except NumericalFailure:
+            assert Gamma == 200.0
+        assert counts() == before
+    assert seen and all(c == [1] * len(calls) for c in seen)
