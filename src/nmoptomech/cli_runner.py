@@ -645,19 +645,21 @@ def _widened(blocks, ou, series, n):
 # ----------------------------------------------------------------- output
 
 
-def _fmt(x):
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return format(x, ".17g")
+# rows of a CSV file turned into Python floats at a time
+_CSV_CHUNK = 1024
 
 
 def _write_csv(path: Path, names, cols):
+    """CSV of the header ``names`` and one row per node of the equal-length
+    columns ``cols``, each value as a float in 17 significant digits
+    (-0.0 as 0), one format operation per chunk of rows."""
     cols = [np.asarray(c) for c in cols]
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(names) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        for lo in range(0, len(cols[0]), _CSV_CHUNK):
+            chunk = np.column_stack([c[lo:lo + _CSV_CHUNK] for c in cols]) + 0.0
+            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _num_tag(x):
@@ -675,12 +677,16 @@ _HEAT_STOPS = (
 )
 
 
-def _heat_color(u):
-    pos = min(max(u, 0.0), 1.0) * (len(_HEAT_STOPS) - 1)
-    i = min(int(pos), len(_HEAT_STOPS) - 2)
-    f = pos - i
-    rgb = [a + f * (b - a) for a, b in zip(_HEAT_STOPS[i], _HEAT_STOPS[i + 1])]
-    return "#" + "".join(f"{int(round(255 * c)):02x}" for c in rgb)
+def _heat_colors(u):
+    """The colors of the values ``u`` (0 to 1, clipped) on the heat scale,
+    as 24-bit integers: the stops interpolated linearly, each channel
+    rounded half to even."""
+    stops = np.array(_HEAT_STOPS)
+    pos = np.clip(u, 0.0, 1.0) * (len(stops) - 1)
+    i = np.minimum(pos.astype(int), len(stops) - 2)
+    f = (pos - i)[..., None]
+    rgb = np.rint(255 * (stops[i] + f * (stops[i + 1] - stops[i]))).astype(int)
+    return (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
 
 
 def _ticks(lo, hi, n=5):
@@ -778,15 +784,12 @@ def _write_svg_heat(path: Path, xvals, yvals, Z, title, xlabel, ylabel):
     parts = _svg_open(w, h, title)
     cw = (x1 - x0) / Zs.shape[1]
     ch = (y0 - y1) / Zs.shape[0]
-    for r in range(Zs.shape[0]):
-        py = y0 - (r + 1) * ch
-        for c in range(Zs.shape[1]):
-            u = (Zs[r, c] - lo) / (hi - lo)
-            parts.append(
-                f'<rect x="{x0 + c * cw:.2f}" y="{py:.2f}" '
-                f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" '
-                f'fill="{_heat_color(u)}"/>'
-            )
+    xs = [f"{x0 + c * cw:.2f}" for c in range(Zs.shape[1])]
+    size = f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}"'
+    for r, colors in enumerate(_heat_colors((Zs - lo) / (hi - lo)).tolist()):
+        py = f"{y0 - (r + 1) * ch:.2f}"
+        parts.extend(f'<rect x="{x}" y="{py}" {size} fill="#{color:06x}"/>'
+                     for x, color in zip(xs, colors))
     _svg_axes(parts, x0, y0, x1, y1, float(xvals[0]), float(xvals[-1]),
               float(ys[0]), float(ys[-1]), xlabel, ylabel)
     parts.append(f'<text x="{x1 - 4}" y="{y1 - 6}" text-anchor="end">'

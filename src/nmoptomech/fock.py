@@ -37,7 +37,7 @@ from .kernel import sample_noise_batch  # noqa: F401
 from .moments import MomentTrajectory
 from .ocoeff import OCoefficientSeries
 from .params import LinearizedSystem
-from .stepping import TimeGrid, half_node_values, march_driven
+from .stepping import TimeGrid, block_half_nodes, march_driven
 from .thermal import ThermalOCoefficients
 
 __all__ = [
@@ -249,6 +249,11 @@ class _ParityLayout:
         idx = to_compact[idx]
         keep = idx >= 0
         self._moments = label[keep], idx[keep], w[keep]
+        # the band list of -iH with each diagonal repeated over the row's
+        # width: a full-width product takes about half the time of one
+        # broadcast from a column
+        self.h_bands = [(o, np.repeat(diag[:, None], width, axis=1))
+                        for o, diag in ops.bands["-iH"]]
 
     def compact(self, rho):
         """The compact array of the full ``rho`` (entries not stored are
@@ -402,17 +407,17 @@ def _run_rho(rhs_at, grid, rho0, ops, store_every, trace_tol, leak_tol):
                          moments=moments, traces=traces)
 
 
-def _band_generator(ops, lay, lb, o1, o2=()):
+def _band_generator(lay, lb, o1, o2=()):
     """drho/dt = E + E^dag, E = -iH rho + L S - L^dag S^dag with
     S = (O1 rho)^dag - O2 rho, from the band lists of L, O1 and O2, on
-    compact arrays of the layout ``lay``.
+    compact arrays of the layout ``lay`` (whose operators give H).
 
     For Hermitian rho this is -i[H, rho] + [L, rho O1^dag]
     + [L^dag, rho O2^dag] + h.c. with left band products only.  Without
     O2, S^dag is O1 rho itself; with O2 it stays the dagger of S, so that
     S and S^dag round alike.
     """
-    hb = ops.bands["-iH"]
+    hb = lay.h_bands
     neg_ld = [(-o, -w.conj()) for o, w in lb]
     neg_o2 = [(o, -w) for o, w in o2]
 
@@ -442,7 +447,7 @@ def _master_generator(ops: FockOperators, lay, fv):
     arrays of the layout ``lay``."""
     bd = ops.bands
     obar = _weighted(fv, (bd["b"], bd["bd"], bd["a"], bd["ad"]))
-    return _band_generator(ops, lay, [bd["b"]], obar)
+    return _band_generator(lay, [bd["b"]], obar)
 
 
 def integrate_master(F: OCoefficientSeries, ops: FockOperators, rho0,
@@ -456,8 +461,8 @@ def integrate_master(F: OCoefficientSeries, ops: FockOperators, rho0,
     """
     if not grid.matches(F.grid):
         raise ValueError("F series and master integration must share one grid")
-    rows = (F.F1, F.F2, F.F3, F.F4)
-    return _run_rho(lambda lay, j: _master_generator(ops, lay, half_node_values(rows, j)),
+    values = block_half_nodes([(F.F1, F.F2, F.F3, F.F4)], grid.n_points)
+    return _run_rho(lambda lay, j: _master_generator(ops, lay, values(j)),
                     grid, rho0, ops, store_every, trace_tol, leak_tol)
 
 
@@ -468,7 +473,7 @@ def _thermal_generator(ops: FockOperators, lay, x):
     compact arrays of the layout ``lay``."""
     bd = ops.bands
     basis = (bd["a"], bd["ad"], bd["b"], bd["bd"])
-    return _band_generator(ops, lay, [bd["a"], bd["b"]], _weighted(x[0:4], basis),
+    return _band_generator(lay, [bd["a"], bd["b"]], _weighted(x[0:4], basis),
                            _weighted(x[4:8], basis))
 
 
@@ -480,8 +485,9 @@ def integrate_thermal_master(Xij: ThermalOCoefficients, ops: FockOperators,
     each bath term is Hermiticity- and trace-preserving on its own."""
     if not grid.matches(Xij.grid):
         raise ValueError("coefficients and integration must share one grid")
-    rows = [Xij.X[:, i, j] for i in range(2) for j in range(4)]
-    return _run_rho(lambda lay, j: _thermal_generator(ops, lay, half_node_values(rows, j)),
+    values = block_half_nodes([[Xij.X[:, i, j] for i in range(2) for j in range(4)]],
+                              grid.n_points)
+    return _run_rho(lambda lay, j: _thermal_generator(ops, lay, values(j)),
                     grid, rho0, ops, store_every, trace_tol, leak_tol)
 
 
@@ -519,13 +525,13 @@ def _propagate_states(F, ops, noise, psi0, grid, store_idx, sink):
     """
     basis = ops._drift_basis
     ob, wb = ops.bands["b"]
-    rows = (F.F1, F.F2, F.F3, F.F4)
+    values = block_half_nodes([(F.F1, F.F2, F.F3, F.F4)], grid.n_points)
     slot = {k: i for i, k in enumerate(store_idx.tolist())}
     # march_driven asks for the half-nodes in order, one row each
     z_rows = chain.from_iterable(noise)
 
     def rhs_at(j):
-        c = np.array([1.0, *(-f for f in half_node_values(rows, j))])
+        c = np.concatenate(([1.0], -values(j)))
         bands = [(o, c @ w) for o, w in basis] + [(ob, np.outer(wb, next(z_rows)))]
         return lambda p: _lmul(bands, p)
 

@@ -253,13 +253,13 @@ def integrate_moments(F, sys, init, grid: TimeGrid, sink=None):
         def sink(k0, states):
             vals[k0:k0 + len(states)] = np.moveaxis(states, 2, 1)
 
-    # the state marches as (P, 14); midpoints step by step, so no stage
-    # arrays are stored for every point
+    # the state marches as (P, 14); midpoints one node block at a time, so
+    # no stage arrays are stored for every node
     buf = np.empty((min(_BLOCK, n), len(systems), 14))
     finite = True
 
     def rhs_at(j):
-        f = np.transpose(half_node(j))
+        f = half_node(j).T
         if len(f) != len(systems):
             raise ValueError("need one system per point of the F series")
         par[:, :4], par[:, 4:8] = f.real, f.imag

@@ -6,16 +6,17 @@ the grid bookkeeping, the trapezoidal quadrature weights, and the
 half-node stencil in one place so that all modules discretize identically.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericalFailure
 
 __all__ = [
     "TimeGrid",
     "trapezoid_weights",
-    "half_node_values",
     "rk4_step",
     "block_half_nodes",
     "march_driven",
@@ -98,56 +99,75 @@ _BLOCK = 256
 _GUARD = 64
 
 
-def _half_node(nodes, n, j):
-    """Half-node ``j`` of an ``n``-node grid from ``nodes(lo, hi)``, the
-    rows of nodes lo..hi-1."""
-    k, odd = divmod(j, 2)
-    if not odd:
-        return [r[0] for r in nodes(k, k + 1)]
-    if n < 4:
-        return [0.5 * (r[0] + r[1]) for r in nodes(k, k + 2)]
-    w = _MID_LEFT if k == 0 else _MID_RIGHT if k == n - 2 else _MID_INTERIOR
-    i = min(max(k - 1, 0), n - 4)
-    return [w @ r for r in nodes(i, i + 4)]
+def _stencil(w, rows):
+    """The stencil ``w`` on every four consecutive nodes of the stacked
+    ``rows`` (rows, nodes, points): one product, (rows, nodes - 3, points).
 
-
-def half_node_values(rows, j):
-    """Values of each coefficient row at half-node ``j`` of the refined
-    grid: node j/2 at even j, the 4th-order midpoint past node (j-1)/2 at
-    odd j, one step's stencil at a time.
-
-    Grids with fewer than four nodes fall back to the two-node average.
+    Each window is a (4, points) slice with the strides of one contiguous
+    row, so every value is bitwise the one-step product
+    ``w @ row[i:i + 4]``.
     """
-    return _half_node(lambda lo, hi: [r[lo:hi] for r in rows], rows[0].shape[0], j)
+    return np.matmul(w, np.moveaxis(sliding_window_view(rows, 4, axis=1), -1, -2))
 
 
 def block_half_nodes(blocks, n):
-    """:func:`half_node_values` of rows that arrive as node blocks.
+    """Values of coefficient rows at the half-nodes of the refined grid,
+    from rows that arrive as node blocks: node j/2 at even j, the
+    4th-order midpoint past node (j-1)/2 at odd j.  Grids with fewer
+    than four nodes fall back to the two-node average.
 
     ``blocks`` yields lists of row arrays over consecutive nodes of an
     ``n``-node grid.  Returns ``values(j)``, to be asked in increasing j:
-    only the current block and the stencil's older nodes (at most three)
-    are held.
+    an array of shape (rows,) + the shape of a row's node.  Only the
+    current block and the stencil's older nodes (at most three) are
+    held, with the interior midpoints that they allow, all from one
+    :func:`_stencil` product per block.
     """
     blocks = iter(blocks)
-    held, base = None, 0
+    held = mids = None  # (rows, nodes, points): nodes base.., midpoints base + 1..
+    base, shape = 0, ()
 
-    def nodes(lo, hi):
-        nonlocal held, base
-        while held is None or base + len(held[0]) < hi:
+    def pull(last):
+        nonlocal held, mids, base, shape
+        while held is None or base + held.shape[1] <= last:
             new = next(blocks, None)
             if new is None:
-                raise ValueError(f"the coefficient blocks end before node {hi - 1}")
-            if held is None:
-                held = list(new)
-            else:
-                # no stencil to come reaches back past node hi - 4
-                keep = min(max(hi - 4, base), base + len(held[0]))
-                held = [np.concatenate([r[keep - base:], b]) for r, b in zip(held, new)]
-                base = keep
-        return [r[lo - base:hi - base] for r in held]
+                raise ValueError(f"the coefficient blocks end before node {last}")
+            shape = new[0].shape[1:]
+            # no stencil to come reaches back past the last three nodes
+            keep = 0 if held is None else min(held.shape[1], 3)
+            rows = np.empty((len(new), keep + len(new[0]), math.prod(shape)),
+                            np.result_type(*new))
+            if keep:
+                rows[:, :keep] = held[:, -keep:]
+                base += held.shape[1] - keep
+            for r, b in zip(rows, new):
+                r[keep:] = b.reshape(len(b), -1)
+            held, mids = rows, None
+            if n >= 4 and held.shape[1] >= 4:
+                # the interior midpoints end at n - 3
+                mids = _stencil(_MID_INTERIOR, held[:, :n - base])
 
-    return lambda j: _half_node(nodes, n, j)
+    def values(j):
+        k, odd = divmod(j, 2)
+        if not odd:
+            pull(k)
+            v = held[:, k - base]
+        elif n < 4:
+            pull(k + 1)
+            v = 0.5 * (held[:, k - base] + held[:, k + 1 - base])
+        elif k == 0:
+            pull(3)
+            v = _stencil(_MID_LEFT, held[:, :4])[:, 0]
+        elif k == n - 2:
+            pull(n - 1)
+            v = _stencil(_MID_RIGHT, held[:, n - 4 - base:n - base])[:, 0]
+        else:
+            pull(k + 2)
+            v = mids[:, k - 1 - base]
+        return v.reshape(len(v), *shape)
+
+    return values
 
 
 def rk4_step(y, h, f, f_mid=None, f_next=None):

@@ -5,7 +5,8 @@ package calls them.
 ``to_quadratures`` is a second route to the real Lyapunov equations of
 the moment engine; the eigenvalue routes cross-check the closed-form
 symplectic read-out, the whole-series midpoint stencils the step-wise
-``stepping.half_node_values``, ``consistency_residual`` and
+``half_node_values`` and that the block stencil of
+``stepping.block_half_nodes``, ``consistency_residual`` and
 ``boundary_residual`` the stored two-time rows, the elementwise row
 equations of ``_row_rhs`` the coupling product of the grid march, the dense
 ``integrate_lindblad`` (run through the compact parity layout of the
@@ -14,12 +15,14 @@ march) the band generators, the whole-array
 ``dense_operator_products`` the single-mode set-up of the number basis,
 and the step-by-step guard of ``stepwise_doubled`` the block guard of
 ``stepping.doubled_blocks``.  ``rho_at`` reads a stored node of a
-density-matrix march.
+density-matrix march.  The value-by-value ``_fmt`` and ``_heat_color``
+check the array writers of the command line's CSV and heat-map files.
 """
 
 import numpy as np
 from scipy.linalg import expm
 
+from nmoptomech.cli_runner import _HEAT_STOPS
 from nmoptomech.errors import NumericalFailure
 from nmoptomech.fock import FockOperators, RhoTrajectory, _run_rho
 from nmoptomech.gaussian_ent import _as_covariance
@@ -179,6 +182,30 @@ def midpoint_values(values):
 def midpoint_derivative(values, h):
     """Fourth-order derivative of a grid series at step midpoints."""
     return _apply_mid_stencil(values, _DMID_INTERIOR, _DMID_LEFT, _DMID_RIGHT) / h
+
+
+
+def _half_node(nodes, n, j):
+    """Half-node ``j`` of an ``n``-node grid from ``nodes(lo, hi)``, the
+    rows of nodes lo..hi-1."""
+    k, odd = divmod(j, 2)
+    if not odd:
+        return [r[0] for r in nodes(k, k + 1)]
+    if n < 4:
+        return [0.5 * (r[0] + r[1]) for r in nodes(k, k + 2)]
+    w = _MID_LEFT if k == 0 else _MID_RIGHT if k == n - 2 else _MID_INTERIOR
+    i = min(max(k - 1, 0), n - 4)
+    return [w @ r for r in nodes(i, i + 4)]
+
+
+def half_node_values(rows, j):
+    """Values of each coefficient row at half-node ``j`` of the refined
+    grid: node j/2 at even j, the 4th-order midpoint past node (j-1)/2 at
+    odd j, one step's stencil at a time.
+
+    Grids with fewer than four nodes fall back to the two-node average.
+    """
+    return _half_node(lambda lo, hi: [r[lo:hi] for r in rows], rows[0].shape[0], j)
 
 
 def _row_rhs(rows, fj, f5p, wm, delta, g):
@@ -355,3 +382,18 @@ def stepwise_doubled(rhs, y0, grid: TimeGrid, what):
                                    "for this step size; refine dt")
         out[kk + 1] = y
     return out
+
+
+def _fmt(x):
+    x = float(x)
+    if x == 0.0:
+        x = 0.0  # normalize -0.0
+    return format(x, ".17g")
+
+
+def _heat_color(u):
+    pos = min(max(u, 0.0), 1.0) * (len(_HEAT_STOPS) - 1)
+    i = min(int(pos), len(_HEAT_STOPS) - 2)
+    f = pos - i
+    rgb = [a + f * (b - a) for a, b in zip(_HEAT_STOPS[i], _HEAT_STOPS[i + 1])]
+    return "#" + "".join(f"{int(round(255 * c)):02x}" for c in rgb)

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nmoptomech.cli_runner import (_SCENARIOS, _SCHEMA, RunConfig, _custom_point,
-                                   _onset_time, main, parse_config)
+from nmoptomech.cli_runner import (_CSV_CHUNK, _SCENARIOS, _SCHEMA, RunConfig, _custom_point,
+                                   _heat_colors, _onset_time, _write_csv, _write_svg_heat,
+                                   main, parse_config)
 from nmoptomech.errors import ConfigError, NumericalFailure
 from nmoptomech.ocoeff import _SLAB_BUDGET
+from oracles import _fmt, _heat_color
 
 MINIMAL = """\
 [system]
@@ -694,3 +696,46 @@ def test_scan_table_headers(tmp_path):
     deltas = [f"{1 + k / 20:g}".replace(".", "p") for k in range(41)]  # 1, 1p05, ..., 3
     assert (_header(tmp_path / "fig5" / "fig5_en_grid_gamma1p5.csv")
             == "t," + ",".join(f"en_delta{d}" for d in deltas))
+
+
+_SPECIAL = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                     1.7976931348623157e308, 0.1, -1.0 / 3.0])
+
+
+@pytest.mark.parametrize("cols", [
+    [_SPECIAL, _SPECIAL[::-1], np.array([0, 1, -1, 2**53 + 1, 2**62, -2**63, 7, 8, 9, 10])],
+    [np.empty(0), np.empty(0, dtype=int)],
+    [np.arange(2 * _CSV_CHUNK + 5) - 7,
+     np.random.default_rng(3).standard_normal(2 * _CSV_CHUNK + 5)
+     * 10.0 ** np.random.default_rng(4).integers(-300, 300, 2 * _CSV_CHUNK + 5)],
+], ids=["special", "no-rows", "chunks"])
+def test_csv_writer_matches_the_value_by_value_format(tmp_path, cols):
+    # -0.0, nan, +-inf, the smallest subnormal, the largest double and
+    # integer columns; a file of the header only; more rows than a chunk
+    names = [f"c{i}" for i in range(len(cols))]
+    _write_csv(tmp_path / "t.csv", names, cols)
+    want = "".join(",".join(_fmt(x) for x in row) + "\n" for row in zip(*cols))
+    assert (tmp_path / "t.csv").read_bytes() == (",".join(names) + "\n" + want).encode()
+
+
+def test_heat_colors_match_the_cell_by_cell_colors():
+    # below 0, above 1, every stop, and in between
+    u = np.concatenate([[-1.0, -0.0, -1e-300, 1.0 + 1e-12, 2.0, 1e300], np.arange(11) / 10,
+                        np.random.default_rng(4).uniform(-0.1, 1.1, 500)])
+    assert [f"#{c:06x}" for c in _heat_colors(u).tolist()] == [_heat_color(x) for x in u]
+
+
+@pytest.mark.parametrize("Z", [np.random.default_rng(5).normal(size=(50, 21)),
+                               np.full((7, 3), 0.3)], ids=["random", "constant"])
+def test_heat_map_cells_match_the_cell_by_cell_writer(tmp_path, Z):
+    # a constant Z takes the hi <= lo branch: every cell at the first stop
+    _write_svg_heat(tmp_path / "h.svg", np.arange(Z.shape[1]), np.arange(len(Z)) * 0.1,
+                    Z, "title", "x", "y")
+    cells = [x for x in (tmp_path / "h.svg").read_text().split("\n") if 'fill="#' in x]
+    lo, hi = Z.min(), Z.max()
+    hi = hi if hi > lo else lo + 1.0
+    cw, ch = 630 / Z.shape[1], 390 / Z.shape[0]
+    assert cells == [f'<rect x="{70 + c * cw:.2f}" y="{430 - (r + 1) * ch:.2f}" '
+                     f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" '
+                     f'fill="{_heat_color((Z[r, c] - lo) / (hi - lo))}"/>'
+                     for r in range(Z.shape[0]) for c in range(Z.shape[1])]

@@ -8,19 +8,19 @@ import pytest
 from nmoptomech import ocoeff, stepping, thermal
 from nmoptomech.errors import NumericalFailure
 from nmoptomech.kernel import OUKernel
+from nmoptomech.moments import integrate_moments, vacuum
 from nmoptomech.ocoeff import ou_closed_blocks, solve_ou_closed
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import (
     TimeGrid,
     block_half_nodes,
     doubled_blocks,
-    half_node_values,
     march_doubled,
     march_driven,
     rk4_step,
     trapezoid_weights,
 )
-from oracles import midpoint_derivative, midpoint_values, stepwise_doubled
+from oracles import half_node_values, midpoint_derivative, midpoint_values, stepwise_doubled
 
 
 def test_grid_node_count_and_times():
@@ -258,6 +258,45 @@ def test_block_half_nodes_need_every_node():
     values(2)
     with pytest.raises(ValueError, match="end before node 3"):
         values(3)
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+@pytest.mark.parametrize("points", [(), (21,)])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 13, 257, 513])
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 256, 300])
+def test_block_stencil_is_the_stepwise_stencil_bit_for_bit(dtype, points, n, block):
+    # one stacked product per block against one w @ r per half-node: 1-D
+    # rows and rows of 21 points, complex or real, across block edges,
+    # short grids and a last block of one node (257, 513)
+    rng = np.random.default_rng(n + block)
+    shape = (n, *points)
+
+    def row():
+        r = rng.standard_normal(shape)
+        return r + 1j * rng.standard_normal(shape) if dtype is complex else r
+
+    rows = [row() for _ in range(4)]
+    values = block_half_nodes(([r[lo:lo + block] for r in rows]
+                               for lo in range(0, n, block)), n)
+    for j in range(2 * n - 1):
+        got, want = values(j), half_node_values(rows, j)
+        assert got.shape == (len(rows), *points)
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g, w)
+
+
+def test_moment_march_takes_one_stencil_product_per_block(monkeypatch):
+    # 3,001 nodes in 256-node blocks: one stacked interior product per
+    # block and the two edge stencils, not one product per half-node
+    real, calls = stepping._stencil, []
+    monkeypatch.setattr(stepping, "_stencil", lambda *a: calls.append(a) or real(*a))
+    grid = TimeGrid(dt=0.01, t_final=30.0)
+    systems = [LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)] * 2
+    kernels = [OUKernel(0.4, 1.0, w) for w in (0.0, 1.0)]
+    blocks = ou_closed_blocks(kernels, systems, grid)
+    integrate_moments(blocks, systems, vacuum(), grid, sink=lambda k0, states: None)
+    assert grid.n_points == 3001
+    assert len(calls) <= -(-grid.n_points // stepping._BLOCK) + 2
 
 
 def _spy(monkeypatch, module, name, seen):
