@@ -29,7 +29,6 @@ from .kernel import (
 )
 from .ocoeff import (
     OCoefficientSeries,
-    TwoTimeField,
     markov_series,
     solve_ou_closed,
     solve_two_time_grid,
@@ -49,7 +48,6 @@ from .gaussian_ent import (
 from .fock import (
     FockOperators,
     RhoTrajectory,
-    StatePath,
     AveragedEnsemble,
     build_operators,
     basis_state,
@@ -57,7 +55,6 @@ from .fock import (
     moments_from_rho,
     integrate_master,
     integrate_thermal_master,
-    propagate_paths,
     propagate_ensemble,
     average_trajectories,
 )
@@ -89,7 +86,6 @@ __all__ = [
     "read_kernel_table",
     "write_kernel_table",
     "OCoefficientSeries",
-    "TwoTimeField",
     "markov_series",
     "solve_ou_closed",
     "solve_two_time_grid",
@@ -103,7 +99,6 @@ __all__ = [
     "log_negativity",
     "FockOperators",
     "RhoTrajectory",
-    "StatePath",
     "AveragedEnsemble",
     "build_operators",
     "basis_state",
@@ -111,7 +106,6 @@ __all__ = [
     "moments_from_rho",
     "integrate_master",
     "integrate_thermal_master",
-    "propagate_paths",
     "propagate_ensemble",
     "average_trajectories",
     "EffectiveKernels",

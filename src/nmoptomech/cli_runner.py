@@ -363,6 +363,13 @@ def _f5_unread(scenario, temps):
     return None
 
 
+def _engine_unread(scenario):
+    """Why no point of a run reads [run] engine, or None if one does."""
+    if scenario == "fig2":
+        return "fig2 solves coefficients only and runs no state engine"
+    return None
+
+
 def _validate(scenario, v, src, resolved) -> RunConfig:
     dt, t_final = v[("grid", "dt")], v[("grid", "t_final")]
     if dt <= 0:
@@ -493,6 +500,9 @@ def _validate(scenario, v, src, resolved) -> RunConfig:
     why = _f5_unread(scenario, temps)
     if why and _user_set(src[("run", "include_f5")]):
         raise ConfigError(f"[run] include_f5 is read by no point of this run: {why}")
+    why = _engine_unread(scenario)
+    if why and _user_set(src[("run", "engine")]):
+        raise ConfigError(f"[run] engine is read by no point of this run: {why}")
 
     fields = {key: v[(sec, key)] for sec in ("bath", "grid", "run") for key in _SCHEMA[sec]}
     fields["out"] = fields["out"] or os.path.join("runs", scenario)
@@ -1019,13 +1029,16 @@ def _echo_text(cfg: RunConfig):
     # read back as file values, these lines would change the run or be
     # rejected, so they are echoed as comments: a preset gamma would narrow
     # the memory-rate scan of fig3 and fig5, and a [bath] key the kernel
-    # does not read, or include_f5 where no point reads it, is an error
+    # does not read, or engine or include_f5 where no point reads it, is
+    # an error
     unused = {("bath", key): f"the {cfg.kernel} kernel does not read it"
               for key in _KERNEL_KEYS["ou"] if key not in _KERNEL_KEYS[cfg.kernel]}
     if cfg.scenario in ("fig3", "fig5") and not _user_set(cfg.gamma_source):
         unused[("bath", "gamma")] = "the scenario scans its own memory rates"
     if why := _f5_unread(cfg.scenario, _temperatures(cfg.temperature, cfg.sweep)):
         unused[("run", "include_f5")] = why
+    if why := _engine_unread(cfg.scenario):
+        unused[("run", "engine")] = why
     lines = [f"# resolved configuration, scenario {cfg.scenario}"]
     current = None
     for sec, key, raw, source in cfg.resolved:

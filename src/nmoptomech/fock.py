@@ -11,8 +11,10 @@ unraveling
 
     d|psi>/dt = (-i H_S + b z*_t - b^dag Obar(t)) |psi>,
 
-whose unnormalized projectors average to rho, streamed
-(:func:`propagate_ensemble`) or path by path (:func:`propagate_paths`).
+whose unnormalized projectors average to rho, streamed a batch of
+paths at a time (:func:`propagate_ensemble`).  The batches reach their
+stored states through one sink hook (:func:`_march_batches`), so a
+caller that keeps every path's states needs no march of its own.
 States live on a (N_a, N_b) product of truncated ladders; a leakage
 monitor guards the truncation.
 
@@ -49,9 +51,7 @@ __all__ = [
     "RhoTrajectory",
     "integrate_master",
     "integrate_thermal_master",
-    "StatePath",
     "AveragedEnsemble",
-    "propagate_paths",
     "propagate_ensemble",
     "average_trajectories",
 ]
@@ -491,21 +491,6 @@ def integrate_thermal_master(Xij: ThermalOCoefficients, ops: FockOperators,
                     grid, rho0, ops, store_every, trace_tol, leak_tol)
 
 
-@dataclass(frozen=True)
-class StatePath:
-    """Stored (unnormalized) state vectors of an ensemble at
-    ``node_indices``, shape (paths, nodes, d)."""
-
-    grid: TimeGrid
-    dims: tuple
-    node_indices: np.ndarray
-    states: np.ndarray
-
-    @property
-    def final(self):
-        return self.states[..., -1, :]
-
-
 # a trajectory amplitude past this aborts the march (heavy-tailed norm)
 _NORM_CAP = 1e6
 
@@ -568,33 +553,6 @@ def _march_batches(F, ops, k, psi0, grid, n_paths, master_seed, batch_size,
         _propagate_states(F, ops, _noise_blocks(k, fine, seeds),
                           np.repeat(psi0, len(seeds), axis=1), grid, store_idx,
                           partial(sink, lo))
-
-
-def propagate_paths(F: OCoefficientSeries, ops: FockOperators,
-                    k, psi0, grid: TimeGrid, n_paths,
-                    master_seed, batch_size=512, store_every=0) -> StatePath:
-    """Propagate ``n_paths`` trajectories with per-path counter-based seeds
-    and keep every path's states.
-
-    Returns one StatePath whose states have shape (paths, nodes, d).
-    Path i always consumes the stream seeded by (master_seed, i), so for
-    an exponential or delta kernel the states are bitwise the same for
-    any ``batch_size``; a tabulated kernel's noise colouring rounds with
-    the batch width (see :func:`kernel._noise_blocks`), so its states
-    agree across batch sizes to rounding.  :func:`propagate_ensemble` gives
-    the mean with memory independent of the path count; this route and
-    :func:`average_trajectories` are its independent check.
-    """
-    store_idx = _store_nodes(grid.n_points, store_every)
-    # paths first: a batch touches only its own slice of the array
-    states = np.empty((n_paths, len(store_idx), ops.dim), dtype=complex)
-
-    def write(lo, i, psi):
-        states[lo:lo + psi.shape[1], i] = psi.T
-
-    _march_batches(F, ops, k, psi0, grid, n_paths, master_seed, batch_size,
-                   store_idx, write)
-    return StatePath(grid=grid, dims=ops.dims, node_indices=store_idx, states=states)
 
 
 @dataclass(frozen=True)
@@ -685,9 +643,10 @@ def propagate_ensemble(F: OCoefficientSeries, ops: FockOperators,
     return acc.average(grid, store_idx)
 
 
-def average_trajectories(ensemble: StatePath) -> AveragedEnsemble:
-    """Mean of |psi><psi| over a per-path ensemble (see
-    :func:`propagate_paths`), one matrix product per stored node.
+def average_trajectories(ensemble) -> AveragedEnsemble:
+    """Mean of |psi><psi| over a per-path ensemble, one matrix product per
+    stored node.  ``ensemble`` has ``grid``, ``node_indices`` and the
+    stored states ``states`` of shape (paths, nodes, d).
 
     The standard error of the projector trace (|psi|^2) is reported per
     node.

@@ -19,11 +19,11 @@ with boundary rows f1(t,t) = 1, f2(t,t) = f3(t,t) = f4(t,t) = 0,
 f5(t,t,s') = 0 and f5(t,s,t) = f2(t,s).
 
 Two solvers produce the F series, and the kernel's type picks one
-(:func:`solve_ocoeff`): an :class:`OUKernel` takes the closed ODE system
-(the fast path), any other kernel the two-time-grid march (the oracle,
-valid for every kernel with pointwise values).  The grid route takes a
-:class:`DeltaKernel` to its exact series: F1 = Gamma/2 identically,
-every other coefficient zero.
+(:func:`solve_ocoeff`): an :class:`OUKernel` takes the closed ODE system,
+any other kernel the two-time-grid march, which is valid for every kernel
+with pointwise values and is the route of every tabulated kernel.  The
+grid route takes a :class:`DeltaKernel` to its exact series: F1 = Gamma/2
+identically, every other coefficient zero.
 """
 
 import ctypes
@@ -45,7 +45,6 @@ from .stepping import (
 
 __all__ = [
     "OCoefficientSeries",
-    "TwoTimeField",
     "solve_two_time_grid",
     "ou_closed_blocks",
     "solve_ou_closed",
@@ -122,8 +121,7 @@ class OCoefficientSeries:
     """F series on a uniform grid.
 
     F5 is None when the run was asked to skip the memory-kernel
-    correction term.  ``fields`` carries the two-time solution when the
-    grid solver was asked to keep it (diagnostics only).
+    correction term.
     """
 
     grid: TimeGrid
@@ -133,31 +131,11 @@ class OCoefficientSeries:
     F4: np.ndarray
     F5: np.ndarray
     provenance: str
-    fields: "TwoTimeField" = None
 
     def point(self, p):
         """Series of point ``p`` of a batched solve, as views."""
         return replace(self, **{f: None if getattr(self, f) is None
                                 else getattr(self, f)[:, p] for f in _ROWS})
-
-
-@dataclass(frozen=True)
-class TwoTimeField:
-    """Stored two-time solution f_j(t_k, s_l), l <= k, plus F5'(t_k, s_l).
-
-    ``f5_slab`` is the n x n (s, s') slab at the final time (stored
-    fields keep the march's full memory, so its slab buffer never slides);
-    both are None without f5.  Row k of each f_j holds s-nodes 0..k, zero
-    past them.
-    """
-
-    grid: TimeGrid
-    f1: np.ndarray
-    f2: np.ndarray
-    f3: np.ndarray
-    f4: np.ndarray
-    f5_prime: np.ndarray
-    f5_slab: np.ndarray
 
 
 def markov_series(Gamma, grid: TimeGrid, include_f5=True) -> OCoefficientSeries:
@@ -190,7 +168,7 @@ def _row_matrix(F, wm, delta, g):
 
 
 def _two_time_march(coupling, bc, kernels, grid, with_slab=False,
-                    store_fields=False, what="coefficient march"):
+                    what="coefficient march"):
     """The two-time grid march of B baths with boundary rows ``bc`` (B, 4).
 
     The s-rows y (B, 4, rows) of every bath evolve under one 4 x 4 matrix
@@ -201,8 +179,8 @@ def _two_time_march(coupling, bc, kernels, grid, with_slab=False,
     the exact boundary-node contribution.  Only the last m rows are
     marched: m is one past the last lag at which a sampled kernel value
     (node or half-node) is nonzero, so older rows carry zero weight at
-    every later step (m = n for an exponential kernel, for a table without
-    a zero tail, and with ``store_fields``).
+    every later step (m = n for an exponential kernel and for a table
+    without a zero tail).
 
     With ``with_slab`` (one bath) the f5 slab S gives, at each step, the
     node F5' row and the step's two stage F5' products, W @ S with the
@@ -218,10 +196,8 @@ def _two_time_march(coupling, bc, kernels, grid, with_slab=False,
     rows and columns, slot i for node ``base + i``: right after a fold,
     when nothing is pending, the window [L - m, L] moves to slot 0, so a
     kernel of finite support needs O(n + m²) memory.  The storage guard
-    counts the M x M slab and, with ``store_fields``, the n x n arrays.
-    Returns the node averages (n, B, 4), F5 (None without the slab), and
-    with ``store_fields`` the (n, n) rows of every bath in order, the F5'
-    rows and the last slab.
+    counts the M x M slab.  Returns the node averages (n, B, 4) and F5
+    (None without the slab).
     """
     n = grid.n_points
     dt = grid.dt
@@ -230,13 +206,11 @@ def _two_time_march(coupling, bc, kernels, grid, with_slab=False,
     # an exponential kernel remembers the whole grid: its samples underflow
     # to zero only far out, which must not shrink the storage counted below
     m = n
-    if not (store_fields or any(isinstance(k, OUKernel) for k in kernels)):
+    if not any(isinstance(k, OUKernel) for k in kernels):
         m = 1 + max(int(np.flatnonzero(k.alpha(tau)).max(initial=0))
                     for k in kernels for tau in (t, t + 0.5 * dt))
     M = min(n, m + _DELAY + 1) if with_slab else 0
-    # complex arrays: the M x M slab; with store_fields every bath's rows and
-    # the F5' rows, n x n each
-    need = 16 * (M * M + (4 * nb + int(with_slab)) * n * n * int(store_fields))
+    need = 16 * M * M  # the complex M x M slab
     if need > _SLAB_BUDGET:
         raise NumericalFailure(
             f"two-time storage would need {need/1e9:.1f} GB, over the "
@@ -262,17 +236,13 @@ def _two_time_march(coupling, bc, kernels, grid, with_slab=False,
     Y = np.zeros((nb, 4, n), dtype=complex)
     Y[:, :, 0] = bc
     X = np.zeros((n, nb, 4), dtype=complex)
-    F5 = S = f5p_hist = None
+    F5 = S = None
     held, held_lo = 0, 0  # pending pairs, and the first row or column they touch
     if with_slab:
         F5, S = np.zeros(n, complex), np.zeros((M, M), complex)
         U, V = np.zeros((M, 4 * _DELAY), complex), np.zeros((4 * _DELAY, M), complex)
         Wbuf, Rbuf = np.empty((2, 3 * reads, M), complex)
         base = 0  # the node of buffer slot 0
-    if store_fields:
-        rows_hist = np.zeros((nb, 4, n, n), dtype=complex)
-        rows_hist[:, :, 0, 0] = bc
-        f5p_hist = np.zeros((n, n), dtype=complex) if with_slab else None
     w = w1 = None
 
     def weights(kk):
@@ -328,8 +298,6 @@ def _two_time_march(coupling, bc, kernels, grid, with_slab=False,
             P += (W @ U[a:b, held0:held]) @ V[held0:held, a:b]
         F5[k] = P[0] @ W[0]
         check(k)
-        if store_fields:
-            f5p_hist[k, lo:k + 1] = P[0]
         return P
 
     def fold(L):
@@ -401,19 +369,17 @@ def _two_time_march(coupling, bc, kernels, grid, with_slab=False,
             Y[:, :, L] = bc
             kw1 = [w_next * a[kk + 1 - lo::-1] for a in lag]
             X[kk + 1] = average(Y[:, :, lo:L + 1], kw1)
-            if store_fields:
-                rows_hist[:, :, kk + 1, :L + 1] = Y[:, :, :L + 1]
             check(kk + 1)
         if with_slab:
             fold(L)
             lo = max(0, n - m)
             W = (trapezoid_weights(n, dt, lo) * lag[0][n - 1 - lo::-1])[None]
             node_f5(n - 1, lo, W, n - 1, lo, read(n - 1, lo, W))
-    return X, F5, (*rows_hist.reshape(4 * nb, n, n), f5p_hist, S) if store_fields else None
+    return X, F5
 
 
 def solve_two_time_grid(k, sys: LinearizedSystem, grid: TimeGrid,
-                        include_f5=True, store_fields=False) -> OCoefficientSeries:
+                        include_f5=True) -> OCoefficientSeries:
     """March the two-time system and quadrature the F series.
 
     Works for any kernel with pointwise values; the march is
@@ -424,13 +390,12 @@ def solve_two_time_grid(k, sys: LinearizedSystem, grid: TimeGrid,
     if isinstance(k, DeltaKernel):
         return markov_series(k.Gamma, grid, include_f5=include_f5)
     wm, delta, g = sys.omega_m, sys.Delta, sys.G
-    X, F5, stored = _two_time_march(lambda x: _row_matrix(x[0], wm, delta, g),
-                                    _BC[None], [k], grid, include_f5, store_fields)
+    X, F5 = _two_time_march(lambda x: _row_matrix(x[0], wm, delta, g),
+                            _BC[None], [k], grid, include_f5)
     F = np.ascontiguousarray(X[:, 0].T)
-    fields = TwoTimeField(grid, *stored) if store_fields else None
     return OCoefficientSeries(
         grid=grid, F1=F[0], F2=F[1], F3=F[2], F4=F[3], F5=F5,
-        provenance="two-time-grid", fields=fields,
+        provenance="two-time-grid",
     )
 
 

@@ -122,6 +122,10 @@ def block_half_nodes(blocks, n):
     current block and the stencil's older nodes (at most three) are
     held, with the interior midpoints that they allow, all from one
     :func:`_stencil` product per block.
+
+    Every row of every block has one dtype, else ``ValueError``: the rows
+    are held in one array, so a complex row would promote a real one,
+    whose midpoints would then no longer be its own ``w @ r``.
     """
     blocks = iter(blocks)
     held = mids = None  # (rows, nodes, points): nodes base.., midpoints base + 1..
@@ -133,6 +137,10 @@ def block_half_nodes(blocks, n):
             new = next(blocks, None)
             if new is None:
                 raise ValueError(f"the coefficient blocks end before node {last}")
+            dtypes = {r.dtype for r in new} | ({held.dtype} if held is not None else set())
+            if len(dtypes) > 1:
+                raise ValueError("coefficient rows mix dtypes "
+                                 f"{', '.join(sorted(map(str, dtypes)))}")
             shape = new[0].shape[1:]
             # no stencil to come reaches back past the last three nodes
             keep = 0 if held is None else min(held.shape[1], 3)

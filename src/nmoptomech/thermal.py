@@ -323,8 +323,8 @@ def _solve_thermal_grid(pair, sys, grid):
     the march rejects it.
     """
     wm, delta, g = sys.omega_m, sys.Delta, sys.G
-    X, _, _ = _two_time_march(lambda x: _coupling_matrix(x, wm, delta, g), _BC, pair,
-                              grid, what="thermal coefficient march")
+    X, _ = _two_time_march(lambda x: _coupling_matrix(x, wm, delta, g), _BC, pair,
+                           grid, what="thermal coefficient march")
     return ThermalOCoefficients(grid=grid, X=X, provenance="two-time-grid")
 
 

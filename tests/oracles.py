@@ -6,11 +6,17 @@ package calls them.
 the moment engine; the eigenvalue routes cross-check the closed-form
 symplectic read-out, the whole-series midpoint stencils the step-wise
 ``half_node_values`` and that the block stencil of
-``stepping.block_half_nodes``, ``consistency_residual`` and
-``boundary_residual`` the stored two-time rows, the elementwise row
-equations of ``_row_rhs`` the coupling product of the grid march, the dense
-``integrate_lindblad`` (run through the compact parity layout of the
-march) the band generators, the whole-array
+``stepping.block_half_nodes``, the elementwise row equations of
+``_row_rhs`` the coupling product of the grid march, the per-step
+``reference_march`` (every s-row from node 0 and the whole n x n f5 slab
+each step, driven by ``_row_rhs`` or, for a thermal pair, by
+``thermal._coupling_matrix``) the windowed, delayed-fold grid march of
+``ocoeff`` and ``thermal``, ``consistency_residual`` and
+``boundary_residual`` the two-time rows that the reference march stores,
+the dense ``integrate_lindblad`` (run through the compact parity layout of
+the march) the band generators, ``propagate_paths`` with its per-path
+``StatePath`` (run on the sink hook ``fock._march_batches``) and
+``fock.average_trajectories`` the streamed ensemble mean, the whole-array
 ``whole_noise_batch`` the blocked noise sampler,
 ``dense_operator_products`` the single-mode set-up of the number basis,
 and the step-by-step guard of ``stepwise_doubled`` the block guard of
@@ -19,17 +25,33 @@ density-matrix march.  The value-by-value ``_fmt`` and ``_heat_color``
 check the array writers of the command line's CSV and heat-map files.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.linalg import expm
 
 from nmoptomech.cli_runner import _HEAT_STOPS
 from nmoptomech.errors import NumericalFailure
-from nmoptomech.fock import FockOperators, RhoTrajectory, _run_rho
+from nmoptomech.fock import (
+    FockOperators,
+    RhoTrajectory,
+    _march_batches,
+    _run_rho,
+    _store_nodes,
+)
 from nmoptomech.gaussian_ent import _as_covariance
 from nmoptomech.kernel import DeltaKernel, TabulatedKernel, _cholesky_factor
-from nmoptomech.ocoeff import OCoefficientSeries, TwoTimeField
+from nmoptomech.ocoeff import _BC, OCoefficientSeries
 from nmoptomech.params import LinearizedSystem
-from nmoptomech.stepping import TimeGrid, _MID_INTERIOR, _MID_LEFT, _MID_RIGHT, rk4_step
+from nmoptomech.stepping import (
+    TimeGrid,
+    _MID_INTERIOR,
+    _MID_LEFT,
+    _MID_RIGHT,
+    rk4_step,
+    trapezoid_weights,
+)
+from nmoptomech.thermal import _BC as _THERMAL_BC, _coupling_matrix
 
 LADDER_LABELS = (
     "a", "ad", "b", "bd",
@@ -222,6 +244,128 @@ def _row_rhs(rows, fj, f5p, wm, delta, g):
     return np.stack([d1, d2, d3, d4])
 
 
+@dataclass(frozen=True)
+class TwoTimeField:
+    """Stored two-time solution f_j(t_k, s_l), l <= k, plus F5'(t_k, s_l).
+
+    ``f5_slab`` is the n x n (s, s') slab at the final time; both are None
+    without f5.  Row k of each f_j holds s-nodes 0..k, zero past them.
+    """
+
+    grid: TimeGrid
+    f1: np.ndarray
+    f2: np.ndarray
+    f3: np.ndarray
+    f4: np.ndarray
+    f5_prime: np.ndarray
+    f5_slab: np.ndarray
+
+
+def reference_march(row_rhs, bc, kernels, grid, with_slab=False, store_fields=False):
+    """The per-step two-time grid march of B baths with boundary rows
+    ``bc`` (B, 4), the reference for ``ocoeff._two_time_march``.
+
+    ``row_rhs(y, x, v)`` is the time derivative of the s-rows ``y``
+    (B, 4, L) at the kernel averages ``x`` (B, 4) and the F5' row ``v``.
+    Each step is one :func:`rk4_step` over every s-row since node 0; the
+    stage averages are re-quadratured from the stage rows with half-node
+    kernel weights plus the exact boundary-node contribution.  With
+    ``with_slab`` (one bath) the stages record their (f1 row, F5' row)
+    pairs and the n x n f5 slab takes their weighted outer products once
+    per step, and each step reads the whole slab.  Returns the node
+    averages (n, B, 4), F5 (None without the slab), and with
+    ``store_fields`` the (n, n) rows of every bath in order, the F5' rows
+    and the last slab.
+    """
+    n = grid.n_points
+    dt = grid.dt
+    nb = len(kernels)
+    t = grid.times()
+    lag = [np.asarray(k.alpha(t), dtype=complex) for k in kernels]
+    half = [np.asarray(k.alpha(t + 0.5 * dt), dtype=complex) for k in kernels]
+    bw2 = np.array([0.25 * dt * a[0] * b for a, b in zip(lag, bc)])
+    bw4 = np.array([0.5 * dt * a[0] * b for a, b in zip(lag, bc)])
+    wgt = (dt / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
+
+    def average(y, kw):
+        return np.array([y[i] @ kw[i] for i in range(nb)])
+
+    Y = np.zeros((nb, 4, n), dtype=complex)
+    Y[:, :, 0] = bc
+    X = np.zeros((n, nb, 4), dtype=complex)
+    F5 = S = f5p = f5p_hist = None
+    if with_slab:
+        F5, f5p, S = np.zeros(n, complex), np.zeros(n, complex), np.zeros((n, n), complex)
+    if store_fields:
+        rows_hist = np.zeros((nb, 4, n, n), dtype=complex)
+        rows_hist[:, :, 0, 0] = bc
+        f5p_hist = np.zeros((n, n), dtype=complex) if with_slab else None
+    for kk in range(n - 1):
+        L = kk + 1
+        w = trapezoid_weights(L, dt)
+        kw2 = [np.append(w[:-1], w[-1] + 0.25 * dt) * h[kk::-1] for h in half]
+        kw4 = [np.append(w[:-1], w[-1] + 0.5 * dt) * a[kk + 1:0:-1] for a in lag]
+        us, vs = [], []
+        b_half, b_end = (np.vstack([kw2[0], kw4[0]]) @ S[:L, :L] if with_slab
+                         else (None, None))
+
+        def stage(kw=None, bw=None, b=None, c=None):
+            # kw None: the step's first stage, at the node
+            def f(y):
+                x = X[kk] if kw is None else average(y, kw) + bw
+                v = None
+                if with_slab:
+                    v = f5p[:L].copy() if kw is None else b + c * (kw[0] @ us[-1]) * vs[-1]
+                    us.append(y[0, 0])
+                    vs.append(v)
+                return row_rhs(y, x, v)
+            return f
+
+        step = rk4_step(Y[:, :, :L], dt, stage(), stage(kw2, bw2, b_half, 0.5 * dt),
+                        stage(kw4, bw4, b_end, dt))
+        if with_slab:
+            S[:L, :L] += (np.stack(us, axis=1) * wgt) @ np.stack(vs, axis=0)
+        Y[:, :, :L] = step
+        Y[:, :, L] = bc
+        kw1 = [trapezoid_weights(L + 1, dt) * a[kk + 1::-1] for a in lag]
+        X[kk + 1] = average(Y[:, :, :L + 1], kw1)
+        if with_slab:
+            S[:L, L] = Y[0, 1, :L]
+            f5p[:L + 1] = kw1[0] @ S[:L + 1, :L + 1]
+            F5[kk + 1] = f5p[:L + 1] @ kw1[0]
+        if store_fields:
+            rows_hist[:, :, kk + 1, :L + 1] = Y[:, :, :L + 1]
+            if with_slab:
+                f5p_hist[kk + 1, :L + 1] = f5p[:L + 1]
+    return X, F5, (*rows_hist.reshape(4 * nb, n, n), f5p_hist, S) if store_fields else None
+
+
+def reference_two_time_grid(k, sys: LinearizedSystem, grid: TimeGrid,
+                            include_f5=True, store_fields=False):
+    """The reference march of one bath on the elementwise row equations
+    of :func:`_row_rhs`: the F series and, with ``store_fields``, the
+    stored :class:`TwoTimeField` (else None)."""
+    wm, delta, g = sys.omega_m, sys.Delta, sys.G
+    X, F5, stored = reference_march(
+        lambda y, x, v: _row_rhs(y[0], x[0], v, wm, delta, g)[None],
+        _BC[None], [k], grid, include_f5, store_fields)
+    F = X[:, 0].T
+    series = OCoefficientSeries(grid=grid, F1=F[0], F2=F[1], F3=F[2], F4=F[3], F5=F5,
+                                provenance="two-time-grid")
+    return series, TwoTimeField(grid, *stored) if store_fields else None
+
+
+def reference_thermal_grid(pair, sys: LinearizedSystem, grid: TimeGrid):
+    """The reference march of both baths of a thermal pair through
+    ``thermal._coupling_matrix``: the averages X (n, 2, 4)."""
+    wm, delta, g = sys.omega_m, sys.Delta, sys.G
+
+    def row_rhs(rows, x, _):
+        return np.einsum("jk,ikl->ijl", _coupling_matrix(x, wm, delta, g), rows)
+
+    return reference_march(row_rhs, _THERMAL_BC, pair, grid)[0]
+
+
 def consistency_residual(series: OCoefficientSeries, fields: TwoTimeField,
                          sys: LinearizedSystem) -> float:
     """Max-norm residual of the coefficient equations at off-grid midpoints.
@@ -309,6 +453,48 @@ def trace_distance(r1, r2):
     d = np.asarray(r1) - np.asarray(r2)
     d = 0.5 * (d + d.conj().T)
     return float(0.5 * np.abs(np.linalg.eigvalsh(d)).sum())
+
+
+@dataclass(frozen=True)
+class StatePath:
+    """Stored (unnormalized) state vectors of an ensemble at
+    ``node_indices``, shape (paths, nodes, d)."""
+
+    grid: TimeGrid
+    dims: tuple
+    node_indices: np.ndarray
+    states: np.ndarray
+
+    @property
+    def final(self):
+        return self.states[..., -1, :]
+
+
+def propagate_paths(F: OCoefficientSeries, ops: FockOperators,
+                    k, psi0, grid: TimeGrid, n_paths,
+                    master_seed, batch_size=512, store_every=0) -> StatePath:
+    """Propagate ``n_paths`` trajectories with per-path counter-based seeds
+    and keep every path's states.
+
+    Returns one StatePath whose states have shape (paths, nodes, d).
+    Path i always consumes the stream seeded by (master_seed, i), so for
+    an exponential or delta kernel the states are bitwise the same for
+    any ``batch_size``; a tabulated kernel's noise colouring rounds with
+    the batch width (see :func:`kernel._noise_blocks`), so its states
+    agree across batch sizes to rounding.  :func:`propagate_ensemble` gives
+    the mean with memory independent of the path count; this route and
+    :func:`average_trajectories` are its independent check.
+    """
+    store_idx = _store_nodes(grid.n_points, store_every)
+    # paths first: a batch touches only its own slice of the array
+    states = np.empty((n_paths, len(store_idx), ops.dim), dtype=complex)
+
+    def write(lo, i, psi):
+        states[lo:lo + psi.shape[1], i] = psi.T
+
+    _march_batches(F, ops, k, psi0, grid, n_paths, master_seed, batch_size,
+                   store_idx, write)
+    return StatePath(grid=grid, dims=ops.dims, node_indices=store_idx, states=states)
 
 
 def _standard_draws(grid, seeds):

@@ -19,7 +19,6 @@ from nmoptomech.fock import (
     integrate_master,
     integrate_thermal_master,
     projector,
-    propagate_paths,
 )
 from nmoptomech.gaussian_ent import log_negativity
 from nmoptomech.kernel import DeltaKernel, OUKernel
@@ -35,6 +34,7 @@ from nmoptomech.thermal import (
 )
 from oracles import (
     integrate_lindblad,
+    propagate_paths,
     pt_min_symplectic_eigenvalue,
     random_physical_covariance,
     trace_distance,

@@ -485,20 +485,22 @@ _WARM = "[bath]\ntemperature = {}\n[run]\nengine = fock-master\ninclude_f5 = fal
 _T_SWEEP = "[sweep]\nparameter = temperature\nvalues = {}\n"
 
 
-@pytest.mark.parametrize("scenario, text, flags", [
-    ("fig2", "[run]\ninclude_f5 = false\n", ("--dt", "0.5")),
-    ("custom", _SYSTEM + _WARM.format(0.5), ("--tfinal", "0.2")),
+@pytest.mark.parametrize("scenario, text, flags, key", [
+    ("fig2", "[run]\ninclude_f5 = false\n", ("--dt", "0.5"), "include_f5"),
+    ("custom", _SYSTEM + _WARM.format(0.5), ("--tfinal", "0.2"), "include_f5"),
     ("custom", _SYSTEM + _WARM.format(0.0).replace("false", "true") + _T_SWEEP.format("0.1, 0.2"),
-     ("--tfinal", "0.2")),
-], ids=["fig2", "finite-temperature", "warm-temperature-sweep"])
+     ("--tfinal", "0.2"), "include_f5"),
+    ("fig2", "[run]\nengine = trajectories\n", ("--dt", "0.5"), "engine"),
+], ids=["fig2", "finite-temperature", "warm-temperature-sweep", "fig2-engine"])
 def test_exit_code_two_on_an_include_f5_that_no_point_reads(tmp_path, capsys, scenario,
-                                                           text, flags):
-    # fig2 always solves F5 for its ratio; the thermal coefficients have none
+                                                           text, flags, key):
+    # fig2 always solves F5 for its ratio and runs no state engine; the
+    # thermal coefficients have no F5
     p = tmp_path / "c.cfg"
     p.write_text(text)
     assert main(["run", "--scenario", scenario, "--config", str(p),
                  "--out", str(tmp_path / "o"), *flags]) == 2
-    assert "[run] include_f5 is read by no point" in capsys.readouterr().err
+    assert f"[run] {key} is read by no point" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
     # a zero-temperature point of a sweep reads it
     assert not parse_config(_SYSTEM + _WARM.format(0.0) + _T_SWEEP.format("0, 0.1")).include_f5

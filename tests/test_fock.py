@@ -21,7 +21,6 @@ from nmoptomech.fock import (
     moments_from_rho,
     projector,
     propagate_ensemble,
-    propagate_paths,
 )
 from nmoptomech.kernel import (
     DeltaKernel,
@@ -38,6 +37,7 @@ from oracles import (
     dense_operator_products,
     integrate_lindblad,
     midpoint_values,
+    propagate_paths,
     rho_at,
     to_quadratures,
     trace_distance,

@@ -29,7 +29,13 @@ from nmoptomech.ocoeff import (
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import TimeGrid
 from nmoptomech.thermal import _solve_thermal_grid
-from oracles import _row_rhs, boundary_residual, consistency_residual
+from oracles import (
+    _row_rhs,
+    boundary_residual,
+    consistency_residual,
+    reference_thermal_grid,
+    reference_two_time_grid,
+)
 
 SYS = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)
 OU = OUKernel(Gamma=2.0, gamma=0.6, Omega=0.0)
@@ -113,9 +119,8 @@ def test_grid_solver_handles_tabulated_kernel():
 
 def test_two_time_field_boundary_conditions():
     grid = TimeGrid(dt=0.02, t_final=3.0)
-    F = solve_two_time_grid(OU, SYS, grid,
-                            store_fields=True)
-    res = boundary_residual(F.fields)
+    _, fields = reference_two_time_grid(OU, SYS, grid, store_fields=True)
+    res = boundary_residual(fields)
     assert res < 1e-12
 
 
@@ -123,9 +128,8 @@ def test_consistency_residual_small():
     # trapezoid re-quadrature of the stored field reproduces the series;
     # the check itself is lower order than the solver, hence the bound
     grid = TimeGrid(dt=0.01, t_final=3.0)
-    F = solve_two_time_grid(OU, SYS, grid,
-                            store_fields=True)
-    assert consistency_residual(F, F.fields, SYS) < 1e-5
+    F, fields = reference_two_time_grid(OU, SYS, grid, store_fields=True)
+    assert consistency_residual(F, fields, SYS) < 1e-5
 
 
 def test_dispatcher_routes_by_variant():
@@ -158,22 +162,18 @@ def test_stiffness_guard_raises():
         solve_ou_closed(k, SYS, grid)
 
 
-@pytest.mark.parametrize("store_fields, include_f5, arrays", [
-    (False, True, 1), (True, True, 6), (True, False, 4)])
-def test_two_time_storage_guard_raises_before_allocating(store_fields, include_f5,
-                                                         arrays):
-    # the smallest grid whose n x n complex arrays exceed the budget; one
+def test_two_time_storage_guard_raises_before_allocating():
+    # the smallest grid whose n x n complex slab exceeds the budget; one
     # node fewer fits, but that side would allocate about 2 GB
-    n = math.isqrt(_SLAB_BUDGET // (16 * arrays)) + 1
-    assert 16 * arrays * (n - 1) ** 2 <= _SLAB_BUDGET < 16 * arrays * n ** 2
+    n = math.isqrt(_SLAB_BUDGET // 16) + 1
+    assert 16 * (n - 1) ** 2 <= _SLAB_BUDGET < 16 * n ** 2
     grid = TimeGrid(dt=1.0, t_final=float(n - 1))
     assert grid.n_points == n
     tracemalloc.start()
     try:
         with pytest.raises(NumericalFailure, match=f"two-time storage would need "
-                           f"{16 * arrays * n * n / 1e9:.1f} GB"):
-            solve_two_time_grid(OU, SYS, grid,
-                                include_f5=include_f5, store_fields=store_fields)
+                           f"{16 * n * n / 1e9:.1f} GB"):
+            solve_two_time_grid(OU, SYS, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -209,21 +209,68 @@ def test_delayed_slab_update_matches_per_step_fold(monkeypatch, steps, finite):
     runs = []
     for delay in (oc._DELAY, 1):
         monkeypatch.setattr(oc, "_DELAY", delay)
-        runs.append((solve_two_time_grid(k, SYS, grid),
-                     solve_two_time_grid(k, SYS, grid, store_fields=True)))
-    (F, Fs), (G, Gs) = runs
+        runs.append(solve_two_time_grid(k, SYS, grid))
+    F, G = runs
     for name in ("F1", "F2", "F3", "F4", "F5"):
         assert np.max(np.abs(getattr(F, name) - getattr(G, name))) <= 1e-13
-        assert np.max(np.abs(getattr(Fs, name) - getattr(G, name))) <= 1e-13
-    for name in ("f5_slab", "f5_prime"):
-        assert np.max(np.abs(getattr(Fs.fields, name) - getattr(Gs.fields, name))) <= 1e-13
-    # the column writes, which both runs share: the last slab column is f2,
-    # and F5 follows the closed route (1.5% apart at 15 steps; without the
-    # writes F5 stays zero)
-    assert boundary_residual(Fs.fields) < 1e-12
+    # the column writes, which both runs share: F5 follows the closed route
+    # (1.5% apart at 15 steps; without the writes F5 stays zero).  The
+    # reference march checks them on these grids too
     if not finite:
         Fc = solve_ou_closed(OU, SYS, grid)
         assert np.max(np.abs(F.F5 - Fc.F5)) < 0.05 * np.max(np.abs(Fc.F5))
+
+
+def _assert_rows_agree(fast, ref, tol=1e-13):
+    # every row relative to its own scale
+    for a, b in zip(fast, ref, strict=True):
+        assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
+
+
+_SUPPORT_GRIDS = {
+    # steps and support: the slide, pending pairs at the end and a partial
+    # read block; a grid shorter than one fold block; a window longer than a
+    # fold block; a window shorter than a read block
+    "slide-fold": (2 * oc._DELAY + oc._DELAY // 2 + 3, 0.6),
+    "short": (oc._DELAY // 2 - 1, 0.6),
+    "long-window": (4 * oc._DELAY + 9, 1.0),
+    "short-window": (2 * oc._DELAY + 5, 0.1),
+}
+
+
+@pytest.mark.parametrize("case", ["ou", "ou-no-f5", "ou-slide-fold", "ou-short",
+                                  *_SUPPORT_GRIDS])
+def test_grid_march_matches_the_reference_march(case):
+    # the windowed march with its delayed, blocked slab reads and folds
+    # against the per-step march over every s-row and the whole slab
+    steps, support = _SUPPORT_GRIDS.get(case.removeprefix("ou-"), (300, None))
+    grid = TimeGrid(dt=0.02, t_final=0.02 * steps)
+    k = OU
+    if not case.startswith("ou"):
+        k = _support_table(grid.t_final, grid.dt, support)
+        n, m = grid.n_points, _memory_nodes(k, grid)
+        if case != "short":
+            assert sum(L > m for L in range(oc._DELAY, n, oc._DELAY)) >= 1
+            assert (n - 1) % oc._DELAY % (oc._DELAY // oc._READS)
+    include_f5 = case != "ou-no-f5"
+    F = solve_two_time_grid(k, SYS, grid, include_f5=include_f5)
+    R, _ = reference_two_time_grid(k, SYS, grid, include_f5=include_f5)
+    names = ("F1", "F2", "F3", "F4", "F5")[:5 if include_f5 else 4]
+    _assert_rows_agree([getattr(F, f) for f in names], [getattr(R, f) for f in names])
+    assert (F.F5 is None) is (not include_f5)
+
+
+@pytest.mark.parametrize("windowed", [True, False])
+def test_thermal_grid_march_matches_the_reference_march(windowed):
+    # two baths of different support slide one window; with an exponential
+    # partner the march keeps every row
+    grid = TimeGrid(dt=0.02, t_final=0.02 * (4 * oc._DELAY + 9))
+    first = _support_table(grid.t_final, grid.dt, 1.0)
+    second = (_support_table(grid.t_final, grid.dt, 0.6, scale=0.3) if windowed
+              else OUKernel(Gamma=0.6, gamma=0.9, Omega=0.5))
+    X = _solve_thermal_grid((first, second), SYS, grid).X
+    R = reference_thermal_grid((first, second), SYS, grid)
+    _assert_rows_agree(X.reshape(len(X), -1).T, R.reshape(len(R), -1).T)
 
 
 def test_row_coupling_product_matches_the_elementwise_equations():

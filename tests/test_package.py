@@ -1,6 +1,7 @@
 """The public surface: every name that an ``__all__`` lists exists, every
 call that the benchmark tracer wraps is still there, and no oracle ships."""
 
+import dataclasses
 import importlib
 import inspect
 import os
@@ -65,16 +66,21 @@ def test_import_loads_no_scipy():
 
 @pytest.mark.parametrize("module", _MODULES)
 def test_single_path_route_and_oracles_are_gone(module):
-    # the oracles live in tests/oracles.py; propagate_paths gives one path
+    # the oracles, the per-path trajectory route and the stored two-time
+    # fields live in tests/oracles.py
     gone = ("propagate_trajectory", "NoisePath", "sample_noise_path", "integrate_lindblad",
             "consistency_residual", "midpoint_values", "midpoint_derivative",
             "min_symplectic_eigenvalue", "pt_min_symplectic_eigenvalue",
-            "two_mode_squeezed_covariance", "trace_distance")
+            "two_mode_squeezed_covariance", "trace_distance",
+            "propagate_paths", "StatePath", "TwoTimeField")
     module = importlib.import_module(module)
     assert [n for n in gone if hasattr(module, n)] == []
     assert not hasattr(getattr(module, "MomentTrajectory", None), "en_at")
     assert not hasattr(getattr(module, "RhoTrajectory", None), "rho_at")
-    assert not hasattr(getattr(module, "OCoefficientSeries", None), "batch")
-    assert not hasattr(getattr(module, "TwoTimeField", None), "boundary_residual")
+    series = getattr(module, "OCoefficientSeries", None)
+    assert not hasattr(series, "batch")
+    assert series is None or "fields" not in {f.name for f in dataclasses.fields(series)}
+    grid_march = getattr(module, "solve_two_time_grid", None)
+    assert grid_march is None or "store_fields" not in inspect.signature(grid_march).parameters
     thermal = getattr(module, "ThermalOCoefficients", None)
     assert not hasattr(thermal, "X1") and not hasattr(thermal, "X2")

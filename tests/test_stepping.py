@@ -285,6 +285,25 @@ def test_block_stencil_is_the_stepwise_stencil_bit_for_bit(dtype, points, n, blo
             assert np.array_equal(g, w)
 
 
+@pytest.mark.parametrize("split", [False, True])
+def test_block_half_nodes_refuse_rows_of_mixed_dtypes(split):
+    # one real row among complex ones would be promoted to complex, in one
+    # block or across two
+    n = 40
+    rng = np.random.default_rng(3)
+    rows = [rng.standard_normal((n, 21)) + 1j * rng.standard_normal((n, 21))
+            for _ in range(3)]
+    rows.insert(1, rng.standard_normal((n, 21)))
+    if split:  # a real first block, then the complex rest
+        blocks = [[r[:20].real for r in rows], [r[20:] for r in rows]]
+    else:
+        blocks = [[r[:20] for r in rows], [r[20:] for r in rows]]
+    values = block_half_nodes(blocks, n)
+    with pytest.raises(ValueError, match="coefficient rows mix dtypes complex128, float64"):
+        for j in range(2 * n - 1):
+            values(j)
+
+
 def test_moment_march_takes_one_stencil_product_per_block(monkeypatch):
     # 3,001 nodes in 256-node blocks: one stacked interior product per
     # block and the two edge stencils, not one product per half-node
