@@ -37,7 +37,7 @@ from .kernel import _noise_blocks, path_seed
 # sample_noise_batch is not called here; the benchmark tracer wraps this name
 from .kernel import sample_noise_batch  # noqa: F401
 from .moments import MomentTrajectory
-from .ocoeff import OCoefficientSeries
+from .ocoeff import OCoefficientSeries, _blas_on_caller
 from .params import LinearizedSystem
 from .stepping import TimeGrid, block_half_nodes, march_driven
 from .thermal import ThermalOCoefficients
@@ -568,19 +568,16 @@ class AveragedEnsemble:
 
 class _ProjectorSum:
     """Running sums of a trajectory ensemble at each stored node, folded a
-    batch at a time: the lower triangle of sum_p |psi_p><psi_p|, and the
-    count, mean and M2 of the norms |psi_p|^2 less a shift, the first
-    batch's mean (batch statistics merged as by Chan, Golub & LeVeque,
-    Am. Stat. 37, 242 (1983)).  Unshifted, the merged means would carry
-    the size of the norms, not their spread, and their rounding would
-    reach the standard error where the norms barely spread.
-
-    The fold makes no BLAS call: between calls OpenBLAS worker threads
-    spin, which doubled the CPU time of a march with a product per node.
+    batch at a time: sum_p |psi_p><psi_p|, and the count, mean and M2 of
+    the norms |psi_p|^2 less a shift, the first batch's mean (batch
+    statistics merged as by Chan, Golub & LeVeque, Am. Stat. 37, 242
+    (1983)).  Unshifted, the merged means would carry the size of the
+    norms, not their spread, and their rounding would reach the standard
+    error where the norms barely spread.
     """
 
     def __init__(self, n_nodes, dim):
-        self.low = np.zeros((n_nodes, dim, dim), dtype=complex)
+        self.proj = np.zeros((n_nodes, dim, dim), dtype=complex)
         self.count = np.zeros(n_nodes)
         self.shift = np.zeros(n_nodes)
         self.mean = np.zeros(n_nodes)
@@ -588,18 +585,12 @@ class _ProjectorSum:
 
     def fold(self, lo, i, psi):
         """Add the batch states ``psi`` (d, paths) at stored node ``i``."""
-        d, m = psi.shape
-        flat = self.low[i].reshape(-1)
+        with _blas_on_caller():
+            self.proj[i] += psi @ psi.conj().T
+        m = psi.shape[1]
         sq = np.square(psi.real)
         sq += np.square(psi.imag)
-        flat[::d + 1] += sq.sum(axis=1)
         norms = sq.sum(axis=0)
-        cpsi = psi.conj()
-        prod = np.empty_like(psi)
-        # band o of the lower triangle, rows o..d-1: sum_p psi[o:] psi*[:d-o]
-        for o in range(1, d):
-            flat[o * d::d + 1] += np.multiply(psi[o:], cpsi[:d - o],
-                                              out=prod[:d - o]).sum(axis=1)
         n, total = self.count[i], self.count[i] + m
         if not n:
             self.shift[i] = norms.mean()
@@ -611,7 +602,11 @@ class _ProjectorSum:
         self.count[i] = total
 
     def average(self, grid, node_indices) -> AveragedEnsemble:
-        low = self.low / self.count[:, None, None]
+        # the lower triangle, mirrored, on a real diagonal: the product's
+        # upper triangle and diagonal need not be exactly Hermitian
+        low = np.tril(self.proj / self.count[:, None, None])
+        d = np.arange(low.shape[1])
+        low.imag[:, d, d] = 0.0
         rhos = low + np.conj(np.swapaxes(np.tril(low, -1), 1, 2))
         se = (np.sqrt(self.m2 / (self.count - 1)) / np.sqrt(self.count)
               if self.count[0] > 1 else np.zeros_like(self.m2))

@@ -100,10 +100,15 @@ def _openblas_threads():
 def _blas_on_caller():
     """Run the block with OpenBLAS products on the calling thread.
 
-    The grid march's slab products are large enough for OpenBLAS to split
-    them over its threads.  The split bought no wall time on an idle
-    2-core host, doubled the CPU time, and with the other core busy made
-    a march take 2-3 times as long.
+    The package's one rule for BLAS threads: each product a march makes in
+    its loop is one plain product under this guard (the grid march here,
+    the ensemble fold in :mod:`fock`, the lag transforms in
+    :mod:`thermal`).  These products are large enough for OpenBLAS to
+    split over its threads.  The split bought no wall time on an idle
+    2-core host, and its workers then spun between the calls: the CPU
+    time doubled, and with the other core busy a march took 2-3 times as
+    long.  Work run once per call, such as a Cholesky colouring, stays
+    outside and keeps its threads.
     """
     calls = _openblas_threads()
     before = [get() for get, _ in calls]
@@ -341,7 +346,7 @@ def _two_time_march(coupling, bc, kernels, grid, with_slab=False,
                 # kw None: the step's first stage, at the node
                 def f(y):
                     x = X[kk] if kw is None else average(y, kw) + bw
-                    d = np.einsum("jk,ikl->ijl", coupling(x), y)
+                    d = coupling(x) @ y
                     if with_slab:
                         v = f5p if kw is None else b + c * (kw[0] @ us[-1]) * vs[-1]
                         us.append(y[0, 0])

@@ -21,7 +21,6 @@ __all__ = [
     "block_half_nodes",
     "march_driven",
     "doubled_blocks",
-    "march_doubled",
 ]
 
 
@@ -259,9 +258,3 @@ def doubled_blocks(rhs, y0, grid, what):
             )
         y = Y[-1].copy()
         yield Y if lo == 0 else Y[1:]
-
-
-def march_doubled(rhs, y0, grid, what):
-    """The blocks of :func:`doubled_blocks`, joined: the states stacked
-    along a leading time axis."""
-    return np.concatenate(list(doubled_blocks(rhs, y0, grid, what)))

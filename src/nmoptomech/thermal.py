@@ -31,9 +31,9 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .kernel import DeltaKernel, OUKernel, TabulatedKernel, spectral_density
-from .ocoeff import _two_time_march
+from .ocoeff import _blas_on_caller, _two_time_march
 from .params import LinearizedSystem
-from .stepping import TimeGrid, march_doubled
+from .stepping import TimeGrid, doubled_blocks
 
 __all__ = [
     "ThermalOCoefficients",
@@ -139,10 +139,9 @@ def _gauss_nodes(edges, order):
     return nodes, weights
 
 
-# most lags in one chunk of e^{-i w tau} in _half_transforms.  OpenBLAS
-# splits a matrix-vector product over threads only from 5 rows on; the
-# split bought no wall time here, and its idle worker then spun on the
-# other core, doubling the CPU and sometimes adding 0.7 s of wall time
+# most lags in one chunk of e^{-i w tau} in _half_transforms, for memory: a
+# chunk holds rows x Gauss nodes complex values (195 KB at 4 rows of 3,048
+# nodes, about 9 MB at the finest panel grid's 144,000)
 _TRANSFORM_ROWS = 4
 
 
@@ -154,12 +153,13 @@ def _half_transforms(lags, omega, g1, g2):
     # which would round that lag differently
     n = len(lags)
     cuts = np.linspace(0, n, -(-n // _TRANSFORM_ROWS) + 1).round().astype(int).tolist()
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        # in place, and g2 real: conj(e) @ g2 == conj(e @ g2)
-        e = np.multiply.outer(lags[lo:hi], iw)
-        np.exp(e, out=e)
-        a1[lo:hi] = e @ g1
-        a2[lo:hi] = np.conj(e @ g2)
+    with _blas_on_caller():
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            # in place, and g2 real: conj(e) @ g2 == conj(e @ g2)
+            e = np.multiply.outer(lags[lo:hi], iw)
+            np.exp(e, out=e)
+            a1[lo:hi] = e @ g1
+            a2[lo:hi] = np.conj(e @ g2)
     return a1, a2
 
 
@@ -308,9 +308,8 @@ def _solve_thermal_closed(pair, sys, grid):
         d = a0[:, None] * _BC - mu[:, None] * x + x @ np.swapaxes(kmat, -1, -2)
         return live[:, None] * d
 
-    out = march_doubled(rhs, X, grid, "closed thermal system")
-    return ThermalOCoefficients(grid=grid, X=out,
-                                provenance="closed-exponential")
+    out = np.concatenate(list(doubled_blocks(rhs, X, grid, "closed thermal system")))
+    return ThermalOCoefficients(grid=grid, X=out, provenance="closed-exponential")
 
 
 def _solve_thermal_grid(pair, sys, grid):

@@ -213,6 +213,20 @@ def test_ensemble_is_deterministic_for_fixed_seed():
     assert np.max(np.abs(a.rhos - c.rhos)) < 1e-12
 
 
+@pytest.mark.parametrize("batch_size", [7, 64])
+def test_ensemble_rho_is_exactly_hermitian(batch_size):
+    # the fold sums whole products psi psi^dag, whose upper triangle and
+    # diagonal round apart from the lower one at d = 9; the mean mirrors
+    # the lower triangle on a real diagonal at every stored node
+    dims, k = (3, 3), OUKernel(1.0, 0.8, 0.0)
+    grid, ops, F = _small_ensemble(dims, k)
+    avg = propagate_ensemble(F, ops, k, basis_state(dims), grid, 64, 99,
+                             batch_size=batch_size, store_every=1)
+    assert len(avg.rhos) == grid.n_points
+    for rho in avg.rhos:
+        assert np.array_equal(rho, rho.conj().T)
+
+
 def test_trace_distance_known_values():
     rho = projector(basis_state((3, 3), 0, 0))
     sig = projector(basis_state((3, 3), 1, 1))

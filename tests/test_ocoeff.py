@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import nmoptomech.ocoeff as oc
+from nmoptomech import fock, thermal
 from nmoptomech.errors import NumericalFailure
+from nmoptomech.fock import basis_state, build_operators, propagate_ensemble
 from nmoptomech.kernel import DeltaKernel, OUKernel, TabulatedKernel
 import nmoptomech
 from nmoptomech.ocoeff import (
@@ -28,7 +31,7 @@ from nmoptomech.ocoeff import (
 )
 from nmoptomech.params import LinearizedSystem
 from nmoptomech.stepping import TimeGrid
-from nmoptomech.thermal import _solve_thermal_grid
+from nmoptomech.thermal import _half_transforms, _solve_thermal_grid
 from oracles import (
     _row_rhs,
     boundary_residual,
@@ -419,22 +422,47 @@ def test_window_weights_are_built_once_per_window(monkeypatch):
         assert len(calls) == 2 * (m + 1) + 1
 
 
-def test_grid_march_leaves_no_blas_worker_busy():
-    # in a fresh process: CPU of threads other than the caller's.  The
-    # march's slab reads and folds are products OpenBLAS would split over
-    # its threads; they run on the caller, and no worker spins after them
+# the entries under the one BLAS rule, as the set-up and the call of a
+# fresh process: the grid march's slab reads and folds, the thermal lag
+# transforms, and the ensemble fold, whose (36, 256) @ (256, 36) products at
+# dims (6,6) are large enough for OpenBLAS to split
+_GUARDED = {
+    "grid-march": (
+        "from nmoptomech import LinearizedSystem, OUKernel, TabulatedKernel, TimeGrid\n"
+        "from nmoptomech.ocoeff import solve_two_time_grid\n"
+        "lags = np.arange(1001) * 0.005\n"
+        "k = TabulatedKernel(lags, OUKernel(Gamma=2.0, gamma=0.6).alpha(lags))\n"
+        "sys_ = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)\n",
+        "solve_two_time_grid(k, sys_, TimeGrid(dt=0.01, t_final=6.0))"),
+    "lag-transforms": (
+        "from nmoptomech import OUKernel\n"
+        "from nmoptomech.thermal import effective_kernels\n",
+        "effective_kernels(OUKernel(Gamma=0.4, gamma=2.0), 0.1, fit=True)"),
+    "ensemble-fold": (
+        "from nmoptomech import LinearizedSystem, OUKernel, TimeGrid\n"
+        "from nmoptomech.fock import basis_state, build_operators, propagate_ensemble\n"
+        "from nmoptomech.ocoeff import solve_ou_closed\n"
+        "sys_ = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)\n"
+        "k, grid = OUKernel(Gamma=2.0, gamma=0.6), TimeGrid(dt=0.01, t_final=2.0)\n"
+        "F, ops = solve_ou_closed(k, sys_, grid), build_operators((6, 6), sys_)\n",
+        "propagate_ensemble(F, ops, k, basis_state((6, 6)), grid, 256, 7, store_every=1)"),
+}
+
+
+@pytest.mark.parametrize("entry", list(_GUARDED))
+def test_guarded_entries_leave_no_blas_worker_busy(entry):
+    # in a fresh process: CPU of threads other than the caller's, which an
+    # OpenBLAS worker spends on a split product and on spinning after it.
+    # The entry's products run on the caller, and no worker spins after them
+    setup, call = _GUARDED[entry]
     code = ("import resource, time\n"
             "import numpy as np\n"
-            "from nmoptomech import LinearizedSystem, OUKernel, TabulatedKernel, TimeGrid\n"
-            "from nmoptomech.ocoeff import solve_two_time_grid\n"
+            f"{setup}"
             "def cpu():\n"
             "    r = resource.getrusage(resource.RUSAGE_SELF)\n"
             "    return r.ru_utime + r.ru_stime\n"
-            "lags = np.arange(1001) * 0.005\n"
-            "k = TabulatedKernel(lags, OUKernel(Gamma=2.0, gamma=0.6).alpha(lags))\n"
-            "sys_ = LinearizedSystem(omega_m=1.0, Delta=1.0, G=0.1)\n"
             "p, t = cpu(), time.thread_time()\n"
-            "solve_two_time_grid(k, sys_, TimeGrid(dt=0.01, t_final=6.0))\n"
+            f"{call}\n"
             "t = time.thread_time() - t\n"
             "print(cpu() - p - t, t)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -443,9 +471,40 @@ def test_grid_march_leaves_no_blas_worker_busy():
     assert other < 0.02 + 0.1 * own, (other, own)
 
 
-def test_grid_march_restores_the_blas_thread_count(monkeypatch):
-    # one thread while the march runs, in every OpenBLAS loaded (numpy's
-    # and scipy's); the caller's counts after it, also when the march fails
+def _grid_march_calls():
+    grid = TimeGrid(dt=0.1, t_final=20.0)
+    lags = np.arange(2 * grid.n_steps + 1) * (0.5 * grid.dt)
+
+    def march(Gamma):  # marches through at 25; diverges at t = 0.5 at 200
+        return lambda: solve_two_time_grid(
+            TabulatedKernel(lags, OUKernel(Gamma, 0.6).alpha(lags)), SYS, grid)
+
+    return oc, march(25.0), march(200.0)
+
+
+def _lag_transform_calls():
+    omega = np.linspace(0.1, 20.0, 400)
+    lags = np.linspace(0.0, 6.0, 41)
+    return (thermal, lambda: _half_transforms(lags, omega, omega, omega),
+            lambda: _half_transforms(lags, omega, omega[1:], omega))  # g1 too short
+
+
+def _ensemble_fold_calls():
+    dims, grid = (2, 2), TimeGrid(dt=0.05, t_final=1.0)
+    F, ops = solve_ou_closed(OU, SYS, grid), build_operators(dims, SYS)
+    return (fock,
+            lambda: propagate_ensemble(F, ops, OU, basis_state(dims), grid, 8, 3),
+            lambda: fock._ProjectorSum(1, 4).fold(0, 0, np.ones((3, 8))))  # psi not 4-dim
+
+
+_GUARDED_CALLS = {"grid-march": _grid_march_calls, "lag-transforms": _lag_transform_calls,
+                  "ensemble-fold": _ensemble_fold_calls}
+
+
+@pytest.mark.parametrize("entry", list(_GUARDED_CALLS))
+def test_guarded_entries_restore_the_blas_thread_count(entry, monkeypatch):
+    # one thread inside each guarded call, in every OpenBLAS loaded (numpy's
+    # and scipy's); the caller's counts after it, also when the call raises
     calls = oc._openblas_threads()
     if not calls:
         pytest.skip("no OpenBLAS is loaded")
@@ -453,16 +512,21 @@ def test_grid_march_restores_the_blas_thread_count(monkeypatch):
     def counts():
         return [get() for get, _ in calls]
 
-    before, seen = counts(), []
-    real = oc._row_matrix
-    monkeypatch.setattr(oc, "_row_matrix", lambda *a: seen.append(counts()) or real(*a))
-    grid = TimeGrid(dt=0.1, t_final=20.0)
-    lags = np.arange(2 * grid.n_steps + 1) * (0.5 * grid.dt)
-    for Gamma in (25.0, 200.0):  # marches through; diverges at t = 0.5
-        k = TabulatedKernel(lags, OUKernel(Gamma, 0.6).alpha(lags))
-        try:
-            solve_two_time_grid(k, SYS, grid)
-        except NumericalFailure:
-            assert Gamma == 200.0
-        assert counts() == before
+    module, run, fail = _GUARDED_CALLS[entry]()
+    real, seen = oc._blas_on_caller, []
+
+    @contextmanager
+    def spy():
+        with real():
+            seen.append(counts())
+            yield
+            seen.append(counts())
+
+    monkeypatch.setattr(module, "_blas_on_caller", spy)
+    before = counts()
+    run()
+    assert counts() == before
+    with pytest.raises((NumericalFailure, ValueError)):
+        fail()
+    assert counts() == before
     assert seen and all(c == [1] * len(calls) for c in seen)

@@ -15,7 +15,6 @@ from nmoptomech.stepping import (
     TimeGrid,
     block_half_nodes,
     doubled_blocks,
-    march_doubled,
     march_driven,
     rk4_step,
     trapezoid_weights,
@@ -160,6 +159,11 @@ def test_march_driven_equals_the_hand_written_loop():
     assert abs(got[0] - np.exp(np.sin(1.0))) < 1e-5
 
 
+def _joined(rhs, y0, grid, what):
+    """The blocks of :func:`doubled_blocks`, joined along the time axis."""
+    return np.concatenate(list(doubled_blocks(rhs, y0, grid, what)))
+
+
 def _doubling_gap(rhs, y0, h):
     coarse = rk4_step(y0, h, rhs)
     fine = rk4_step(rk4_step(y0, 0.5 * h, rhs), 0.5 * h, rhs)
@@ -175,18 +179,18 @@ def test_march_doubled_guard_fires_just_past_threshold():
     gap, size = _doubling_gap(rhs, np.array([1.0 + 0j]), 1.0)
     y_edge = 1e-2 / gap
     assert y_edge * size < 1.0
-    below = march_doubled(rhs, np.array([y_edge * (1 - 1e-6)]), grid, "toy")
+    below = _joined(rhs, np.array([y_edge * (1 - 1e-6)]), grid, "toy")
     assert below.shape == (2, 1)
     with pytest.raises(NumericalFailure, match="toy is stiff at t=1.000"):
-        march_doubled(rhs, np.array([y_edge * (1 + 1e-6)]), grid, "toy")
+        _joined(rhs, np.array([y_edge * (1 + 1e-6)]), grid, "toy")
     with pytest.raises(NumericalFailure, match="toy"):
-        march_doubled(lambda v: v * np.nan, np.ones(1), grid, "toy")
+        _joined(lambda v: v * np.nan, np.ones(1), grid, "toy")
 
 
 def test_march_doubled_keeps_the_fine_result():
     rhs = lambda v: 1j * v
     grid = TimeGrid(dt=0.1, t_final=0.3)
-    out = march_doubled(rhs, np.array([1.0, 2.0]), grid, "rotation")
+    out = _joined(rhs, np.array([1.0, 2.0]), grid, "rotation")
     y = np.array([1.0, 2.0], dtype=complex)
     for k in range(3):
         y = rk4_step(rk4_step(y, 0.05, rhs), 0.05, rhs)
@@ -203,21 +207,20 @@ def test_march_doubled_guard_is_per_point():
     grid = TimeGrid(dt=1.0, t_final=1.0)
     gap, _ = _doubling_gap(lambda v: -4.0 * v, np.array([1.0 + 0j]), 1.0)
     y_edge = 1e-2 / gap
-    below = march_doubled(rhs, np.array([[y_edge * (1 - 1e-6), 1e6]]), grid, "toy")
+    below = _joined(rhs, np.array([[y_edge * (1 - 1e-6), 1e6]]), grid, "toy")
     assert below.shape == (2, 1, 2)
     with pytest.raises(NumericalFailure, match="toy is stiff at t=1.000"):
-        march_doubled(rhs, np.array([[y_edge * (1 + 1e-6), 1e6]]), grid, "toy")
+        _joined(rhs, np.array([[y_edge * (1 + 1e-6), 1e6]]), grid, "toy")
 
 
 def test_march_doubled_batch_matches_each_point_alone():
     w = np.array([0.5, 1.0, 2.0])
     y0 = np.array([[1.0, 2.0, -1.0], [0.5j, 0.0, 1.0 + 1j]])
     grid = TimeGrid(dt=0.1, t_final=2.0)
-    out = march_doubled(lambda v: 1j * w * v - 0.1 * v * v, y0, grid, "batch")
+    out = _joined(lambda v: 1j * w * v - 0.1 * v * v, y0, grid, "batch")
     assert out.shape == (grid.n_points, 2, 3)
     for p in range(3):
-        alone = march_doubled(lambda v: 1j * w[p] * v - 0.1 * v * v, y0[:, p],
-                              grid, "alone")
+        alone = _joined(lambda v: 1j * w[p] * v - 0.1 * v * v, y0[:, p], grid, "alone")
         np.testing.assert_allclose(out[:, :, p], alone, rtol=0, atol=1e-15)
 
 
@@ -354,7 +357,7 @@ def test_thermal_closed_march_broadcasts_over_nodes(monkeypatch):
     pair = thermal.effective_kernels(OUKernel(Gamma=2.0, gamma=1.0, Omega=0.3), 0.0)
     grid = TimeGrid(dt=0.01, t_final=3.0)
     seen = {}
-    _spy(monkeypatch, thermal, "march_doubled", seen)
+    _spy(monkeypatch, thermal, "doubled_blocks", seen)
     X = thermal.solve_thermal_ocoeff(pair, LinearizedSystem(1.0, 1.0, 0.1), grid)
     want = stepwise_doubled(seen["rhs"], seen["y0"], grid, seen["what"])
     assert np.array_equal(X.X, want)
